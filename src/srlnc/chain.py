@@ -43,7 +43,7 @@ from scipy.sparse import csr_array
 
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError
-from .rank import RankTables, _binom
+from .rank import RankTables, _binom_row
 
 log = logging.getLogger(__name__)
 
@@ -140,6 +140,8 @@ class TransitionMatrix:
     scipy CSR copy drives propagation.  clamp_count records how many bracket
     terms went negative during construction and were clamped to zero;
     nonzero counts happen only where the innovation table itself misbehaves.
+    Propagated distributions are memoised per budget (see distribution), so
+    several readings of one budget cost one propagation.
     """
 
     def __init__(self, K: int, mode: str, rows: tuple[dict[int, float], ...],
@@ -148,6 +150,7 @@ class TransitionMatrix:
         self.mode = mode
         self.rows = rows
         self.clamp_count = clamp_count
+        self._dists: dict[int, np.ndarray] = {}
         S = n_states(K)
         indptr = np.zeros(S + 1, dtype=np.int64)
         cols: list[int] = []
@@ -165,6 +168,15 @@ class TransitionMatrix:
     @property
     def n_states(self) -> int:
         return n_states(self.K)
+
+    def distribution(self, n_hat: int) -> np.ndarray:
+        """Read-only distribution after n_hat slots from the initial state."""
+        dist = self._dists.get(n_hat)
+        if dist is None:
+            dist = _propagate(self, n_hat)
+            dist.flags.writeable = False
+            self._dists[n_hat] = dist
+        return dist
 
     def verify(self) -> None:
         """Structural sanity checks; raises NumericalIntegrityError."""
@@ -335,23 +347,25 @@ def _propagate(P: TransitionMatrix, n_hat: int) -> np.ndarray:
 def intercept_probability(P: TransitionMatrix, n_hat: int) -> float:
     """Probability that Eve has decoded within n_hat slots.
 
-    Mass of the n_hat-step distribution on the eve_defect == 0 labels.  The
-    underlying per-slot probabilities tend to overshoot, so treat this as an
-    empirical upper bound on the true intercept probability.
+    Mass of the n_hat-step distribution on the eve_defect == 0 labels,
+    clamped to 1 against rounding in the summed mass.  The underlying
+    per-slot probabilities tend to overshoot, so treat this as an empirical
+    upper bound on the true intercept probability.
     """
-    dist = _propagate(P, n_hat)
-    return float(sum(dist[j] for j in intercept_labels(P.K)))
+    dist = P.distribution(n_hat)
+    return min(1.0, float(sum(dist[j] for j in intercept_labels(P.K))))
 
 
 def chain_delivery_probability(P: TransitionMatrix, n_hat: int) -> float:
     """Chain-side estimate of Bob decoding within n_hat slots.
 
-    Mass on labels 0..K+1 after n_hat steps.  Diagnostic only: it shares the
-    chain's overshoot, so the binomial form in delivery_probability is what
-    the sparsity optimizer constrains against.
+    Mass on labels 0..K+1 after n_hat steps, clamped to 1 like the
+    intercept.  Diagnostic only: it shares the chain's overshoot, so the
+    binomial form in delivery_probability is what the sparsity optimizer
+    constrains against.
     """
-    dist = _propagate(P, n_hat)
-    return float(np.sum(dist[: P.K + 2]))
+    dist = P.distribution(n_hat)
+    return min(1.0, float(np.sum(dist[: P.K + 2])))
 
 
 def delivery_probability(code: CodeParams, chan: ChannelParams,
@@ -375,13 +389,9 @@ def delivery_probability(code: CodeParams, chan: ChannelParams,
         log.warning("transmission budget %d is below K=%d; delivery is 0", N, K)
         return 0.0
     eb = chan.eps_b
-    total = 0.0
-    for n in range(K, N + 1):
-        weight = _binom(N, n) * (1.0 - eb) ** n * eb ** (N - n)
-        if weight == 0.0:
-            continue
-        total += weight * tables.full_rank_prob(n, K)
-    return min(1.0, total)
+    n = np.arange(K, N + 1)
+    weights = _binom_row(N)[K:] * (1.0 - eb) ** n * eb ** (N - n)
+    return min(1.0, float(weights @ tables.full_rank_probs(K, N)))
 
 
 @dataclass
@@ -406,7 +416,7 @@ def chain_metrics(code: CodeParams, chan: ChannelParams, tables: RankTables,
         dist = dist @ P.matrix
         if want_trace:
             trace.append(dist.copy())
-    intercept = float(sum(dist[j] for j in intercept_labels(P.K)))
+    intercept = min(1.0, float(sum(dist[j] for j in intercept_labels(P.K))))
     delivery = delivery_probability(code, chan, tables)
     return ChainMetrics(
         intercept=intercept,

@@ -369,6 +369,9 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             for p in _fig1_p_grid(q):
                 code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
                 tables = RankTables(K, q, p, args.pi_variant)
+                # Delivery reads eps_b only, so one evaluation serves every eps_k.
+                delivery = delivery_probability(
+                    code, ChannelParams(eps_b, eps_e, eps_ks[0]), tables)
                 for eps_k in eps_ks:
                     chan_k = ChannelParams(eps_b, eps_e, eps_k)
                     P = build_chain(code, chan_k, tables, args.mode)
@@ -384,8 +387,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                         "intercept_theory": intercept_probability(P, n_hat),
                         "intercept_hat": stats.intercept_hat,
                         "ci": stats.intercept_ci,
-                        "delivery_theory": delivery_probability(
-                            code, chan_k, tables),
+                        "delivery_theory": delivery,
                         "delivery_hat": stats.delivery_hat,
                         "mean_slots": stats.mean_slots,
                     })

@@ -27,6 +27,25 @@ count would be expected.  Both readings are implemented behind
 as printed, ``"row-count"`` evaluates rho(s, r).  The row-count reading makes
 ``pi(ell, r)`` the probability that ``ell`` specific columns form a minimal
 zero-sum set (verified against enumeration), and it is the default.
+
+Tables.  One rank model exists per ``(q, p, pi_variant)`` (an lru cache keeps
+the recent ones warm).  It holds ``pi(ell, r)`` for every ``ell <= L`` and
+``r = 0 .. R`` as one numpy array, computed by running the recursion over
+``ell`` with whole columns of ``r`` at a time: O(L^2) vector operations, each
+element updated in the same order as the scalar recursion,
+``val -= (C(ell-1, s) rho(s, .)) pi(ell-s, r)``.  When a caller asks for a
+larger ``ell`` or ``r`` the array is rebuilt at the larger size (``r`` at
+least doubling), and the values it already held do not change.  Every other
+output reads from it: ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r,
+c)`` for all ``r = c .. r_max`` at once (memoised per ``c``), the innovation
+table W of ``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
+``full_rank_prob`` are lookups.  Binomial coefficients come from cached rows.
+
+Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
+goes negative in places: ``RankTables(20, 2, 0.9).pi(19, 20)`` is about
+``-5.46e-8``, and a 40-digit mpmath evaluation of the same recursion agrees to
+12 digits.  It is not floating-point cancellation, so no reordering of the
+arithmetic removes it; making ``pi`` nonnegative is a change of model.
 """
 
 from __future__ import annotations
@@ -35,6 +54,8 @@ import functools
 import itertools
 import logging
 import math
+
+import numpy as np
 
 from .errors import ConfigError
 from .gf import get_field
@@ -54,6 +75,24 @@ def _binom(n: int, k: int) -> float:
     return math.exp(
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _binom_row(n: int) -> np.ndarray:
+    """Read-only array of _binom(n, k) for k = 0 .. n."""
+    row = np.array([_binom(n, k) for k in range(n + 1)])
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=64)
+def _pascal(n: int) -> np.ndarray:
+    """Read-only array of _binom(i, k) for i, k = 0 .. n (zero for k > i)."""
+    out = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        out[i, : i + 1] = _binom_row(i)
+    out.flags.writeable = False
+    return out
 
 
 def classic_full_rank_prob(r: int, c: int, q: int) -> float:
@@ -80,7 +119,9 @@ def _validate_pq(p: float, q: int) -> None:
 class _SparseRankModel:
     """rho/pi/full-rank machinery for one (q, p, pi_variant).
 
-    Independent of the generation size; memoises pi by (ell, r).
+    Independent of the generation size.  ``_pi[ell - 1, r]`` holds pi(ell, r)
+    for r = 0 .. R; the array is replaced by a larger one when a caller needs
+    more, never written in place, so readers always see a complete table.
     """
 
     def __init__(self, q: int, p: float, pi_variant: str = DEFAULT_PI_VARIANT):
@@ -94,53 +135,86 @@ class _SparseRankModel:
         self.pi_variant = pi_variant
         self.classic = p == 1.0 / q
         self._lam = 1.0 - q * (1.0 - p) / (q - 1.0)
-        self._pi_memo: dict[tuple[int, int], float] = {}
+        self._pi = np.empty((0, 0))
+        self._full_rank: dict[int, np.ndarray] = {}
+
+    def _per_row(self, c: int) -> float:
+        return (1.0 + (self.q - 1.0) * self._lam**c) / self.q
 
     def rho(self, c: int, r: int) -> float:
         """P(a fixed nonzero combination of c sparse columns of height r
         sums to zero)."""
         if c < 0 or r < 0:
             raise ConfigError("rho needs nonnegative arguments")
-        per_row = (1.0 + (self.q - 1.0) * self._lam**c) / self.q
-        return per_row**r
+        return self._per_row(c) ** r
+
+    def pi_table(self, ell_max: int, r_max: int) -> np.ndarray:
+        """Array whose entry [ell - 1, r] is pi(ell, r), covering at least
+        ell = 1 .. ell_max and r = 0 .. r_max."""
+        L, R = self._pi.shape
+        if ell_max > L or r_max >= R:
+            # Widening r at least doubles the table, so a caller stepping r
+            # upwards one at a time triggers O(log r) rebuilds, not O(r).
+            R = R if r_max < R else max(r_max + 1, 2 * R)
+            self._pi = self._build_pi(max(ell_max, L), R)
+        return self._pi
+
+    def _build_pi(self, L: int, R: int) -> np.ndarray:
+        r = np.arange(R)
+        per_row = [self._per_row(c) for c in range(L + 1)]
+        rho = [a**r for a in per_row]
+        subset_size = self.pi_variant == "subset-size"
+        pi = np.empty((L, R))
+        for ell in range(1, L + 1):
+            val = rho[ell].copy()
+            coef = _binom_row(ell - 1)
+            for s in range(1, ell):
+                factor = per_row[s] ** ell if subset_size else rho[s]
+                val -= (coef[s] * factor) * pi[ell - s - 1]
+            pi[ell - 1] = val
+        pi.flags.writeable = False
+        return pi
 
     def pi(self, ell: int, r: int) -> float:
         """Signed correction term of order ell for columns of height r."""
-        if ell < 1 or r < 0:
-            raise ConfigError("pi needs ell >= 1 and r >= 0")
-        key = (ell, r)
-        got = self._pi_memo.get(key)
-        if got is not None:
-            return got
-        if ell == 1:
-            val = self.rho(1, r)
-        else:
-            val = self.rho(ell, r)
-            for s in range(1, ell):
-                second = ell if self.pi_variant == "subset-size" else r
-                val -= _binom(ell - 1, s) * self.rho(s, second) * self.pi(ell - s, r)
-        self._pi_memo[key] = val
-        return val
+        if not (isinstance(ell, int) and isinstance(r, int)) or ell < 1 or r < 0:
+            raise ConfigError(f"pi needs integers ell >= 1 and r >= 0, got {ell}, {r}")
+        return float(self.pi_table(ell, r)[ell - 1, r])
+
+    def full_rank_probs(self, c: int, r_max: int) -> np.ndarray:
+        """Read-only array of full_rank_prob(r, c) for r = c .. r_max."""
+        if not (isinstance(c, int) and isinstance(r_max, int)) or not 0 <= c <= r_max:
+            raise ConfigError(
+                f"full-rank probabilities need integers r >= c >= 0, "
+                f"got r={r_max}, c={c}"
+            )
+        got = self._full_rank.get(c)
+        if got is None or len(got) <= r_max - c:
+            got = self._full_rank_column(c, r_max)
+            got.flags.writeable = False
+            self._full_rank[c] = got
+        return got[: r_max - c + 1]
+
+    def _full_rank_column(self, c: int, r_max: int) -> np.ndarray:
+        """full_rank_prob(r, c) for r = c up to r_max or further, as far as
+        the pi table reaches."""
+        if c == 0:
+            return np.ones(r_max + 1)
+        if self.classic:
+            return np.array([classic_full_rank_prob(r, c, self.q)
+                             for r in range(c, r_max + 1)])
+        pi = self.pi_table(c, r_max)[:, c:]
+        # base > 0 because p < 1 and r >= 1.
+        base = 1.0 - self.p ** np.arange(c, c + pi.shape[1])
+        coef = _binom_row(c)
+        expo = np.zeros(pi.shape[1])
+        for ell in range(2, c + 1):
+            expo += coef[ell] * pi[ell - 1] / base**ell
+        return np.clip(base**c * np.exp(-expo), 0.0, 1.0)
 
     def full_rank_prob(self, r: int, c: int) -> float:
         """P(an r x c sparse random matrix has rank c), for r >= c >= 0."""
-        if not (isinstance(r, int) and isinstance(c, int)) or c < 0 or r < c:
-            raise ConfigError(f"full_rank_prob needs integers r >= c >= 0, got {r}, {c}")
-        if c == 0:
-            return 1.0
-        if self.classic:
-            return classic_full_rank_prob(r, c, self.q)
-        base = 1.0 - self.p**r
-        if base <= 0.0:
-            return 0.0
-        expo = 0.0
-        for ell in range(2, c + 1):
-            expo += _binom(c, ell) * self.pi(ell, r) / base**ell
-        return _clamp01(base**c * math.exp(-expo))
-
-
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+        return float(self.full_rank_probs(c, r)[r - c])
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,9 +237,11 @@ def full_rank_prob(
 class RankTables:
     """Innovation and full-rank probabilities for one (K, q, p).
 
-    Builds the innovation table ``W[t]`` for ``t = 0 .. K-1`` eagerly; the
-    underlying rho/pi values are memoised and shared.  Instances are cheap,
-    immutable once built, and safe to share between threads.
+    Builds the innovation table ``W[t]`` for ``t = 0 .. K-1`` from the shared
+    rank model's pi table on first use, so callers that only need full-rank
+    probabilities (the delivery constraint) never pay for it.  Instances are
+    cheap and safe to share between threads: the shared model only ever
+    replaces its arrays by larger complete ones.
 
     W[t] is the probability that, given t mutually independent sparse columns
     of height K, one more sparse column is independent of them.  It is exact
@@ -183,27 +259,34 @@ class RankTables:
         self.pi_variant = pi_variant
         self._mdl = _model(q, p, pi_variant)
         self.classic = self._mdl.classic
-        self.W = tuple(self._innovation(t) for t in range(K))
-        worst = max(
-            (self.W[t + 1] - self.W[t] for t in range(K - 1)), default=0.0
-        )
+
+    @functools.cached_property
+    def W(self) -> tuple[float, ...]:
+        """Innovation table, W[t] for t = 0 .. K-1."""
+        W = self._innovation_table()
+        worst = max((W[t + 1] - W[t] for t in range(self.K - 1)), default=0.0)
         if worst > 1e-9:
             log.warning(
                 "innovation table not monotone at K=%d q=%d p=%g "
                 "(worst increase %.3g); approximation outside its range",
-                K, q, p, worst,
+                self.K, self.q, self.p, worst,
             )
+        return W
 
-    def _innovation(self, t: int) -> float:
+    def _innovation_table(self) -> tuple[float, ...]:
+        K = self.K
         if self.classic:
-            return classic_innovation_prob(t, self.K, self.q)
-        base = 1.0 - self.p**self.K
-        if base <= 0.0:
-            return 0.0
-        expo = 0.0
-        for ell in range(2, t + 2):
-            expo += _binom(t, ell - 1) * self._mdl.pi(ell, self.K) / base**ell
-        return _clamp01(base * math.exp(-expo))
+            return tuple(classic_innovation_prob(t, K, self.q) for t in range(K))
+        pi = self._mdl.pi_table(K, K)[:, K]
+        # base > 0 because p < 1 and K >= 1.
+        base = 1.0 - self.p**K
+        # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1), so the term of
+        # order ell reaches every t >= ell - 1.
+        binoms = _pascal(K - 1)
+        expo = np.zeros(K)
+        for ell in range(2, K + 1):
+            expo[ell - 1:] += binoms[ell - 1:, ell - 1] * pi[ell - 1] / base**ell
+        return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
 
     def innovation_probability(self, t: int) -> float:
         """W[t] for 0 <= t <= K-1."""
@@ -213,6 +296,10 @@ class RankTables:
 
     def full_rank_prob(self, r: int, c: int) -> float:
         return self._mdl.full_rank_prob(r, c)
+
+    def full_rank_probs(self, c: int, r_max: int) -> np.ndarray:
+        """Read-only array of full_rank_prob(r, c) for r = c .. r_max."""
+        return self._mdl.full_rank_probs(c, r_max)
 
     def rho(self, c: int, r: int) -> float:
         return self._mdl.rho(c, r)

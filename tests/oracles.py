@@ -1,7 +1,8 @@
 """Reference implementations the test suite trusts.
 
 Everything here favours obvious correctness over speed: exact rational
-arithmetic, brute-force path walks, polynomial long division.  Only public
+arithmetic, 40-digit mpmath evaluation, brute-force path walks, polynomial
+long division.  Only public
 entry points of the package are touched (and only where an oracle must
 consume a package object, like a transition matrix), so a bug in the
 library cannot leak into the values it is checked against.
@@ -9,7 +10,10 @@ library cannot leak into the values it is checked against.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import mpmath
 
 
 def poly_mul(a: int, b: int, m: int, poly: int) -> int:
@@ -145,3 +149,76 @@ def smoothed_sigma(p_hat: float, trials: int) -> float:
     x = round(p_hat * trials)
     pt = (x + 1.0) / (trials + 2.0)
     return (pt * (1.0 - pt) / trials) ** 0.5
+
+
+class MpRowCountModel:
+    """The sparse rank model of one (q, p), row-count reading, at 40 digits.
+
+    Evaluates the pi recursion one scalar at a time, exactly as the model is
+    written, with p taken at its exact binary value:
+
+        pi(ell, r) = rho(ell, r) - sum_{s<ell} C(ell-1, s) rho(s, r) pi(ell-s, r)
+        R(r, c)    = clamp(b^c exp(-sum_{ell=2}^{c} C(c, ell) pi(ell, r) / b^ell))
+        W_t        = clamp(B exp(-sum_{ell=2}^{t+1} C(t, ell-1) pi(ell, K) / B^ell))
+
+    with b = 1 - p^r and B = 1 - p^K.  Shares no code with the package.
+    """
+
+    DPS = 40
+
+    def __init__(self, q: int, p: float):
+        self.q = q
+        with mpmath.workdps(self.DPS):
+            self.p = mpmath.mpf(p)
+            self.lam = 1 - q * (1 - self.p) / (q - 1)
+
+    def _rho(self, c: int, r: int):
+        return ((1 + (self.q - 1) * self.lam ** c) / self.q) ** r
+
+    def _pi_column(self, r: int, ell_max: int) -> list:
+        """[pi(1, r), ..., pi(ell_max, r)]."""
+        col: list = []
+        for ell in range(1, ell_max + 1):
+            val = self._rho(ell, r)
+            for s in range(1, ell):
+                val -= math.comb(ell - 1, s) * self._rho(s, r) * col[ell - s - 1]
+            col.append(val)
+        return col
+
+    @staticmethod
+    def _clamp(x):
+        return min(mpmath.mpf(1), max(mpmath.mpf(0), x))
+
+    def full_rank(self, r: int, c: int) -> float:
+        with mpmath.workdps(self.DPS):
+            pi = self._pi_column(r, c)
+            base = 1 - self.p ** r
+            expo = mpmath.fsum(math.comb(c, ell) * pi[ell - 1] / base ** ell
+                               for ell in range(2, c + 1))
+            return float(self._clamp(base ** c * mpmath.exp(-expo)))
+
+    def innovation(self, K: int) -> list[float]:
+        with mpmath.workdps(self.DPS):
+            pi = self._pi_column(K, K)
+            base = 1 - self.p ** K
+            out = []
+            for t in range(K):
+                expo = mpmath.fsum(math.comb(t, ell - 1) * pi[ell - 1] / base ** ell
+                                   for ell in range(2, t + 2))
+                out.append(float(self._clamp(base * mpmath.exp(-expo))))
+            return out
+
+
+def subset_size_pi(ell: int, r: int, p: float, q: int) -> float:
+    """pi(ell, r) under the subset-size reading, as the recursion is printed:
+    the convolution factor is rho(s, ell), not rho(s, r).  Plain floats,
+    one recursive call per term."""
+    lam = 1.0 - q * (1.0 - p) / (q - 1.0)
+
+    def rho(c: int, height: int) -> float:
+        return ((1.0 + (q - 1.0) * lam ** c) / q) ** height
+
+    val = rho(ell, r)
+    for s in range(1, ell):
+        val -= math.comb(ell - 1, s) * rho(s, ell) * subset_size_pi(ell - s, r, p, q)
+    return val

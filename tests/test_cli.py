@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from srlnc import chain as chain_module
 from srlnc import cli
 from srlnc.chain import (
     ChannelParams,
@@ -98,6 +99,24 @@ def test_chain_row_matches_the_library(capsys, tmp_path):
         assert trips[(i, j)] == v
 
 
+def test_chain_delivery_mass_is_clamped_and_propagated_once(capsys, monkeypatch):
+    # At q=16, eps_k=0 the summed chain mass rounds to 1.000000000000001;
+    # it must print as a probability, and I and I_chain_delivery must come
+    # from one propagation of the chain.
+    calls = []
+    real = chain_module._propagate
+    monkeypatch.setattr(chain_module, "_propagate",
+                        lambda P, n: calls.append(n) or real(P, n))
+    rc, out, _ = _run(capsys, ["chain", "--K", "20", "--q", "16", "--p", "0.1",
+                               "--Nhat", "40", "--eps-b", "0.05",
+                               "--eps-e", "0.3", "--eps-k", "0.0"])
+    assert rc == 0
+    (row,) = _rows(out)
+    assert row["I_chain_delivery"] == "1.0"
+    assert 0.0 <= float(row["I"]) <= 1.0
+    assert calls == [40]
+
+
 def test_simulate_reruns_are_byte_identical(capsys, tmp_path):
     out_path = tmp_path / "sim.csv"
     argv = ["simulate", "--K", "3", "--p", "0.6", "--Nhat", "8",
@@ -123,6 +142,17 @@ def test_optimize_reports_and_exits_zero_when_feasible(capsys):
     assert 0.5 < float(row["p_star"]) < 0.95
     assert float(row["delivery"]) >= 0.99
     assert int(row["iterations"]) <= 60
+
+
+def test_optimize_classic_intercept_is_clamped(capsys):
+    # The classic chain's intercept mass rounds to 1.0000000000000002 here.
+    rc, out, _ = _run(capsys, ["optimize", "--K", "20", "--q", "16",
+                               "--Nhat", "61", "--eps-b", "0.05",
+                               "--eps-e", "0.2", "--eps-k", "1.0"])
+    assert rc == 0
+    (row,) = _rows(out)
+    assert row["intercept_classic"] == "1.0"
+    assert 0.0 <= float(row["intercept"]) <= 1.0
 
 
 def test_optimize_infeasible_exits_4_but_still_writes_the_row(capsys):

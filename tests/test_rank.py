@@ -7,13 +7,16 @@ the recursion base) and tolerance assertions against exact enumeration.
 
 import math
 
+import numpy as np
 import pytest
 
 from oracles import (
+    MpRowCountModel,
     classic_full_rank,
     classic_innovation,
     sparse_full_rank_gf2,
     sparse_innovation_gf2,
+    subset_size_pi,
 )
 from srlnc import (
     ConfigError,
@@ -25,7 +28,7 @@ from srlnc import (
     full_rank_prob,
     rho,
 )
-from srlnc.rank import DEFAULT_PI_VARIANT, PI_VARIANTS
+from srlnc.rank import DEFAULT_PI_VARIANT, PI_VARIANTS, _SparseRankModel
 
 
 def test_rho_hand_values():
@@ -227,3 +230,57 @@ def test_matches_guard():
     assert tables.matches(5, 2, 0.6)
     assert not tables.matches(5, 2, 0.7)
     assert not tables.matches(6, 2, 0.6)
+
+
+# Sparsities the table path is pinned at: both ends of the search range and
+# points between, per field.
+_PINNED_P = {2: (0.5 + 1e-9, 0.55, 0.7, 0.85, 0.9, 0.95),
+             16: (1 / 16 + 1e-9, 0.1, 0.3, 0.6, 0.85, 0.95)}
+
+
+@pytest.mark.parametrize("q", (2, 16))
+def test_tables_match_a_40_digit_evaluation(q):
+    K = 20
+    for p in _PINNED_P[q]:
+        tables = RankTables(K, q, p)
+        mp = MpRowCountModel(q, p)
+        for r in range(K, 101):
+            assert abs(tables.full_rank_prob(r, K) - mp.full_rank(r, K)) <= 1e-12, (p, r)
+        for t, want in enumerate(mp.innovation(K)):
+            assert abs(tables.W[t] - want) <= 1e-12, (p, t)
+
+
+def test_full_rank_vector_matches_the_scalar_reads():
+    tables = RankTables(8, 16, 0.4)
+    vec = tables.full_rank_probs(8, 30)
+    assert len(vec) == 23
+    assert vec.tolist() == [tables.full_rank_prob(r, 8) for r in range(8, 31)]
+    with pytest.raises(ConfigError):
+        tables.full_rank_probs(8, 7)
+
+
+def test_subset_size_variant_matches_the_printed_recursion():
+    for q, p in ((2, 0.6), (2, 0.8), (16, 0.3)):
+        tables = RankTables(5, q, p, pi_variant="subset-size")
+        for ell in range(1, 6):
+            for r in range(0, 13):
+                assert tables.pi(ell, r) == pytest.approx(
+                    subset_size_pi(ell, r, p, q), rel=1e-12, abs=1e-15), (q, p, ell, r)
+        base = 1.0 - p**5
+        for t in range(5):
+            expo = sum(math.comb(t, ell - 1) * subset_size_pi(ell, 5, p, q) / base**ell
+                       for ell in range(2, t + 2))
+            want = min(1.0, max(0.0, base * math.exp(-expo)))
+            assert tables.W[t] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_widened_table_equals_one_built_at_full_width():
+    for q, p in ((2, 0.7), (16, 0.3)):
+        grown = _SparseRankModel(q, p)
+        narrow = grown.full_rank_probs(20, 40).copy()
+        wide = grown.full_rank_probs(20, 100)
+        direct = _SparseRankModel(q, p)
+        assert np.array_equal(wide, direct.full_rank_probs(20, 100))
+        assert np.array_equal(narrow, wide[:21])
+        assert np.array_equal(grown.pi_table(20, 100)[:, :101],
+                              direct.pi_table(20, 100)[:, :101])
