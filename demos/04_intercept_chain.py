@@ -34,11 +34,10 @@ print(f"chain for K={K}: {n_states(K)} states "
 print("\nthree rows, decoded:")
 for label in (initial_label(K), initial_label(K) - 1, K + 1):
     st = state_of(label, K)
-    row = P.rows[label]
     desc = (f"Bob defect {st.bob_defect}, Eve defect {st.eve_defect}, "
             f"ACK {'yes' if st.ack_received else 'no'}")
     print(f"  label {label:2d} ({desc})")
-    for dest, prob in sorted(row.items()):
+    for dest, prob in ((j, w) for i, j, w in P.triplets() if i == label):
         d = state_of(dest, K)
         print(f"      -> {dest:2d} (dB={d.bob_defect}, dE={d.eve_defect}, "
               f"ack={'y' if d.ack_received else 'n'})  prob={prob:.4f}")

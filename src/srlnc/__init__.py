@@ -39,13 +39,11 @@ from .rank import (
     rho,
 )
 from .chain import (
-    ChainMetrics,
     ChainState,
     ChannelParams,
     TransitionMatrix,
     build_chain,
     chain_delivery_probability,
-    chain_metrics,
     delivery_probability,
     initial_label,
     intercept_labels,
@@ -66,10 +64,10 @@ __all__ = [
     "sample_coding_matrix", "sample_coding_vector",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
     "exact_full_rank_prob", "exact_innovation_prob", "full_rank_prob", "rho",
-    "ChainMetrics", "ChainState", "ChannelParams", "TransitionMatrix",
-    "build_chain", "chain_delivery_probability", "chain_metrics",
-    "delivery_probability", "initial_label", "intercept_labels",
-    "intercept_probability", "label_of", "n_states", "state_of",
+    "ChainState", "ChannelParams", "TransitionMatrix", "build_chain",
+    "chain_delivery_probability", "delivery_probability", "initial_label",
+    "intercept_labels", "intercept_probability", "label_of", "n_states",
+    "state_of",
     "SimConfig", "SimStats", "TrialOutcome", "estimate", "run_trial",
     "GainPoint", "ImConfig", "ImSolution", "intercept_gain", "solve_im",
     "__version__",

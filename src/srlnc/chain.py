@@ -17,6 +17,10 @@ That gives ``(K+1)(K+2)`` states.  The process starts at ``(K, K, 0)``,
 label ``(K+1)^2 + K``, and interception means reaching any state with
 ``eve_defect == 0``, i.e. the labels ``{t(K+1) : t = 0..K+1}``.
 
+Each row has at most six entries, so the matrix is kept as three row-major
+arrays (source label, destination label, probability), and one slot of
+propagation scatters ``dist[src] * prob`` onto ``dst`` with ``np.bincount``.
+
 The per-slot probabilities approximate the coupled rank evolution using the
 innovation table W of `RankTables`:  a receiver at defect d advances with
 probability ``W[K-d]`` given reception, and joint advances are bounded by the
@@ -36,10 +40,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError
@@ -136,34 +139,26 @@ def intercept_labels(K: int) -> tuple[int, ...]:
 class TransitionMatrix:
     """Sparse row-stochastic transition matrix over the labeled states.
 
-    rows[i] maps destination label -> probability (at most 6 entries).  The
-    scipy CSR copy drives propagation.  clamp_count records how many bracket
-    terms went negative during construction and were clamped to zero;
-    nonzero counts happen only where the innovation table itself misbehaves.
-    Propagated distributions are memoised per budget (see distribution), so
-    several readings of one budget cost one propagation.
+    Stored once, as three parallel arrays: entry k moves probability
+    prob[k] from label src[k] to label dst[k].  Entries run in row-major
+    order (by src, then by dst), every label has at least its self-loop,
+    and explicit zeros are kept, so the arrays are exactly the audit dump of
+    triplets().  clamp_count records how many bracket terms went negative
+    during construction and were clamped to zero; nonzero counts happen only
+    where the innovation table itself misbehaves.  Propagated distributions
+    are memoised per budget (see distribution), so several readings of one
+    budget cost one propagation.
     """
 
-    def __init__(self, K: int, mode: str, rows: tuple[dict[int, float], ...],
-                 clamp_count: int = 0):
+    def __init__(self, K: int, mode: str, src: np.ndarray, dst: np.ndarray,
+                 prob: np.ndarray, clamp_count: int = 0):
         self.K = K
         self.mode = mode
-        self.rows = rows
+        self.src = src
+        self.dst = dst
+        self.prob = prob
         self.clamp_count = clamp_count
         self._dists: dict[int, np.ndarray] = {}
-        S = n_states(K)
-        indptr = np.zeros(S + 1, dtype=np.int64)
-        cols: list[int] = []
-        vals: list[float] = []
-        for i, row in enumerate(rows):
-            for j in sorted(row):
-                cols.append(j)
-                vals.append(row[j])
-            indptr[i + 1] = len(cols)
-        self.matrix = csr_array(
-            (np.asarray(vals), np.asarray(cols, dtype=np.int64), indptr),
-            shape=(S, S),
-        )
 
     @property
     def n_states(self) -> int:
@@ -178,45 +173,49 @@ class TransitionMatrix:
             self._dists[n_hat] = dist
         return dist
 
+    def _fail(self, i: int, what: str) -> NumericalIntegrityError:
+        """Error naming row label i, its state and the row's entries."""
+        here = self.src == i
+        row = dict(zip(self.dst[here].tolist(), self.prob[here].tolist()))
+        return NumericalIntegrityError(
+            f"row {i} ({state_of(i, self.K)}): {what}; row = {row}"
+        )
+
     def verify(self) -> None:
         """Structural sanity checks; raises NumericalIntegrityError."""
-        S = n_states(self.K)
-        if len(self.rows) != S:
+        K, S = self.K, n_states(self.K)
+        src, dst, prob = self.src, self.dst, self.prob
+        bad = (src < 0) | (src >= S)
+        if bad.any():
             raise NumericalIntegrityError(
-                f"expected {S} rows, got {len(self.rows)}"
+                f"row label {int(src[bad][0])} outside 0..{S - 1}"
             )
-        for i, row in enumerate(self.rows):
-            state = state_of(i, self.K)
-            total = 0.0
-            for j, prob in row.items():
-                if not (0 <= j < S) or j > i:
-                    raise NumericalIntegrityError(
-                        f"row {i} ({state}): destination {j} is not lower-"
-                        f"triangular or out of range; row = {row}"
-                    )
-                if not (-1e-15 <= prob <= 1.0 + 1e-12):
-                    raise NumericalIntegrityError(
-                        f"row {i} ({state}): P[{i},{j}] = {prob} outside "
-                        f"[0, 1]; row = {row}"
-                    )
-                total += prob
-            if abs(total - 1.0) > _ROW_SUM_TOL:
-                raise NumericalIntegrityError(
-                    f"row {i} ({state}): probabilities sum to {total!r}, "
-                    f"off by {total - 1.0:.3e}; row = {row}"
-                )
-            if i <= self.K and row != {i: 1.0}:
-                raise NumericalIntegrityError(
-                    f"row {i} should be absorbing, got {row}"
-                )
+        bad = (dst < 0) | (dst > src)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self._fail(int(src[k]), f"destination {int(dst[k])} is not "
+                             "lower-triangular or out of range")
+        bad = ~((prob >= -1e-15) & (prob <= 1.0 + 1e-12))  # NaN included
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise self._fail(int(src[k]), f"P[{int(src[k])},{int(dst[k])}] = "
+                             f"{float(prob[k])} outside [0, 1]")
+        totals = np.bincount(src, weights=prob, minlength=S)
+        bad = np.abs(totals - 1.0) > _ROW_SUM_TOL
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise self._fail(i, f"probabilities sum to {float(totals[i])!r}, "
+                             f"off by {totals[i] - 1.0:.3e}")
+        # Labels 0..K must be pure self-loops; with the row sums checked,
+        # entries i -> i at exactly 1 leave room for one entry only.
+        bad = (src <= K) & ((dst != src) | (prob != 1.0))
+        if bad.any():
+            raise self._fail(int(src[np.argmax(bad)]), "should be absorbing")
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """(row, col, prob) entries in row-major order, for audit dumps."""
-        out = []
-        for i, row in enumerate(self.rows):
-            for j in sorted(row):
-                out.append((i, j, row[j]))
-        return out
+        return list(zip(self.src.tolist(), self.dst.tolist(),
+                        self.prob.tolist()))
 
 
 def _clamped(x: float, clamps: list[int]) -> float:
@@ -268,15 +267,16 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
         # Both advance; bounded by the harder (higher-rank) condition.
         return (1.0 - eb) * (1.0 - ee) * W[K - min(d_b, d_e)]
 
-    rows: list[dict[int, float]] = []
+    srcs: list[int] = []
+    dsts: list[int] = []
+    probs: list[float] = []
     for i in range(n_states(K)):
         st = state_of(i, K)
         d_b, d_e = st.bob_defect, st.eve_defect
-        if st.ack_received:
-            rows.append({i: 1.0})
-            continue
         row: dict[int, float] = {}
-        if d_b >= 2 and d_e >= 1:
+        if st.ack_received:
+            pass  # absorbing: the self-loop remainder below is the whole row
+        elif d_b >= 2 and d_e >= 1:
             row[i - 1] = horizontal(d_b, d_e)
             row[i - K - 1] = vertical(d_b, d_e)
             row[i - K - 2] = diagonal(d_b, d_e)
@@ -320,9 +320,13 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
                 f"row = {row}"
             )
         row[i] = row.get(i, 0.0) + max(0.0, 1.0 - total)
-        rows.append(row)
+        for j in sorted(row):
+            srcs.append(i)
+            dsts.append(j)
+            probs.append(row[j])
 
-    out = TransitionMatrix(K, mode, tuple(rows), clamp_count=clamps[0])
+    out = TransitionMatrix(K, mode, np.array(srcs), np.array(dsts),
+                           np.array(probs), clamp_count=clamps[0])
     if clamps[0]:
         log.warning(
             "%d bracket term(s) clamped to 0 while building the chain at "
@@ -337,10 +341,13 @@ def _propagate(P: TransitionMatrix, n_hat: int) -> np.ndarray:
     """Distribution after n_hat slots, starting from the initial state."""
     if not isinstance(n_hat, int) or n_hat < 0:
         raise ConfigError(f"n_hat={n_hat!r} must be a nonnegative integer")
-    dist = np.zeros(P.n_states)
+    S = P.n_states
+    dist = np.zeros(S)
     dist[initial_label(P.K)] = 1.0
     for _ in range(n_hat):
-        dist = dist @ P.matrix
+        # Entries are row-major, so each destination accumulates its
+        # sources in ascending label order.
+        dist = np.bincount(P.dst, weights=dist[P.src] * P.prob, minlength=S)
     return dist
 
 
@@ -392,34 +399,3 @@ def delivery_probability(code: CodeParams, chan: ChannelParams,
     n = np.arange(K, N + 1)
     weights = _binom_row(N)[K:] * (1.0 - eb) ** n * eb ** (N - n)
     return min(1.0, float(weights @ tables.full_rank_probs(K, N)))
-
-
-@dataclass
-class ChainMetrics:
-    """Intercept and delivery of one parameter point, plus an optional
-    per-slot distribution trace (row t = distribution after t slots)."""
-
-    intercept: float
-    delivery: float
-    trace: np.ndarray | None = field(default=None, repr=False)
-
-
-def chain_metrics(code: CodeParams, chan: ChannelParams, tables: RankTables,
-                  mode: str = DEFAULT_MODE, want_trace: bool = False) -> ChainMetrics:
-    """Convenience wrapper: build the chain once, read off both metrics."""
-    P = build_chain(code, chan, tables, mode)
-    N = code.n_hat
-    dist = np.zeros(P.n_states)
-    dist[initial_label(P.K)] = 1.0
-    trace = [dist.copy()] if want_trace else None
-    for _ in range(N):
-        dist = dist @ P.matrix
-        if want_trace:
-            trace.append(dist.copy())
-    intercept = min(1.0, float(sum(dist[j] for j in intercept_labels(P.K))))
-    delivery = delivery_probability(code, chan, tables)
-    return ChainMetrics(
-        intercept=intercept,
-        delivery=delivery,
-        trace=np.array(trace) if want_trace else None,
-    )

@@ -41,17 +41,14 @@ _MASK64 = (1 << 64) - 1
 # trial -> block assignment never depends on the worker count.
 _BLOCK = 2048
 
-TIMELINES = ("ack-same-slot",)
-
 
 @dataclass(frozen=True)
 class SimConfig:
     """Inputs of one simulation campaign.
 
-    timeline is fixed to "ack-same-slot": the ACK for a decoding-completing
-    packet is attempted in that same slot, and a successful ACK stops the
-    source after the current slot, whose broadcast Eve still overhears.
-    eve_counts_stopping_slot=False suppresses Eve's reception in that final
+    The ACK for a decoding-completing packet is attempted in that same slot,
+    and a successful ACK stops the source after the current slot, whose
+    broadcast Eve still overhears.  eve_counts_stopping_slot=False suppresses Eve's reception in that final
     slot; it exists to measure the alternative reading of the stopping rule
     and is not a supported operating mode.
     """
@@ -60,7 +57,6 @@ class SimConfig:
     chan: ChannelParams
     trials: int = 20000
     base_seed: int = 0
-    timeline: str = "ack-same-slot"
     eve_counts_stopping_slot: bool = True
 
     def __post_init__(self) -> None:
@@ -69,10 +65,6 @@ class SimConfig:
         if not isinstance(self.base_seed, int) or not 0 <= self.base_seed <= _MASK64:
             raise ConfigError(
                 f"base_seed={self.base_seed!r} must fit in an unsigned 64-bit integer"
-            )
-        if self.timeline not in TIMELINES:
-            raise ConfigError(
-                f"timeline must be one of {TIMELINES}, got {self.timeline!r}"
             )
 
 

@@ -115,6 +115,30 @@ def chain_intercept_by_paths(P, n_hat: int) -> float:
     return walk(initial_label(P.K), n_hat)
 
 
+def chain_distribution_dense(P, n_hat: int) -> list[float]:
+    """Distribution after n_hat slots by dense vector-matrix products.
+
+    Expands the public triplet dump into a full S x S matrix of Python
+    floats and multiplies the distribution through it slot by slot, with no
+    numpy and none of the package's propagation code.
+    """
+    from srlnc import initial_label, n_states
+
+    S = n_states(P.K)
+    dense = [[0.0] * S for _ in range(S)]
+    for i, j, w in P.triplets():
+        dense[i][j] += w
+    dist = [0.0] * S
+    dist[initial_label(P.K)] = 1.0
+    for _ in range(n_hat):
+        nxt = [0.0] * S
+        for mass, row in zip(dist, dense):
+            if mass:
+                nxt = [acc + mass * w for acc, w in zip(nxt, row)]
+        dist = nxt
+    return dist
+
+
 def grid_search_pstar(K: int, q: int, n_hat: int, eps_b: float, eps_k: float,
                       d_hat: float, p_max: float, step: float = 1e-4):
     """Largest sparsity on a dense grid whose delivery still meets d_hat.

@@ -257,7 +257,7 @@ def test_criterion_8_structural_invariants():
         code = CodeParams(K=K, q=q, p=p, n_hat=2 * K)
         P = build_chain(code, chan, RankTables(K, q, p), "paper-exact")
         trips = list(P.triplets())
-        S = P.matrix.shape[0]
+        S = len({i for i, _, _ in trips})
         assert S == n_states(K) == (K + 1) * (K + 2)
         sums = {}
         for i, j, v in trips:

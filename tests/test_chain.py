@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_intercept_by_paths
+from oracles import chain_distribution_dense, chain_intercept_by_paths
 from srlnc import (
     ChainState,
     ChannelParams,
     CodeParams,
     ConfigError,
+    NumericalIntegrityError,
     RankTables,
     SimConfig,
+    TransitionMatrix,
     build_chain,
     chain_delivery_probability,
-    chain_metrics,
     delivery_probability,
     estimate,
     initial_label,
@@ -82,8 +83,8 @@ def test_hand_checked_transition_entry():
     # From the start (d_B=K, d_E=K): Bob erased, Eve receives and innovates.
     P = _chain(2, 2, 0.5, 0.1, 0.3, 1.0)
     src = initial_label(2)
-    dense = P.matrix.todense()
-    assert dense[src, src - 1] == pytest.approx(0.1 * 0.7 * 0.75, abs=1e-12)
+    (w,) = [w for i, j, w in P.triplets() if (i, j) == (src, src - 1)]
+    assert w == pytest.approx(0.1 * 0.7 * 0.75, abs=1e-12)
 
 
 def test_acknowledgment_row_entries():
@@ -129,6 +130,66 @@ def test_structural_invariants_hold_for_random_parameters(
         assert row == [(i, 1.0)]
 
 
+def _rebuilt(P, trips):
+    """A TransitionMatrix over P's labels holding exactly the given entries."""
+    src, dst, prob = (np.array(col) for col in zip(*trips))
+    return TransitionMatrix(P.K, P.mode, src, dst, prob)
+
+
+def _verify_rejects(label, edit, phrase):
+    """Replace row `label` of a valid K=3 chain by edit(row), both lists of
+    (dst, prob), and expect verify() to reject it naming the row."""
+    P = _chain(3, 2, 0.6, 0.1, 0.3, 0.8)
+    row = [(j, w) for i, j, w in P.triplets() if i == label]
+    trips = sorted([t for t in P.triplets() if t[0] != label]
+                   + [(label, j, w) for j, w in edit(row)])
+    with pytest.raises(NumericalIntegrityError, match=phrase) as err:
+        _rebuilt(P, trips).verify()
+    message = str(err.value)
+    assert f"row {label} ({state_of(label, 3)})" in message, message
+
+
+def test_verify_accepts_a_rebuilt_chain():
+    P = _chain(3, 2, 0.6, 0.1, 0.3, 0.8)
+    _rebuilt(P, P.triplets()).verify()
+
+
+def test_verify_rejects_a_destination_above_the_diagonal_or_out_of_range():
+    start = initial_label(3)
+    for bad in (start + 1, -1):
+        _verify_rejects(start, lambda row: [(bad if j == start else j, w)
+                                            for j, w in row],
+                        "not lower-triangular or out of range")
+
+
+def test_verify_rejects_a_probability_outside_the_unit_interval():
+    label = initial_label(3) - 1
+    for bad in (-1e-3, 1.0 + 1e-6, float("nan")):
+        _verify_rejects(label, lambda row: [(j, bad if j == label - 1 else w)
+                                            for j, w in row],
+                        r"outside \[0, 1\]")
+
+
+def test_verify_rejects_rows_that_do_not_sum_to_one():
+    start = initial_label(3)
+    _verify_rejects(start, lambda row: [(j, w * 0.999) for j, w in row],
+                    "sum to")
+    _verify_rejects(start, lambda row: [], "sum to 0.0")  # no entries at all
+
+
+def test_verify_rejects_absorbing_rows_that_are_not_pure_self_loops():
+    _verify_rejects(3, lambda row: [(2, 1.0)], "absorbing")  # leaks
+    _verify_rejects(0, lambda row: [(0, 0.5), (0, 0.5)], "absorbing")  # split
+
+
+def test_verify_rejects_a_label_outside_the_state_space():
+    P = _chain(3, 2, 0.6, 0.1, 0.3, 0.8)
+    S = n_states(3)
+    trips = P.triplets() + [(S, S - 1, 1.0)]
+    with pytest.raises(NumericalIntegrityError, match=f"row label {S} "):
+        _rebuilt(P, trips).verify()
+
+
 def test_blackout_channel_self_loops():
     # nothing is ever received: every (d_B>=1, d_E>=1) row self-loops
     K = 3
@@ -169,10 +230,12 @@ def test_intercept_monotone_in_budget():
 def test_fully_jammed_feedback_never_reaches_ack_states():
     code = CodeParams(K=4, q=2, p=0.7, n_hat=16)
     chan = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=1.0)
-    m = chain_metrics(code, chan, RankTables(4, 2, 0.7), want_trace=True)
-    assert m.trace is not None
-    # delta=1 labels are 0..K; with eps_k=1 they must stay empty
-    assert float(m.trace[:, : 4 + 1].sum()) == 0.0
+    P = build_chain(code, chan, RankTables(4, 2, 0.7))
+    for n in range(16 + 1):
+        dist = P.distribution(n)
+        assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9), n
+        # delta=1 labels are 0..K; with eps_k=1 they must stay empty
+        assert float(dist[: 4 + 1].sum()) == 0.0, n
 
 
 def test_path_enumeration_agreement():
@@ -186,6 +249,17 @@ def test_path_enumeration_agreement():
                     want = chain_intercept_by_paths(P, n_hat)
                     got = intercept_probability(P, n_hat)
                     assert got == pytest.approx(want, abs=1e-12), (K, mode, n_hat)
+
+
+@pytest.mark.parametrize("q, p", [(2, 0.7), (16, 0.3)])
+@pytest.mark.parametrize("mode", TRANSITION_MODES)
+@pytest.mark.parametrize("eps_k", [0.0, 0.9])
+def test_distribution_matches_dense_propagation(q, p, mode, eps_k):
+    P = _chain(20, q, p, 0.05, 0.3, eps_k, mode)
+    for n_hat in (0, 1, 7, 40):
+        want = chain_distribution_dense(P, n_hat)
+        got = P.distribution(n_hat)
+        assert np.max(np.abs(got - want)) <= 1e-12, n_hat
 
 
 def test_modes_coincide_when_feedback_is_fully_jammed():
@@ -336,19 +410,3 @@ def test_intercept_seam_step_is_the_known_exception():
         P = build_chain(code, chan, RankTables(20, 2, p), "paper-exact")
         vals.append(intercept_probability(P, 40))
     assert vals[1] > vals[0] + 0.01
-
-
-def test_metrics_wrapper_consistency():
-    code = CodeParams(K=4, q=2, p=0.6, n_hat=12)
-    chan = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=0.9)
-    tables = RankTables(4, 2, 0.6)
-    m = chain_metrics(code, chan, tables)
-    P = build_chain(code, chan, tables, "paper-exact")
-    assert m.intercept == pytest.approx(intercept_probability(P, 12), abs=1e-15)
-    assert m.delivery == pytest.approx(
-        delivery_probability(code, chan, tables), abs=1e-15)
-    assert m.trace is None
-    traced = chain_metrics(code, chan, tables, want_trace=True)
-    assert traced.trace.shape == (13, (4 + 1) * (4 + 2))
-    for row in traced.trace:
-        assert float(row.sum()) == pytest.approx(1.0, abs=1e-9)

@@ -1,9 +1,13 @@
 """Command-line front end, driven in-process through cli.main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import srlnc
 from srlnc import chain as chain_module
 from srlnc import cli
 from srlnc.chain import (
@@ -276,3 +280,11 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def test_cli_import_pulls_in_no_scipy():
+    src = os.path.dirname(os.path.dirname(srlnc.__file__))
+    check = ("import srlnc.cli, sys; "
+             "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", check], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from srlnc.chain import ChannelParams
-from srlnc.coding import CodeParams
+from srlnc.coding import CodeParams, DecoderState, sample_coding_matrix
 from srlnc.errors import ConfigError
-from srlnc.sim import SimConfig, SimStats, TrialOutcome, estimate, run_trial
+from srlnc.sim import (
+    SimConfig,
+    SimStats,
+    TrialOutcome,
+    _absorb_slot,
+    _Expander,
+    estimate,
+    run_trial,
+)
 
 from oracles import smoothed_sigma
 
@@ -30,15 +38,35 @@ def _cfg(K, q, p, eps_b, eps_e, eps_k, n_hat, trials=1000, seed=0, **kw):
 
 def test_config_validation():
     good = _cfg(2, 2, 0.6, 0.1, 0.2, 0.5, 8)
-    assert good.timeline == "ack-same-slot"
     with pytest.raises(ConfigError):
         _cfg(2, 2, 0.6, 0.1, 0.2, 0.5, 8, trials=0)
     with pytest.raises(ConfigError):
         _cfg(2, 2, 0.6, 0.1, 0.2, 0.5, 8, seed=-1)
     with pytest.raises(ConfigError):
-        _cfg(2, 2, 0.6, 0.1, 0.2, 0.5, 8, timeline="ack-next-slot")
-    with pytest.raises(ConfigError):
         run_trial(good, -1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+@pytest.mark.parametrize("K", [1, 3, 8, 20])
+def test_packed_binary_tracker_matches_the_decoder(q, K):
+    # The simulator's GF(2)-expanded rank tracker against the GF(q) decoder
+    # on one seeded sparse stream of 3K + 5 vectors, so both verdicts occur.
+    code = CodeParams(K=K, q=q, p=0.75, n_hat=3 * K + 5)
+    vectors = sample_coding_matrix(code, code.n_hat,
+                                   np.random.default_rng([q, K]))
+    exp = _Expander(q, K)
+    dec = DecoderState(K, q)
+    pivots: dict[int, int] = {}
+    rank = 0
+    verdicts = set()
+    for v in vectors:
+        before = rank
+        rank = _absorb_slot(pivots, rank, exp.expand(v))
+        innovative = dec.absorb(v)
+        assert (rank > before) == innovative
+        assert rank == exp.m * dec.rank
+        verdicts.add(innovative)
+    assert verdicts == {True, False}
 
 
 def test_run_trial_is_deterministic_in_seed_and_index():
