@@ -8,7 +8,10 @@ field costs O(q^2) to build once and every later operation is a lookup.
 
 The table layout also gives vectorised row operations for free: indexing the
 multiplication table with a scalar and a uint8 array scales a whole coding
-vector in one numpy call, which is what the elimination code relies on.
+vector in one numpy call, which is what the decoder relies on.  For rank
+alone, ``GF.prefix_pivots`` eliminates many streams of vectors at once on
+rows packed into uint64 words; the simulator and the enumeration oracle both
+use it.
 """
 
 from __future__ import annotations
@@ -132,6 +135,77 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q}, poly={self.poly:#x})"
+
+    # -- batched elimination ------------------------------------------------
+
+    def prefix_pivots(self, sym: np.ndarray) -> np.ndarray:
+        """Pivot flags of forward elimination on S streams of N vectors.
+
+        ``sym`` is an ``(S, N, K)`` uint8 array of field elements.  Returns the
+        ``(S, N)`` bool array ``piv``: ``piv[s, t]`` is True exactly when
+        vector t of stream s lies outside the span of vectors ``0 .. t-1``, so
+        the cumulative sum along a stream is the rank of each of its prefixes.
+
+        Vectors are packed ``64 // m`` elements to a uint64 word (element j in
+        lane ``j % (64 // m)`` of word ``j // (64 // m)``, ``m`` bits a lane)
+        and held word-major, ``(W, S, N + 1)``.  The extra last row of each
+        stream is a sentinel, nonzero in every lane, so a stream with no
+        pivot in a column picks the sentinel.  Column by column, the earliest
+        row with a nonzero element in the column becomes its pivot and is
+        taken out (zeroed), and the column is cleared from every later row by
+        adding a multiple of the pivot row.  Rows only ever have earlier rows
+        added to them, so every prefix keeps its span, and the rows left
+        standing at the end are zero.  The multiples come in the style of the
+        Method of Four Russians: for every 4 bits of the multiplier one table
+        holds all 16 combinations of ``alpha^b * pivot``, built by doubling,
+        and one gather applies it.  Multiplying by the generator alpha is a
+        shift and a reduction in every lane of a word at once.
+        """
+        S, N, K = sym.shape
+        m, per = self.m, 64 // self.m
+        lows = sum(1 << (m * i) for i in range(per))
+        below_top = np.uint64(lows * ((1 << (m - 1)) - 1))
+        lows, reduce = np.uint64(lows), np.uint64(self.poly & (self.q - 1))
+        one, top, lane = np.uint64(1), np.uint64(m - 1), np.uint64(self.q - 1)
+        mul = self.mul_table.ravel()
+        inv = self.inv_table.astype(np.uint64) << np.uint64(m)
+
+        W = -(-K // per)
+        work = np.zeros((W, S, N + 1), dtype=np.uint64)
+        for j in range(K):
+            work[j // per, :, :N] |= np.left_shift(
+                sym[:, :, j], np.uint64(m * (j % per)), dtype=np.uint64)
+
+        at = np.arange(S)
+        streams = at.astype(np.uint64)[:, None]
+        firsts = np.empty((K, S), dtype=np.intp)
+        for j in range(K):
+            w = j // per
+            rest = work[w:]
+            rest[:, :, N] = lows  # restore the sentinel the last column used
+            col = (work[w] >> np.uint64(m * (j % per))) & lane
+            first = firsts[j] = (col != 0).argmax(axis=1)
+            pivot = rest[:, at, first]
+            rest[:, at, first] = 0
+            if m > 1:
+                # Multiplier of each row: its element over the pivot's.
+                col = mul.take(inv[col[at, first]][:, None] | col)
+            col[at, first] = 0
+            for b0 in range(0, m, 4):
+                k = min(4, m - b0)
+                table = np.zeros(rest.shape[:2] + (1 << k,), dtype=np.uint64)
+                for i in range(k):
+                    if b0 + i:
+                        pivot = ((pivot & below_top) << one) ^ (
+                            ((pivot >> top) & lows) * reduce)
+                    table[:, :, 1 << i: 2 << i] = (
+                        table[:, :, :1 << i] ^ pivot[:, :, None])
+                pick = (streams << np.uint64(k)) | (
+                    (col >> np.uint64(b0)) & np.uint64((1 << k) - 1))
+                rest ^= table.reshape(len(rest), -1).take(pick, axis=1)
+        piv = np.zeros((S, N + 1), dtype=bool)
+        piv[at, firsts] = True
+        return piv[:, :N]
 
 
 @functools.lru_cache(maxsize=None)

@@ -51,7 +51,6 @@ arithmetic removes it; making ``pi`` nonnegative is a change of model.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 
@@ -320,41 +319,8 @@ class RankTables:
 _ENUM_LIMIT = 1 << 21
 
 
-def _gf2_rank(packed_rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    for x in packed_rows:
-        while x:
-            top = x.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = x
-                break
-            x ^= pivots[top]
-    return len(pivots)
-
-
-def _gfq_rank(rows: list[list[int]], q: int) -> int:
-    gfq = get_field(q)
-    mul, inv = gfq.mul_table, gfq.inv_table
-    work = [row[:] for row in rows]
-    n_cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        lead = work[rank][col]
-        if lead != 1:
-            li = int(inv[lead])
-            work[rank] = [int(mul[li, x]) for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [x ^ int(mul[f, y]) for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+# Matrices ranked per call of the elimination kernel.
+_ENUM_BATCH = 1 << 14
 
 
 def exact_full_rank_prob(r: int, c: int, p: float, q: int,
@@ -362,6 +328,8 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     """Exact P(rank = c) of an r x c biased-sparse matrix by enumeration.
 
     Refuses to enumerate more than `limit` matrices (q ** (r*c) of them).
+    The matrices are ranked in batches by ``GF.prefix_pivots`` and counted
+    by their number of nonzero entries, which fixes their weight.
     """
     _validate_pq(p, q)
     if c < 0 or r < c:
@@ -369,26 +337,25 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     if c == 0:
         return 1.0
     cells = r * c
-    if q ** cells > limit:
+    total = q ** cells
+    if total > limit:
         raise ConfigError(
             f"enumeration of q^(r*c) = {q}^{cells} matrices exceeds the "
             f"limit of {limit}"
         )
+    gfq = get_field(q)
+    # Matrix number n holds digit k of n in base q at cell k, row-major.
+    shifts = np.arange(0, gfq.m * cells, gfq.m, dtype=np.uint64)
+    full = np.zeros(cells + 1, dtype=np.int64)  # full-rank count per nonzeros
+    for start in range(0, total, _ENUM_BATCH):
+        n = np.arange(start, min(start + _ENUM_BATCH, total), dtype=np.uint64)
+        cell = ((n[:, None] >> shifts) & np.uint64(q - 1)).astype(np.uint8)
+        ok = gfq.prefix_pivots(cell.reshape(-1, r, c)).sum(axis=1) == c
+        full += np.bincount(np.count_nonzero(cell[ok], axis=1),
+                            minlength=cells + 1)
+    nz = np.arange(cells + 1)
     w_nz = (1.0 - p) / (q - 1.0)
-    total = 0.0
-    if q == 2:
-        for bits in range(1 << cells):
-            rows = [(bits >> (c * i)) & ((1 << c) - 1) for i in range(r)]
-            if _gf2_rank(rows) == c:
-                nz = bits.bit_count()
-                total += p ** (cells - nz) * w_nz ** nz
-    else:
-        for flat in itertools.product(range(q), repeat=cells):
-            rows = [list(flat[c * i: c * (i + 1)]) for i in range(r)]
-            if _gfq_rank(rows, q) == c:
-                nz = sum(1 for x in flat if x)
-                total += p ** (cells - nz) * w_nz ** nz
-    return total
+    return float(np.sum(full * (p ** (cells - nz) * w_nz ** nz)))
 
 
 def exact_innovation_prob(t: int, K: int, p: float, q: int,

@@ -7,15 +7,26 @@ acknowledges in every slot from the moment he can decode, and the source
 stops after the first slot whose ACK survives the (possibly jammed) feedback
 channel, or after the transmission budget runs out.
 
-Rank tracking is done over GF(2) regardless of the field: a length-K vector
-over GF(2^m) is expanded into m binary rows of width m*K (the rows are the
-vector scaled by the first m powers of the field generator, each symbol then
-split into bits).  A set of field vectors has rank r exactly when the
-expansion has binary rank m*r, and a fresh vector is innovative exactly when
-its first expanded row falls outside the current binary span.  Rows are
-packed into Python integers so elimination is bare XOR.  This tracker is
-deliberately independent of coding.DecoderState (which carries payload
-bookkeeping); the test suite cross-validates the two.
+Trajectories.  A trial draws all of its coding vectors, erasures and ACKs
+up front, and its outcome depends only on Bob's and Eve's rank after each
+slot and on which ACKs survive.  So the simulator computes both prefix-rank
+trajectories over the whole budget first, for a chunk of trials at once, and
+applies the stopping rule afterwards: the source stops in the first slot t
+where Bob's rank is K and the ACK of slot t survives (else after the
+budget), Bob has decoded if his rank reaches K by then, and Eve has decoded
+if her rank after slot t (after slot t - 1 when the stopping slot is not
+counted for her) is K.
+
+Ranks come from one batched elimination kernel, ``GF.prefix_pivots``.  Each
+receiver's copy of a trial's vectors is one stream, an erased slot a zero
+row, and Bob's and Eve's streams of the chunk run together.  Elimination
+only ever adds earlier rows to later ones, so every prefix keeps its span
+and the rank after slot t is the number of pivot rows among the first t.
+Inside the kernel each vector's K elements are packed 64 // m to a uint64
+word (m = log2 q bits a lane).  The kernel is deliberately independent of
+coding.DecoderState (which carries payload bookkeeping);
+``test_packed_binary_tracker_matches_the_decoder`` checks its pivot flags
+and prefix ranks against ``DecoderState.absorb`` slot by slot.
 
 Determinism: every trial seeds its own generator from (base_seed, base_seed
 XOR trial_index), so estimates are reproducible bit for bit no matter how
@@ -40,6 +51,9 @@ _MASK64 = (1 << 64) - 1
 # Trials per work unit when running under a process pool.  Fixed so the
 # trial -> block assignment never depends on the worker count.
 _BLOCK = 2048
+# Trials per elimination call; bounds the working arrays of a block (about
+# 4 MB at K=20, q=16, a budget of 100).
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -92,108 +106,48 @@ class SimStats:
     mean_slots: float
 
 
-class _Expander:
-    """Precomputed scaling rows for the binary expansion of one field."""
-
-    def __init__(self, q: int, K: int):
-        gfq = get_field(q)
-        self.m = gfq.m
-        self.K = K
-        self.full = gfq.m * K
-        if self.m > 1:
-            # Field elements 1, a, a^2, ... a^(m-1): the polynomial basis.
-            powers = [1 << j for j in range(self.m)]
-            self.scale_rows = gfq.mul_table[powers]
-        else:
-            self.scale_rows = None
-
-    def expand(self, sym: np.ndarray) -> tuple[int, ...]:
-        """Packed binary rows of one coding vector; () for the zero vector."""
-        if not sym.any():
-            return ()
-        m = self.m
-        if m == 1:
-            packed = np.packbits(sym, bitorder="little")
-            return (int.from_bytes(packed.tobytes(), "little"),)
-        scaled = self.scale_rows[:, sym]
-        bits = np.unpackbits(scaled[..., None], axis=2, count=m, bitorder="little")
-        packed = np.packbits(bits.reshape(m, -1), axis=1, bitorder="little")
-        return tuple(
-            int.from_bytes(packed[j].tobytes(), "little") for j in range(m)
-        )
-
-
-def _rank_absorb(pivots: dict[int, int], x: int) -> bool:
-    """Forward-eliminate one packed row; True if it enlarged the span."""
-    while x:
-        top = x.bit_length() - 1
-        row = pivots.get(top)
-        if row is None:
-            pivots[top] = x
-            return True
-        x ^= row
-    return False
-
-
-def _absorb_slot(pivots: dict[int, int], rank: int, rows: tuple[int, ...]) -> int:
-    """Absorb all expanded rows of one received vector, returning new rank.
-
-    The first row decides innovation: if it collapses into the span, the
-    remaining rows are scalings of the same vector and collapse too.
-    """
-    if not rows or not _rank_absorb(pivots, rows[0]):
-        return rank
-    rank += 1
-    for r in rows[1:]:
-        if _rank_absorb(pivots, r):
-            rank += 1
-    return rank
-
-
 def _trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(
         [base_seed & _MASK64, (base_seed ^ trial_index) & _MASK64]
     )
 
 
-def _play(cfg: SimConfig, exp: _Expander, rng: np.random.Generator) -> TrialOutcome:
+def _outcomes(cfg: SimConfig, start: int, stop: int):
+    """Trials start..stop-1 as arrays: slots used, Bob decoded, Eve decoded,
+    Bob's and Eve's received counts."""
     code, chan = cfg.code, cfg.chan
-    N, full = code.n_hat, exp.full
-    vectors = sample_coding_matrix(code, N, rng)
+    K, N, B = code.K, code.n_hat, stop - start
+    # Bob's copy of the coding vectors in sym[0], Eve's in sym[1]; a lost
+    # packet is a zero row.
+    sym = np.empty((2, B, N, K), dtype=np.uint8)
+    draws = np.empty((B, 3, N))
+    for k in range(B):
+        rng = _trial_rng(cfg.base_seed, start + k)
+        sym[0, k] = sample_coding_matrix(code, N, rng)
+        rng.random(out=draws[k])  # Bob's erasures, Eve's, the ACKs, in turn
     # A draw below the erasure probability is a lost packet, so reception is
     # u >= eps; same convention for the ACK channel.
-    bob_rx = rng.random(N) >= chan.eps_b
-    eve_rx = rng.random(N) >= chan.eps_e
-    ack_ok = rng.random(N) >= chan.eps_k
+    rx = draws[:, :2] >= np.array([chan.eps_b, chan.eps_e])[:, None]
+    ack_ok = draws[:, 2] >= chan.eps_k
+    np.multiply(sym[0], rx[:, 1, :, None], out=sym[1])
+    sym[0] *= rx[:, 0, :, None]
 
-    bob_piv: dict[int, int] = {}
-    eve_piv: dict[int, int] = {}
-    bob_rank = 0
-    eve_rank = 0
-    slots = N
-    for t in range(N):
-        if bob_rank == full and eve_rank == full:
-            # Decoding is settled; only the stopping slot is left to find.
-            rest = np.flatnonzero(ack_ok[t:])
-            slots = t + int(rest[0]) + 1 if rest.size else N
-            break
-        need_bob = bob_rx[t] and bob_rank < full
-        need_eve = eve_rx[t] and eve_rank < full
-        rows = exp.expand(vectors[t]) if (need_bob or need_eve) else ()
-        if need_bob:
-            bob_rank = _absorb_slot(bob_piv, bob_rank, rows)
-        stop_now = bob_rank == full and ack_ok[t]
-        if need_eve and (cfg.eve_counts_stopping_slot or not stop_now):
-            eve_rank = _absorb_slot(eve_piv, eve_rank, rows)
-        if stop_now:
-            slots = t + 1
-            break
-    return TrialOutcome(
-        slots_used=slots,
-        bob_decoded=bob_rank == full,
-        eve_decoded=eve_rank == full,
-        n_bob=int(bob_rx[:slots].sum()),
-        n_eve=int(eve_rx[:slots].sum()),
+    piv = get_field(code.q).prefix_pivots(sym.reshape(2 * B, N, K))
+    rank = np.zeros((2, B, N + 1), dtype=np.int32)
+    np.cumsum(piv.reshape(2, B, N), axis=2, out=rank[:, :, 1:])
+
+    at = np.arange(B)
+    stop_now = (rank[0, :, 1:] == K) & ack_ok
+    stopped = stop_now.any(axis=1)
+    slots = np.where(stopped, stop_now.argmax(axis=1) + 1, N)
+    heard = slots - (stopped & (not cfg.eve_counts_stopping_slot))
+    counted = np.arange(N) < slots[:, None]
+    return (
+        slots,
+        rank[0, :, N] == K,
+        rank[1, at, heard] == K,
+        (rx[:, 0] & counted).sum(axis=1),
+        (rx[:, 1] & counted).sum(axis=1),
     )
 
 
@@ -202,19 +156,19 @@ def run_trial(cfg: SimConfig, trial_index: int) -> TrialOutcome:
     (base_seed, trial_index)."""
     if not isinstance(trial_index, int) or trial_index < 0:
         raise ConfigError(f"trial_index={trial_index!r} must be a nonnegative integer")
-    exp = _Expander(cfg.code.q, cfg.code.K)
-    return _play(cfg, exp, _trial_rng(cfg.base_seed, trial_index))
+    slots, bob, eve, n_bob, n_eve = _outcomes(cfg, trial_index, trial_index + 1)
+    return TrialOutcome(int(slots[0]), bool(bob[0]), bool(eve[0]),
+                        int(n_bob[0]), int(n_eve[0]))
 
 
 def _run_block(cfg: SimConfig, start: int, stop: int) -> tuple[int, int, int]:
     """Aggregate trials start..stop-1: (eve_decoded, bob_decoded, slots)."""
-    exp = _Expander(cfg.code.q, cfg.code.K)
     eve = bob = slots = 0
-    for idx in range(start, stop):
-        out = _play(cfg, exp, _trial_rng(cfg.base_seed, idx))
-        eve += out.eve_decoded
-        bob += out.bob_decoded
-        slots += out.slots_used
+    for a in range(start, stop, _CHUNK):
+        s, b, e, _, _ = _outcomes(cfg, a, min(a + _CHUNK, stop))
+        eve += int(e.sum())
+        bob += int(b.sum())
+        slots += int(s.sum())
     return eve, bob, slots
 
 

@@ -6,22 +6,17 @@ frozen seeds with comfortable margin.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from srlnc import sim
 from srlnc.chain import ChannelParams
 from srlnc.coding import CodeParams, DecoderState, sample_coding_matrix
 from srlnc.errors import ConfigError
-from srlnc.sim import (
-    SimConfig,
-    SimStats,
-    TrialOutcome,
-    _absorb_slot,
-    _Expander,
-    estimate,
-    run_trial,
-)
+from srlnc.gf import get_field
+from srlnc.sim import SimConfig, SimStats, TrialOutcome, estimate, run_trial
 
 from oracles import smoothed_sigma
 
@@ -47,26 +42,132 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
-@pytest.mark.parametrize("K", [1, 3, 8, 20])
+@pytest.mark.parametrize("K", [1, 3, 8, 20, 70])
 def test_packed_binary_tracker_matches_the_decoder(q, K):
-    # The simulator's GF(2)-expanded rank tracker against the GF(q) decoder
-    # on one seeded sparse stream of 3K + 5 vectors, so both verdicts occur.
+    # The simulator's elimination kernel against the GF(q) decoder on one
+    # seeded sparse stream of 3K + 5 vectors, so both verdicts occur, and on
+    # a copy with about a fifth of the slots erased (zero rows), both in one
+    # batch.  K=70 and q=256 need several packed words per row.
     code = CodeParams(K=K, q=q, p=0.75, n_hat=3 * K + 5)
-    vectors = sample_coding_matrix(code, code.n_hat,
-                                   np.random.default_rng([q, K]))
-    exp = _Expander(q, K)
-    dec = DecoderState(K, q)
-    pivots: dict[int, int] = {}
-    rank = 0
-    verdicts = set()
-    for v in vectors:
-        before = rank
-        rank = _absorb_slot(pivots, rank, exp.expand(v))
-        innovative = dec.absorb(v)
-        assert (rank > before) == innovative
-        assert rank == exp.m * dec.rank
-        verdicts.add(innovative)
-    assert verdicts == {True, False}
+    rng = np.random.default_rng([q, K])
+    vectors = sample_coding_matrix(code, code.n_hat, rng)
+    erased = vectors * (rng.random(code.n_hat) >= 0.2)[:, None]
+    streams = np.stack([vectors, erased])
+    pivots = get_field(q).prefix_pivots(streams)
+    assert pivots.shape == (2, code.n_hat)
+    for stream, piv in zip(streams, pivots):
+        dec = DecoderState(K, q)
+        for t, v in enumerate(stream):
+            assert piv[t] == dec.absorb(v)
+            assert piv[:t + 1].sum() == dec.rank
+        assert set(piv) == {True, False}
+
+
+# (q, eps_k, n_hat, eve_counts_stopping_slot, eve_decoded, bob_decoded,
+# total slots) of estimate() at K=20, eps_b=0.05, eps_e=0.2, 60 trials,
+# base_seed 1000 + q, p = _GOLDEN_P[q], recorded from the per-trial tracker
+# that preceded the batched kernel.
+_GOLDEN_P = {2: 0.7, 4: 0.5, 16: 0.3, 256: 0.1}
+_GOLDEN_TOTALS = [
+    (2, 0.0, 21, True, 0, 17, 1255), (2, 0.0, 21, False, 0, 17, 1255),
+    (2, 0.0, 40, True, 14, 60, 1387), (2, 0.0, 40, False, 6, 60, 1387),
+    (2, 0.0, 100, True, 13, 60, 1392), (2, 0.0, 100, False, 2, 60, 1392),
+    (2, 0.9, 21, True, 0, 17, 1260), (2, 0.9, 21, False, 0, 17, 1260),
+    (2, 0.9, 40, True, 44, 60, 1852), (2, 0.9, 40, False, 39, 60, 1852),
+    (2, 0.9, 100, True, 40, 60, 2015), (2, 0.9, 100, False, 34, 60, 2015),
+    (2, 1.0, 21, True, 0, 17, 1260), (2, 1.0, 21, False, 0, 17, 1260),
+    (2, 1.0, 40, True, 60, 60, 2400), (2, 1.0, 40, False, 60, 60, 2400),
+    (2, 1.0, 100, True, 60, 60, 6000), (2, 1.0, 100, False, 60, 60, 6000),
+    (4, 0.0, 21, True, 1, 33, 1246), (4, 0.0, 21, False, 0, 33, 1246),
+    (4, 0.0, 40, True, 1, 60, 1265), (4, 0.0, 40, False, 1, 60, 1265),
+    (4, 0.0, 100, True, 8, 60, 1292), (4, 0.0, 100, False, 1, 60, 1292),
+    (4, 0.9, 21, True, 2, 33, 1259), (4, 0.9, 21, False, 2, 33, 1259),
+    (4, 0.9, 40, True, 38, 60, 1679), (4, 0.9, 40, False, 32, 60, 1679),
+    (4, 0.9, 100, True, 39, 60, 1883), (4, 0.9, 100, False, 36, 60, 1883),
+    (4, 1.0, 21, True, 3, 33, 1260), (4, 1.0, 21, False, 3, 33, 1260),
+    (4, 1.0, 40, True, 60, 60, 2400), (4, 1.0, 40, False, 60, 60, 2400),
+    (4, 1.0, 100, True, 60, 60, 6000), (4, 1.0, 100, False, 60, 60, 6000),
+    (16, 0.0, 21, True, 5, 41, 1239), (16, 0.0, 21, False, 3, 41, 1239),
+    (16, 0.0, 40, True, 8, 60, 1280), (16, 0.0, 40, False, 5, 60, 1280),
+    (16, 0.0, 100, True, 6, 60, 1263), (16, 0.0, 100, False, 3, 60, 1263),
+    (16, 0.9, 21, True, 6, 41, 1258), (16, 0.9, 21, False, 6, 41, 1258),
+    (16, 0.9, 40, True, 41, 60, 1747), (16, 0.9, 40, False, 36, 60, 1747),
+    (16, 0.9, 100, True, 38, 60, 1906), (16, 0.9, 100, False, 35, 60, 1906),
+    (16, 1.0, 21, True, 6, 41, 1260), (16, 1.0, 21, False, 6, 41, 1260),
+    (16, 1.0, 40, True, 60, 60, 2400), (16, 1.0, 40, False, 60, 60, 2400),
+    (16, 1.0, 100, True, 60, 60, 6000), (16, 1.0, 100, False, 60, 60, 6000),
+    (256, 0.0, 21, True, 2, 41, 1241), (256, 0.0, 21, False, 2, 41, 1241),
+    (256, 0.0, 40, True, 5, 60, 1263), (256, 0.0, 40, False, 2, 60, 1263),
+    (256, 0.0, 100, True, 6, 60, 1256), (256, 0.0, 100, False, 1, 60, 1256),
+    (256, 0.9, 21, True, 3, 41, 1258), (256, 0.9, 21, False, 3, 41, 1258),
+    (256, 0.9, 40, True, 43, 60, 1747), (256, 0.9, 40, False, 42, 60, 1747),
+    (256, 0.9, 100, True, 39, 60, 1860), (256, 0.9, 100, False, 35, 60, 1860),
+    (256, 1.0, 21, True, 3, 41, 1260), (256, 1.0, 21, False, 3, 41, 1260),
+    (256, 1.0, 40, True, 60, 60, 2400), (256, 1.0, 40, False, 60, 60, 2400),
+    (256, 1.0, 100, True, 60, 60, 6000), (256, 1.0, 100, False, 60, 60, 6000),
+]
+
+# (q, trial index, slots_used, bob_decoded, eve_decoded, n_bob, n_eve) of
+# run_trial at K=20, p = _GOLDEN_P[q], n_hat=40, eps = (0.05, 0.2, 0.8),
+# base_seed 77 + q, recorded like the totals above.
+_GOLDEN_OUTCOMES = [
+    (16, 0, 34, True, True, 34, 30), (16, 1, 30, True, True, 28, 24),
+    (16, 2, 24, True, False, 23, 17), (16, 3, 22, True, False, 20, 18),
+    (16, 4, 22, True, False, 22, 14), (16, 5, 34, True, True, 30, 29),
+    (16, 6, 22, True, False, 20, 19), (16, 7, 22, True, False, 22, 19),
+    (16, 8, 25, True, False, 23, 19), (16, 9, 30, True, True, 29, 25),
+    (256, 0, 34, True, True, 33, 27), (256, 1, 21, True, False, 20, 17),
+    (256, 2, 22, True, False, 21, 18), (256, 3, 20, True, False, 20, 15),
+    (256, 4, 22, True, False, 22, 16), (256, 5, 25, True, False, 21, 19),
+    (256, 6, 24, True, True, 21, 21), (256, 7, 25, True, True, 25, 21),
+    (256, 8, 23, True, False, 22, 17), (256, 9, 26, True, False, 25, 16),
+]
+
+
+def test_estimate_totals_match_the_golden_pins():
+    for q, eps_k, n_hat, flag, eve, bob, slots in _GOLDEN_TOTALS:
+        s = estimate(_cfg(20, q, _GOLDEN_P[q], 0.05, 0.2, eps_k, n_hat,
+                          trials=60, seed=1000 + q,
+                          eve_counts_stopping_slot=flag))
+        got = (round(s.intercept_hat * 60), round(s.delivery_hat * 60),
+               round(s.mean_slots * 60))
+        assert got == (eve, bob, slots), (q, eps_k, n_hat, flag)
+
+
+def test_trial_outcomes_match_the_golden_pins():
+    for q, i, *want in _GOLDEN_OUTCOMES:
+        cfg = _cfg(20, q, _GOLDEN_P[q], 0.05, 0.2, 0.8, 40, seed=77 + q)
+        assert run_trial(cfg, i) == TrialOutcome(*want), (q, i)
+
+
+def test_batched_outcomes_equal_single_trials_across_chunks():
+    # one block spanning a sub-chunk boundary, trial by trial and in total
+    n = sim._CHUNK + 40
+    cfg = _cfg(6, 16, 0.3, 0.1, 0.3, 0.6, 14, trials=n, seed=21,
+               eve_counts_stopping_slot=False)
+    singles = [run_trial(cfg, i) for i in range(n)]
+    slots, bob, eve, n_bob, n_eve = sim._outcomes(cfg, 0, n)
+    for i, out in enumerate(singles):
+        assert out == TrialOutcome(int(slots[i]), bool(bob[i]), bool(eve[i]),
+                                   int(n_bob[i]), int(n_eve[i])), i
+    assert sim._run_block(cfg, 0, n) == (
+        sum(o.eve_decoded for o in singles),
+        sum(o.bob_decoded for o in singles),
+        sum(o.slots_used for o in singles),
+    )
+
+
+def test_block_memory_stays_bounded():
+    # a full pool block at the largest figure budget, feedback jammed so
+    # every trial runs all 100 slots
+    cfg = _cfg(20, 16, 0.3, 0.01, 0.26, 1.0, 100, trials=sim._BLOCK, seed=4)
+    tracemalloc.start()
+    try:
+        sim._run_block(cfg, 0, sim._BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_run_trial_is_deterministic_in_seed_and_index():
