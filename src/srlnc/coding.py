@@ -58,25 +58,28 @@ class CodeParams:
 
 
 def sample_coding_vector(params: CodeParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one length-K coding vector from the biased coefficient law.
-
-    Two draws are consumed per call (a uniform block for the zero mask and an
-    integer block for the nonzero values) so the stream layout does not depend
-    on the outcome.
-    """
-    zero_mask = rng.random(params.K) < params.p
-    values = rng.integers(1, params.q, size=params.K, dtype=np.uint8)
-    return np.where(zero_mask, np.uint8(0), values)
+    """Draw one length-K coding vector from the biased coefficient law: one
+    row of :func:`sample_coding_matrix`, with the same values and stream use
+    (a uniform block, then an integer block that at q = 2 draws nothing)."""
+    return sample_coding_matrix(params, 1, rng)[0]
 
 
 def sample_coding_matrix(
     params: CodeParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` coding vectors at once; rows follow the same law as
-    :func:`sample_coding_vector`."""
-    zero_mask = rng.random((n, params.K)) < params.p
+    """Draw ``n`` length-K coding vectors from the biased coefficient law.
+
+    Two blocks are drawn, a uniform block for the zero mask and then an
+    integer block for the nonzero values, so the stream layout does not
+    depend on the outcome.  At q = 2 every nonzero value is 1 and the integer
+    block draws nothing (numpy's ``integers(1, 2)`` leaves the generator
+    untouched), so it is skipped.
+    """
+    nonzero = rng.random((n, params.K)) >= params.p
+    if params.q == 2:
+        return nonzero.view(np.uint8)
     values = rng.integers(1, params.q, size=(n, params.K), dtype=np.uint8)
-    return np.where(zero_mask, np.uint8(0), values)
+    return np.where(nonzero, values, np.uint8(0))
 
 
 class DecoderState:

@@ -19,7 +19,6 @@ uniform coding.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -219,6 +218,9 @@ class GainPoint:
 
 
 def _leg_seed(base_seed: int, n_hat: int, leg: str) -> int:
+    # imported here: hashlib loads OpenSSL, which nothing else needs
+    import hashlib
+
     digest = hashlib.blake2s(
         f"{base_seed}:{n_hat}:{leg}".encode(), digest_size=8
     ).digest()

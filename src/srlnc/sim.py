@@ -28,15 +28,20 @@ coding.DecoderState (which carries payload bookkeeping);
 ``test_packed_binary_tracker_matches_the_decoder`` checks its pivot flags
 and prefix ranks against ``DecoderState.absorb`` slot by slot.
 
-Determinism: every trial seeds its own generator from (base_seed, base_seed
-XOR trial_index), so estimates are reproducible bit for bit no matter how
-trials are batched or how many worker processes run them.
+Determinism: trial i draws from numpy's ``default_rng([base_seed, base_seed
+XOR i])`` stream, so estimates are reproducible bit for bit no matter how
+trials are batched or how many worker processes run them.  Building a
+Generator per trial costs about as much as the rest of a q = 2 trial, so
+``_trial_states`` reproduces those streams' starting states for a whole
+chunk at once: numpy's ``SeedSequence`` hash as uint32 array arithmetic,
+then PCG64's closed-form 128-bit seeding (numpy keeps both stable, NEP 19).
+Each state is assigned in turn to one reused PCG64, which then draws
+exactly what the trial's own generator would.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,10 +111,71 @@ class SimStats:
     mean_slots: float
 
 
-def _trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [base_seed & _MASK64, (base_seed ^ trial_index) & _MASK64]
-    )
+# numpy's SeedSequence hash (uint32 arithmetic, 16-bit xorshift) and
+# PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence([base_seed, base_seed ^ i]).generate_state(4, uint64)``
+    for i = start..stop-1, as a (4, stop - start) uint64 array."""
+    b = np.uint64(base_seed) ^ np.arange(start, stop, dtype=np.uint64)
+    b_lo = (b & np.uint64(_MASK32)).astype(np.uint32)
+    b_hi = (b >> np.uint64(32)).astype(np.uint32)
+    # The entropy words: each int becomes its little-endian uint32 words (0
+    # becomes [0]), and the 4-word pool pads the rest with zeros; b_hi is 0
+    # exactly when b is one word.
+    if base_seed >> 32:
+        entropy = [base_seed & _MASK32, base_seed >> 32, b_lo, b_hi]
+    else:
+        entropy = [base_seed, b_lo, b_hi, 0]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(np.full(b.shape, w, dtype=np.uint32)) for w in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # uint32 words pair up little-endian into uint64 words
+    return np.stack([out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2)])
+
+
+def _trial_states(base_seed: int, start: int, stop: int) -> list[dict]:
+    """The ``bit_generator.state`` of ``default_rng([base_seed, base_seed ^
+    i])`` for i = start..stop-1, each ready to assign to a PCG64."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_words(base_seed, start, stop).tolist()):
+        # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps with
+        # the initial state added between them
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _outcomes(cfg: SimConfig, start: int, stop: int):
@@ -121,8 +187,10 @@ def _outcomes(cfg: SimConfig, start: int, stop: int):
     # packet is a zero row.
     sym = np.empty((2, B, N, K), dtype=np.uint8)
     draws = np.empty((B, 3, N))
-    for k in range(B):
-        rng = _trial_rng(cfg.base_seed, start + k)
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for k, state in enumerate(_trial_states(cfg.base_seed, start, stop)):
+        bit_gen.state = state
         sym[0, k] = sample_coding_matrix(code, N, rng)
         rng.random(out=draws[k])  # Bob's erasures, Eve's, the ACKs, in turn
     # A draw below the erasure probability is a lost packet, so reception is
@@ -154,8 +222,10 @@ def _outcomes(cfg: SimConfig, start: int, stop: int):
 def run_trial(cfg: SimConfig, trial_index: int) -> TrialOutcome:
     """Play one protocol round end to end, deterministically in
     (base_seed, trial_index)."""
-    if not isinstance(trial_index, int) or trial_index < 0:
-        raise ConfigError(f"trial_index={trial_index!r} must be a nonnegative integer")
+    if not isinstance(trial_index, int) or not 0 <= trial_index <= _MASK64:
+        raise ConfigError(
+            f"trial_index={trial_index!r} must fit in an unsigned 64-bit integer"
+        )
     slots, bob, eve, n_bob, n_eve = _outcomes(cfg, trial_index, trial_index + 1)
     return TrialOutcome(int(slots[0]), bool(bob[0]), bool(eve[0]),
                         int(n_bob[0]), int(n_eve[0]))
@@ -185,6 +255,9 @@ def estimate(cfg: SimConfig, workers: int | None = None) -> SimStats:
     n = cfg.trials
     spans = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
     if workers is not None and workers > 1 and len(spans) > 1:
+        # imported here: multiprocessing is only needed on the pool path
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, *zip(*[(cfg, a, b) for a, b in spans])))
     else:

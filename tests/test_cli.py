@@ -288,3 +288,15 @@ def test_cli_import_pulls_in_no_scipy():
              "assert not any(m.startswith('scipy') for m in sys.modules)")
     subprocess.run([sys.executable, "-c", check], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_pulls_in_no_hashlib_or_multiprocessing():
+    # hashlib (OpenSSL) serves only the figure-2 leg seeds, and
+    # multiprocessing only estimate(workers > 1); both load where used
+    src = os.path.dirname(os.path.dirname(srlnc.__file__))
+    check = ("import srlnc.cli, sys; "
+             "bad = [m for m in sys.modules if m.split('.')[0] in "
+             "('hashlib', '_hashlib', 'concurrent', 'multiprocessing')]; "
+             "assert not bad, bad")
+    subprocess.run([sys.executable, "-c", check], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

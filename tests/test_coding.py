@@ -79,6 +79,31 @@ def test_vector_and_matrix_sampling_agree():
     assert np.array_equal(one, row)
 
 
+def _two_draw_matrix(params, n, rng):
+    # the sampler as first written: the integer block is drawn at every q
+    zero_mask = rng.random((n, params.K)) < params.p
+    values = rng.integers(1, params.q, size=(n, params.K), dtype=np.uint8)
+    return np.where(zero_mask, np.uint8(0), values)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_samplers_match_the_two_draw_law_and_stream(q):
+    # at q=2 the integer block is skipped; values, dtype and the generator
+    # state afterwards must not change
+    params = CodeParams(K=7, q=q, p=0.6, n_hat=12)
+    for n in [1, 5, 40]:
+        want_rng, rng = np.random.default_rng([q, n]), np.random.default_rng([q, n])
+        want = _two_draw_matrix(params, n, want_rng)
+        got = sample_coding_matrix(params, n, rng)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        want = _two_draw_matrix(params, 1, want_rng)[0]
+        got = sample_coding_vector(params, rng)
+        assert got.dtype == np.uint8 and got.shape == (7,)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_absorb_hand_sequence():
     state = DecoderState(3, 2)
     steps = [

@@ -41,6 +41,61 @@ def test_config_validation():
         run_trial(good, -1)
 
 
+def test_trial_index_must_fit_in_64_bits():
+    # an index that wraps to trial i's stream would silently repeat trial i
+    cfg = _cfg(4, 16, 0.3, 0.1, 0.3, 0.7, 16, seed=2**64 - 1)
+    run_trial(cfg, 2**64 - 1)
+    for i in range(3):
+        with pytest.raises(ConfigError):
+            run_trial(cfg, 2**64 + i)
+
+
+def _trial_rng(base_seed, trial_index):
+    # the definition of trial i's stream
+    return np.random.default_rng([base_seed, base_seed ^ trial_index])
+
+
+# base seeds: one and two uint32 words, both word boundaries, and three
+# fixed random 64-bit values
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
+          0x9E3779B97F4A7C15, 0x5DEECE66D, 0xD1B54A32D192ED03]
+
+
+@pytest.mark.parametrize("a", _SEEDS)
+def test_trial_states_reproduce_the_default_rng_streams(a):
+    top = 2**64
+    spans = [
+        (0, 2 * sim._CHUNK + 1),      # chunk boundaries 255/256, 511/512
+        (a, a + 1),                   # a ^ i = 0
+        (a ^ 5, (a ^ 5) + 1),         # a ^ i = 5, one word
+        (2**32 - 2, 2**32 + 2),       # i across the word boundary
+        (a ^ 2**32, (a ^ 2**32) + 1),  # a ^ i two words, or one when a >= 2^32
+        (top - 3, top),               # the largest indices
+    ]
+    for start, stop in spans:
+        words = sim._seed_words(a, start, stop)
+        states = sim._trial_states(a, start, stop)
+        assert words.shape == (4, stop - start) and len(states) == stop - start
+        for k, i in enumerate(range(start, stop)):
+            seq = np.random.SeedSequence([a, a ^ i])
+            assert np.array_equal(words[:, k], seq.generate_state(4, np.uint64)), i
+            assert states[k] == _trial_rng(a, i).bit_generator.state, (a, i)
+
+
+def test_trial_draws_follow_their_own_streams():
+    # what _outcomes draws for trial i is what default_rng([a, a ^ i]) draws
+    for q, p in [(2, 0.7), (16, 0.3)]:
+        cfg = _cfg(5, q, p, 0.1, 0.3, 0.6, 12, seed=2**40 + q)
+        bit_gen = np.random.PCG64()
+        rng = np.random.Generator(bit_gen)
+        for i, state in enumerate(sim._trial_states(cfg.base_seed, 0, 20)):
+            bit_gen.state = state
+            old = _trial_rng(cfg.base_seed, i)
+            assert np.array_equal(sample_coding_matrix(cfg.code, 12, rng),
+                                  sample_coding_matrix(cfg.code, 12, old))
+            assert np.array_equal(rng.random(36), old.random(36))
+
+
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
 @pytest.mark.parametrize("K", [1, 3, 8, 20, 70])
 def test_packed_binary_tracker_matches_the_decoder(q, K):
