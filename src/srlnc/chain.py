@@ -17,9 +17,12 @@ That gives ``(K+1)(K+2)`` states.  The process starts at ``(K, K, 0)``,
 label ``(K+1)^2 + K``, and interception means reaching any state with
 ``eve_defect == 0``, i.e. the labels ``{t(K+1) : t = 0..K+1}``.
 
-Each row has at most six entries, so the matrix is kept as three row-major
-arrays (source label, destination label, probability), and one slot of
-propagation scatters ``dist[src] * prob`` onto ``dst`` with ``np.bincount``.
+Row i has at most six entries, at the fixed destinations ``i - (2K+3)``,
+``i - (2K+2)``, ``i - (K+2)``, ``i - (K+1)``, ``i - 1`` and ``i``.
+`build_chain` fills those six cells of every row at once, so the matrix is
+kept as three row-major arrays (source label, destination label,
+probability), and one slot of propagation scatters ``dist[src] * prob`` onto
+``dst`` with ``np.bincount``.
 
 The per-slot probabilities approximate the coupled rank evolution using the
 innovation table W of `RankTables`:  a receiver at defect d advances with
@@ -38,6 +41,7 @@ coincide whenever the feedback channel is fully jammed (eps_k = 1).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -218,11 +222,21 @@ class TransitionMatrix:
                         self.prob.tolist()))
 
 
-def _clamped(x: float, clamps: list[int]) -> float:
-    if x < 0.0:
-        clamps[0] += 1
-        return 0.0
-    return x
+@functools.lru_cache(maxsize=64)
+def _layout(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (off, has, src, dst) for generation size K: cell k of row i
+    is the entry to label i - off[k]; has marks the cells each row has,
+    explicit zeros included; src and dst label them in row-major order."""
+    off = np.array([2 * K + 3, 2 * K + 2, K + 2, K + 1, 1, 0])
+    has = np.zeros((n_states(K), 6), dtype=bool)
+    H = has[K + 1:].reshape(K + 1, K + 1, 6)  # pending labels as [d_b, d_e]
+    has[:, 5] = H[:, :, 3] = H[:, 1:, 4] = H[:, 1:, 2] = H[1, :, 1] = True
+    H[1, 1:, 0] = True
+    src, col = np.nonzero(has)
+    dst = src - off[col]
+    for a in (off, has, src, dst):
+        a.flags.writeable = False
+    return off, has, src, dst
 
 
 def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
@@ -231,6 +245,9 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
 
     tables must have been built for the same (K, q, p) as code; the
     innovation probabilities W are the only rank inputs the chain uses.
+    Each class of pending states, a slice of the grid G[d_b, d_e], is filled
+    at once with the float operations and row-sum order of the row-by-row
+    ``tests/oracles.build_chain_reference``, which it equals bit for bit.
     """
     if mode not in TRANSITION_MODES:
         raise ConfigError(f"mode must be one of {TRANSITION_MODES}, got {mode!r}")
@@ -241,97 +258,69 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
         )
     K = code.K
     eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
-    W = tables.W
-    clamps = [0]
+    # Wd[d] = W[K - d] for a receiver at defect d; the pad at d = 0 is unused.
+    Wd = np.array([*tables.W, 0.0])[::-1]
+    d = np.arange(K + 1)
+    d_b, d_e, w_b, w_e = d[:, None], d[None, :], Wd[:, None], Wd[None, :]
 
-    def horizontal(d_b: int, d_e: int) -> float:
-        # Eve advances, Bob does not.  The subtracted term removes the mass
-        # where Bob (who receives with probability 1 - eps_b) advances too;
-        # using Bob's reception probability there keeps the row marginals
-        # consistent with the diagonal term, hence substochastic.
-        if d_b >= d_e:
-            return eb * (1.0 - ee) * W[K - d_e]
-        return _clamped(
-            (1.0 - ee) * (W[K - d_e] - (1.0 - eb) * W[K - d_b]), clamps
-        )
+    # h: Eve advances, Bob does not.  The subtracted term removes the mass
+    # where Bob (who receives with probability 1 - eps_b) advances too, which
+    # keeps the row marginals consistent with diag, hence substochastic.  v
+    # is the mirror image; diag is bounded by the harder (higher-rank) side.
+    h_raw = (1.0 - ee) * (w_e - (1.0 - eb) * w_b)
+    v_raw = (1.0 - eb) * (w_b - (1.0 - ee) * w_e)
+    h_neg = (d_b < d_e) & (h_raw < 0.0)
+    v_neg = (d_e < d_b) & (v_raw < 0.0)
+    h = np.where(d_b >= d_e, eb * (1.0 - ee) * w_e, np.where(h_neg, 0.0, h_raw))
+    v = np.where(d_e >= d_b, ee * (1.0 - eb) * w_b, np.where(v_neg, 0.0, v_raw))
+    diag = (1.0 - eb) * (1.0 - ee) * Wd[np.minimum(d_b, d_e)]
 
-    def vertical(d_b: int, d_e: int) -> float:
-        # Bob advances, Eve does not; mirror image of horizontal.
-        if d_e >= d_b:
-            return ee * (1.0 - eb) * W[K - d_b]
-        return _clamped(
-            (1.0 - eb) * (W[K - d_b] - (1.0 - ee) * W[K - d_e]), clamps
-        )
+    off, has, src, dst = _layout(K)
+    P = np.zeros(has.shape)
+    G = P[K + 1:].reshape(K + 1, K + 1, 6)
+    # A: d_b >= 2, d_e >= 1.  B: Bob may finish this slot; his ACK then gets
+    # through with probability 1 - eps_k, freezing the chain.
+    G[2:, 1:, 4], G[2:, 1:, 3], G[2:, 1:, 2] = h[2:, 1:], v[2:, 1:], diag[2:, 1:]
+    G[1, 1:, 4], G[1, 1:, 3], G[1, 1:, 2] = h[1, 1:], ek * v[1, 1:], ek * diag[1, 1:]
+    G[1, 1:, 1], G[1, 1:, 0] = (1.0 - ek) * v[1, 1:], (1.0 - ek) * diag[1, 1:]
+    # C: Bob already decoded and re-acknowledges every slot.
+    advance = (1.0 - ee) * Wd[1:]
+    moved, stays = (1.0 - ek) * advance, (1.0 - ek) * (1.0 - advance)
+    G[0, 1:, 4] = ek * advance
+    moved_to, stays_to = (3, 2) if mode == "paper-exact" else (2, 3)
+    G[0, 1:, moved_to], G[0, 1:, stays_to] = moved, stays
+    # D, E: Eve is done, Bob is not (in E he may finish and be acknowledged).
+    # F: only the ACK is pending.
+    G[2:, 0, 3] = (1.0 - eb) * Wd[2:]
+    gain = (1.0 - eb) * Wd[1]
+    G[1, 0, 1], G[1, 0, 3] = (1.0 - ek) * gain, ek * gain
+    G[0, 0, 3] = 1.0 - ek
 
-    def diagonal(d_b: int, d_e: int) -> float:
-        # Both advance; bounded by the harder (higher-rank) condition.
-        return (1.0 - eb) * (1.0 - ee) * W[K - min(d_b, d_e)]
+    # Sum as the row-by-row law lists the entries: h, v, diag in A; B's five
+    # from i - 1 down; C's advance, moved, stays in either mode (hence the
+    # second line).  E's two terms commute, and one-term rows are exact.
+    total = P[:, 4] + P[:, 3] + P[:, 2] + P[:, 1] + P[:, 0]
+    total[K + 2:2 * K + 2] = G[0, 1:, 4] + moved + stays
+    rest = 1.0 - total
+    P[:, 5] = np.where(rest > 0.0, rest, 0.0)
+    clamps = int(np.count_nonzero((h_neg | v_neg)[1:, 1:]))  # A and B
+    out = TransitionMatrix(K, mode, src, dst, P[has], clamp_count=clamps)
 
-    srcs: list[int] = []
-    dsts: list[int] = []
-    probs: list[float] = []
-    for i in range(n_states(K)):
-        st = state_of(i, K)
-        d_b, d_e = st.bob_defect, st.eve_defect
-        row: dict[int, float] = {}
-        if st.ack_received:
-            pass  # absorbing: the self-loop remainder below is the whole row
-        elif d_b >= 2 and d_e >= 1:
-            row[i - 1] = horizontal(d_b, d_e)
-            row[i - K - 1] = vertical(d_b, d_e)
-            row[i - K - 2] = diagonal(d_b, d_e)
-        elif d_b == 1 and d_e >= 1:
-            # Bob may finish this slot; his ACK then gets through with
-            # probability 1 - eps_k, freezing the chain.
-            row[i - 1] = horizontal(d_b, d_e)
-            row[i - K - 1] = ek * vertical(d_b, d_e)
-            row[i - K - 2] = ek * diagonal(d_b, d_e)
-            row[i - 2 * K - 2] = (1.0 - ek) * vertical(d_b, d_e)
-            row[i - 2 * K - 3] = (1.0 - ek) * diagonal(d_b, d_e)
-        elif d_b == 0 and d_e >= 1:
-            # Bob already decoded and re-acknowledges every slot.
-            advance = (1.0 - ee) * W[K - d_e]
-            row[i - 1] = ek * advance
-            if mode == "paper-exact":
-                row[i - K - 1] = (1.0 - ek) * advance
-                row[i - K - 2] = (1.0 - ek) * (1.0 - advance)
-            else:
-                row[i - K - 2] = (1.0 - ek) * advance
-                row[i - K - 1] = (1.0 - ek) * (1.0 - advance)
-        elif d_b >= 2 and d_e == 0:
-            row[i - K - 1] = (1.0 - eb) * W[K - d_b]
-        elif d_b == 1 and d_e == 0:
-            gain = (1.0 - eb) * W[K - 1]
-            row[i - 2 * K - 2] = (1.0 - ek) * gain
-            row[i - K - 1] = ek * gain
-        else:  # d_b == 0 and d_e == 0: only the ACK is pending.
-            row[i - K - 1] = 1.0 - ek
-        total = 0.0
-        for j, prob in row.items():
-            if prob < 0.0 or prob > 1.0:
-                raise NumericalIntegrityError(
-                    f"row {i} ({st}): transition to {j} has probability "
-                    f"{prob!r} outside [0, 1]; row so far = {row}"
-                )
-            total += prob
-        if total > 1.0 + _ROW_SUM_TOL:
-            raise NumericalIntegrityError(
-                f"row {i} ({st}): non-self transitions sum to {total!r} > 1; "
-                f"row = {row}"
-            )
-        row[i] = row.get(i, 0.0) + max(0.0, 1.0 - total)
-        for j in sorted(row):
-            srcs.append(i)
-            dsts.append(j)
-            probs.append(row[j])
-
-    out = TransitionMatrix(K, mode, np.array(srcs), np.array(dsts),
-                           np.array(probs), clamp_count=clamps[0])
-    if clamps[0]:
+    bad = (P[:, :5] < 0.0) | (P[:, :5] > 1.0)
+    over = total > 1.0 + _ROW_SUM_TOL
+    first = np.flatnonzero(bad.any(axis=1) | over)
+    if first.size:
+        r = int(first[0])
+        if bad[r].any():
+            k = int(np.argmax(bad[r]))
+            raise out._fail(r, f"transition to {r - int(off[k])} has "
+                            f"probability {float(P[r, k])!r} outside [0, 1]")
+        raise out._fail(r, f"non-self transitions sum to {float(total[r])!r} > 1")
+    if clamps:
         log.warning(
             "%d bracket term(s) clamped to 0 while building the chain at "
             "K=%d p=%g; the innovation table is outside its comfort zone",
-            clamps[0], K, code.p,
+            clamps, K, code.p,
         )
     out.verify()
     return out

@@ -279,13 +279,17 @@ class RankTables:
         pi = self._mdl.pi_table(K, K)[:, K]
         # base > 0 because p < 1 and K >= 1.
         base = 1.0 - self.p**K
-        # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1), so the term of
-        # order ell reaches every t >= ell - 1.
-        binoms = _pascal(K - 1)
-        expo = np.zeros(K)
-        for ell in range(2, K + 1):
-            expo[ell - 1:] += binoms[ell - 1:, ell - 1] * pi[ell - 1] / base**ell
-        return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
+        # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1): row ell - 2 of
+        # `terms` is order ell for every t (0 for t < ell - 1), and the running
+        # sum down the rows adds one order at a time, as a loop over ell would.
+        binoms = _pascal(K - 1)[:, 1:].T
+        powers = np.array([base**ell for ell in range(2, K + 1)])
+        terms = np.where(binoms > 0.0, binoms * pi[1:K, None] / powers[:, None], 0.0)
+        expo = np.cumsum(terms, axis=0)[-1] if K > 1 else np.zeros(1)
+        # At extreme p, exp overflows to inf; the clip maps it to 1 and the W
+        # property logs the non-monotone table, so numpy's warning adds nothing.
+        with np.errstate(over="ignore"):
+            return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
 
     def innovation_probability(self, t: int) -> float:
         """W[t] for 0 <= t <= K-1."""

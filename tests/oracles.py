@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def poly_mul(a: int, b: int, m: int, poly: int) -> int:
@@ -137,6 +138,109 @@ def chain_distribution_dense(P, n_hat: int) -> list[float]:
                 nxt = [acc + mass * w for acc, w in zip(nxt, row)]
         dist = nxt
     return dist
+
+
+def innovation_table_by_loop(tables) -> tuple[float, ...]:
+    """W of a sparse (p > 1/q) RankTables, one term of its exponent at a time.
+
+    expo[t] accumulates C(t, ell-1) pi(ell, K) / base^ell over ell = 2 .. t+1
+    in ascending ell, with base = 1 - p^K, and W = clip(base exp(-expo), 0, 1).
+    The same float operations in the same order as the package's table, so
+    the two must agree bit for bit; pi comes from the public scalar lookup.
+    Binomials are exact up to K = 61.
+    """
+    K = tables.K
+    base = 1.0 - tables.p ** K
+    expo = np.zeros(K)
+    for ell in range(2, K + 1):
+        for t in range(ell - 1, K):
+            expo[t] += float(math.comb(t, ell - 1)) * tables.pi(ell, K) / base ** ell
+    with np.errstate(over="ignore"):
+        return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
+
+
+def build_chain_reference(code, chan, tables, mode: str = "paper-exact"):
+    """The transition matrix built one row at a time, as (src, dst, prob,
+    clamp_count).
+
+    Walks the labels in order and fills each row as a dict in the order the
+    transition law lists its destinations; the self-loop takes what is left,
+    max(0, 1 - sum of the other entries in that order).  Bracket terms that
+    go negative are clamped to 0 and counted.  Reads only code.K, the three
+    erasure probabilities and tables.W; checks nothing and logs nothing.
+    `srlnc.build_chain` must return the same arrays bit for bit.
+    """
+    K = code.K
+    eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
+    W = tables.W
+    clamps = 0
+
+    def clamped(x: float) -> float:
+        nonlocal clamps
+        if x < 0.0:
+            clamps += 1
+            return 0.0
+        return x
+
+    def horizontal(d_b: int, d_e: int) -> float:
+        if d_b >= d_e:
+            return eb * (1.0 - ee) * W[K - d_e]
+        return clamped((1.0 - ee) * (W[K - d_e] - (1.0 - eb) * W[K - d_b]))
+
+    def vertical(d_b: int, d_e: int) -> float:
+        if d_e >= d_b:
+            return ee * (1.0 - eb) * W[K - d_b]
+        return clamped((1.0 - eb) * (W[K - d_b] - (1.0 - ee) * W[K - d_e]))
+
+    def diagonal(d_b: int, d_e: int) -> float:
+        return (1.0 - eb) * (1.0 - ee) * W[K - min(d_b, d_e)]
+
+    srcs: list[int] = []
+    dsts: list[int] = []
+    probs: list[float] = []
+    for i in range((K + 1) * (K + 2)):
+        # labels 0..K: ACK received, Bob done, Eve's defect frozen at i
+        ack = i <= K
+        d_b, d_e = (0, i) if ack else (i // (K + 1) - 1, i % (K + 1))
+        row: dict[int, float] = {}
+        if ack:
+            pass
+        elif d_b >= 2 and d_e >= 1:
+            row[i - 1] = horizontal(d_b, d_e)
+            row[i - K - 1] = vertical(d_b, d_e)
+            row[i - K - 2] = diagonal(d_b, d_e)
+        elif d_b == 1 and d_e >= 1:
+            row[i - 1] = horizontal(d_b, d_e)
+            row[i - K - 1] = ek * vertical(d_b, d_e)
+            row[i - K - 2] = ek * diagonal(d_b, d_e)
+            row[i - 2 * K - 2] = (1.0 - ek) * vertical(d_b, d_e)
+            row[i - 2 * K - 3] = (1.0 - ek) * diagonal(d_b, d_e)
+        elif d_b == 0 and d_e >= 1:
+            advance = (1.0 - ee) * W[K - d_e]
+            row[i - 1] = ek * advance
+            if mode == "paper-exact":
+                row[i - K - 1] = (1.0 - ek) * advance
+                row[i - K - 2] = (1.0 - ek) * (1.0 - advance)
+            else:
+                row[i - K - 2] = (1.0 - ek) * advance
+                row[i - K - 1] = (1.0 - ek) * (1.0 - advance)
+        elif d_b >= 2 and d_e == 0:
+            row[i - K - 1] = (1.0 - eb) * W[K - d_b]
+        elif d_b == 1 and d_e == 0:
+            gain = (1.0 - eb) * W[K - 1]
+            row[i - 2 * K - 2] = (1.0 - ek) * gain
+            row[i - K - 1] = ek * gain
+        else:
+            row[i - K - 1] = 1.0 - ek
+        total = 0.0
+        for prob in row.values():
+            total += prob
+        row[i] = row.get(i, 0.0) + max(0.0, 1.0 - total)
+        for j in sorted(row):
+            srcs.append(i)
+            dsts.append(j)
+            probs.append(row[j])
+    return np.array(srcs), np.array(dsts), np.array(probs), clamps
 
 
 def grid_search_pstar(K: int, q: int, n_hat: int, eps_b: float, eps_k: float,

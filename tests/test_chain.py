@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_distribution_dense, chain_intercept_by_paths
+from oracles import (
+    build_chain_reference,
+    chain_distribution_dense,
+    chain_intercept_by_paths,
+)
 from srlnc import (
     ChainState,
     ChannelParams,
@@ -128,6 +132,116 @@ def test_structural_invariants_hold_for_random_parameters(
     for i in range(K + 1):
         row = [(j, w) for a, j, w in trip if a == i]
         assert row == [(i, 1.0)]
+
+
+def _assert_matches_reference(code, chan, tables, mode):
+    """build_chain equals the row-by-row reference bit for bit."""
+    P = build_chain(code, chan, tables, mode)
+    src, dst, prob, clamps = build_chain_reference(code, chan, tables, mode)
+    for got, want in ((P.src, src), (P.dst, dst), (P.prob, prob)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+    assert P.clamp_count == clamps
+    return P
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6, 20])
+@pytest.mark.parametrize("q", [2, 16, 256])
+def test_builder_matches_the_row_by_row_reference(K, q):
+    # p = 1/q takes the classic innovation table; (1, 1) is the blackout
+    # channel, where every receiving row self-loops.
+    for p in (1.0 / q, 0.6, 0.9):
+        tables = RankTables(K, q, p)
+        code = CodeParams(K=K, q=q, p=p, n_hat=2 * K)
+        for mode in TRANSITION_MODES:
+            for eps_b, eps_e in ((0.05, 0.3), (0.0, 0.4), (1.0, 1.0)):
+                for eps_k in (0.0, 0.5, 1.0):
+                    chan = ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k)
+                    _assert_matches_reference(code, chan, tables, mode)
+
+
+@pytest.mark.parametrize("K, q", [(20, 2), (12, 256)])
+def test_builder_matches_the_reference_where_brackets_clamp(K, q):
+    tables = RankTables(K, q, 0.99)
+    code = CodeParams(K=K, q=q, p=0.99, n_hat=2 * K)
+    for mode in TRANSITION_MODES:
+        for eps_k in (0.0, 0.5, 1.0):
+            chan = ChannelParams(eps_b=0.0, eps_e=0.4, eps_k=eps_k)
+            P = _assert_matches_reference(code, chan, tables, mode)
+            assert P.clamp_count > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 20),
+    st.sampled_from([2, 16, 256]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from(TRANSITION_MODES),
+)
+def test_builder_matches_the_reference_for_random_parameters(
+        K, q, p_frac, eps_b, extra, eps_k, mode):
+    p = 1.0 / q + p_frac * (0.99 - 1.0 / q)
+    eps_e = min(1.0, eps_b + extra * (1.0 - eps_b))
+    _assert_matches_reference(
+        CodeParams(K=K, q=q, p=p, n_hat=2 * K),
+        ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k),
+        RankTables(K, q, p), mode)
+
+
+# clamp_count and its warning, as recorded from the row-by-row builder.
+@pytest.mark.parametrize("K, q, p, eps, want", [
+    (20, 2, 0.99, (0.0, 0.4, 0.0), 74),
+    (20, 2, 0.99, (0.05, 0.3, 0.5), 73),
+    (12, 256, 0.99, (0.0, 0.4, 0.0), 11),
+    (20, 2, 0.7, (0.01, 0.26, 1.0), 0),
+])
+def test_clamp_count_and_its_warning(K, q, p, eps, want, caplog):
+    for mode in TRANSITION_MODES:
+        caplog.clear()
+        P = _chain(K, q, p, *eps, mode=mode)
+        assert P.clamp_count == want
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "srlnc.chain" and r.levelname == "WARNING"]
+        assert logged == ([
+            f"{want} bracket term(s) clamped to 0 while building the chain "
+            f"at K={K} p={p:g}; the innovation table is outside its comfort "
+            "zone"] if want else [])
+
+
+def _chain_with_W(K, W, eps_b, eps_e, eps_k):
+    """A chain built from an injected innovation table."""
+    tables = RankTables(K, 2, 0.6)
+    tables.__dict__["W"] = W  # where the cached property keeps its value
+    return build_chain(CodeParams(K=K, q=2, p=0.6, n_hat=2 * K),
+                       ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k),
+                       tables)
+
+
+def test_build_rejects_a_transition_outside_the_unit_interval():
+    # W = 1.5: the first row hit is Bob done, Eve one short, where Eve's
+    # "stays" entry (1 - eps_k)(1 - advance) = 0.5 * (1 - 1.5) < 0.
+    K = 3
+    label = label_of(ChainState(0, 1), K)
+    with pytest.raises(NumericalIntegrityError,
+                       match=rf"transition to {label - K - 2} has probability "
+                             r"-0.25 outside \[0, 1\]") as err:
+        _chain_with_W(K, (1.5,) * K, 0.0, 0.0, 0.5)
+    assert f"row {label} ({state_of(label, K)})" in str(err.value)
+
+
+def test_build_rejects_non_self_transitions_summing_above_one():
+    # W = 1.5 with eps_e = 0.5 keeps every entry <= 1, but with Bob one
+    # short and Eve done the two ACK branches carry 0.75 each.
+    K = 3
+    label = label_of(ChainState(1, 0), K)
+    with pytest.raises(NumericalIntegrityError,
+                       match="non-self transitions sum to 1.5 > 1") as err:
+        _chain_with_W(K, (1.5,) * K, 0.0, 0.5, 0.5)
+    assert f"row {label} ({state_of(label, K)})" in str(err.value)
 
 
 def _rebuilt(P, trips):

@@ -6,6 +6,7 @@ the recursion base) and tolerance assertions against exact enumeration.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     MpRowCountModel,
     classic_full_rank,
     classic_innovation,
+    innovation_table_by_loop,
     sparse_full_rank_gf2,
     sparse_innovation_gf2,
     subset_size_pi,
@@ -223,6 +225,30 @@ def test_tables_are_clamped_probabilities():
         assert all(0.0 <= w <= 1.0 for w in tables.W)
         for r in range(10, 21):
             assert 0.0 <= tables.full_rank_prob(r, 10) <= 1.0
+
+
+@pytest.mark.parametrize("q", [2, 16, 256])
+def test_innovation_table_matches_the_loop_over_orders(q):
+    for K in (1, 2, 3, 9, 20, 40):
+        for p in (1.0 / q + 1e-9, 0.6, 0.9, 0.99):
+            tables = RankTables(K, q, p)
+            want = innovation_table_by_loop(tables)
+            assert np.array(tables.W).tobytes() == np.array(want).tobytes(), (K, p)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_overflowing_innovation_exponent_is_clipped_without_numpy_warnings(
+        q, caplog):
+    # At K=30, p=0.99 the exponent of W overflows; the clipped table must
+    # come back with the library's own log warning and no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = RankTables(30, q, 0.99).W
+    assert len(W) == 30
+    assert all(0.0 <= w <= 1.0 for w in W)
+    assert any(r.name == "srlnc.rank" and r.levelname == "WARNING"
+               and "innovation table not monotone" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_matches_guard():
