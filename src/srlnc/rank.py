@@ -28,18 +28,18 @@ as printed, ``"row-count"`` evaluates rho(s, r).  The row-count reading makes
 ``pi(ell, r)`` the probability that ``ell`` specific columns form a minimal
 zero-sum set (verified against enumeration), and it is the default.
 
-Tables.  One rank model exists per ``(q, p, pi_variant)`` (an lru cache keeps
-the recent ones warm).  It holds ``pi(ell, r)`` for every ``ell <= L`` and
-``r = 0 .. R`` as one numpy array, computed by running the recursion over
-``ell`` with whole columns of ``r`` at a time: O(L^2) vector operations, each
-element updated in the same order as the scalar recursion,
-``val -= (C(ell-1, s) rho(s, .)) pi(ell-s, r)``.  When a caller asks for a
-larger ``ell`` or ``r`` the array is rebuilt at the larger size (``r`` at
-least doubling), and the values it already held do not change.  Every other
-output reads from it: ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r,
-c)`` for all ``r = c .. r_max`` at once (memoised per ``c``), the innovation
-table W of ``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
-``full_rank_prob`` are lookups.  Binomial coefficients come from cached rows.
+Tables.  One rank model exists per ``(q, p, pi_variant)``, kept warm by an
+lru cache.  It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one
+numpy array, built one order at a time: one multiply writes every term
+``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1 .. ell-1, into rows below
+``rho(ell, .)``, and ``np.subtract.reduce`` down the rows subtracts them one
+row after another, so each element sees the scalar ``val -= term(s)`` in
+ascending ``s``, bit for bit (subtract has no pairwise path; a sum has one).
+A wider request rebuilds the array (``r`` at least doubling) without changing
+the values it held.  ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r,
+c)`` for every ``r = c .. r_max`` (memoised per ``c``), the innovation table W
+of ``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
+``full_rank_prob`` are lookups.
 
 Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
 goes negative in places: ``RankTables(20, 2, 0.9).pi(19, 20)`` is about
@@ -136,6 +136,7 @@ class _SparseRankModel:
         self._lam = 1.0 - q * (1.0 - p) / (q - 1.0)
         self._pi = np.empty((0, 0))
         self._full_rank: dict[int, np.ndarray] = {}
+        self._overflowed: set[int] = set()  # columns c already logged
 
     def _per_row(self, c: int) -> float:
         return (1.0 + (self.q - 1.0) * self._lam**c) / self.q
@@ -159,18 +160,19 @@ class _SparseRankModel:
         return self._pi
 
     def _build_pi(self, L: int, R: int) -> np.ndarray:
-        r = np.arange(R)
         per_row = [self._per_row(c) for c in range(L + 1)]
-        rho = [a**r for a in per_row]
-        subset_size = self.pi_variant == "subset-size"
+        rho = np.power(np.array(per_row)[:, None], np.arange(R))
         pi = np.empty((L, R))
+        # Row 0 holds rho(ell, .), row s the term (C(ell-1, s) factor(s))
+        # pi(ell-s, .); subtract.reduce goes down the rows one at a time.
+        work = np.empty((L, R))
         for ell in range(1, L + 1):
-            val = rho[ell].copy()
-            coef = _binom_row(ell - 1)
-            for s in range(1, ell):
-                factor = per_row[s] ** ell if subset_size else rho[s]
-                val -= (coef[s] * factor) * pi[ell - s - 1]
-            pi[ell - 1] = val
+            work[0] = rho[ell]
+            factor = (np.array([per_row[s] ** ell for s in range(1, ell)])[:, None]
+                      if self.pi_variant == "subset-size" else rho[1:ell])
+            np.multiply(_binom_row(ell - 1)[1:ell, None] * factor,
+                        pi[: ell - 1][::-1], out=work[1:ell])
+            np.subtract.reduce(work[:ell], axis=0, out=pi[ell - 1])
         pi.flags.writeable = False
         return pi
 
@@ -205,11 +207,19 @@ class _SparseRankModel:
         pi = self.pi_table(c, r_max)[:, c:]
         # base > 0 because p < 1 and r >= 1.
         base = 1.0 - self.p ** np.arange(c, c + pi.shape[1])
-        coef = _binom_row(c)
-        expo = np.zeros(pi.shape[1])
-        for ell in range(2, c + 1):
-            expo += coef[ell] * pi[ell - 1] / base**ell
-        return np.clip(base**c * np.exp(-expo), 0.0, 1.0)
+        # Row ell - 1 is order ell; row 0 (order 1 is not in the sum) is the
+        # zero start, and the running sum adds one order at a time.
+        powers = np.array([base**ell for ell in range(1, c + 1)])
+        terms = _binom_row(c)[1:, None] * pi[:c] / powers
+        terms[0] = 0.0
+        expo = np.cumsum(terms, axis=0)[-1]
+        with np.errstate(over="ignore"):
+            decay = np.exp(-expo)
+        if np.isinf(decay).any() and c not in self._overflowed:
+            self._overflowed.add(c)
+            log.warning("full-rank exponent overflows at q=%d p=%g c=%d; "
+                        "approximation outside its range", self.q, self.p, c)
+        return np.clip(base**c * decay, 0.0, 1.0)
 
     def full_rank_prob(self, r: int, c: int) -> float:
         """P(an r x c sparse random matrix has rank c), for r >= c >= 0."""

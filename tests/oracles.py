@@ -159,6 +159,49 @@ def innovation_table_by_loop(tables) -> tuple[float, ...]:
         return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
 
 
+def pi_table_by_loop(model, L: int, R: int) -> np.ndarray:
+    """The (L, R) pi table of a rank model, one term of the recursion at a time.
+
+    pi(ell, .) = rho(ell, .) - sum_{s=1}^{ell-1} (C(ell-1, s) f(s)) pi(ell-s, .)
+    with the terms subtracted in ascending s, where f(s) is rho(s, .) for the
+    row-count reading and the scalar per_row(s)^ell for subset-size; per_row(s)
+    is model.rho(s, 1).  The same float operations in the same order as the
+    package's table, so the two must agree bit for bit.  Binomials are exact
+    up to L = 61.
+    """
+    r = np.arange(R)
+    per_row = [model.rho(c, 1) for c in range(L + 1)]
+    rho = [a**r for a in per_row]
+    subset_size = model.pi_variant == "subset-size"
+    pi = np.empty((L, R))
+    for ell in range(1, L + 1):
+        val = rho[ell].copy()
+        for s in range(1, ell):
+            factor = per_row[s] ** ell if subset_size else rho[s]
+            val -= (float(math.comb(ell - 1, s)) * factor) * pi[ell - s - 1]
+        pi[ell - 1] = val
+    return pi
+
+
+def full_rank_column_by_loop(model, c: int, r_max: int) -> np.ndarray:
+    """full_rank_prob(r, c) of a sparse (p > 1/q) rank model for r = c up to
+    as far as the model's pi table reaches, one order of the exponent at a time.
+
+    expo accumulates C(c, ell) pi(ell, r) / base^ell over ell = 2 .. c in
+    ascending ell, with base = 1 - p^r, and the column is
+    clip(base^c exp(-expo), 0, 1).  The same float operations in the same
+    order as the package's column, so the two must agree bit for bit; pi comes
+    from the model's public table.  Binomials are exact up to c = 60.
+    """
+    pi = model.pi_table(c, r_max)[:, c:]
+    base = 1.0 - model.p ** np.arange(c, c + pi.shape[1])
+    expo = np.zeros(pi.shape[1])
+    for ell in range(2, c + 1):
+        expo += float(math.comb(c, ell)) * pi[ell - 1] / base**ell
+    with np.errstate(over="ignore"):
+        return np.clip(base**c * np.exp(-expo), 0.0, 1.0)
+
+
 def build_chain_reference(code, chan, tables, mode: str = "paper-exact"):
     """The transition matrix built one row at a time, as (src, dst, prob,
     clamp_count).

@@ -10,12 +10,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     MpRowCountModel,
     classic_full_rank,
     classic_innovation,
+    full_rank_column_by_loop,
     innovation_table_by_loop,
+    pi_table_by_loop,
     sparse_full_rank_gf2,
     sparse_innovation_gf2,
     subset_size_pi,
@@ -310,3 +314,73 @@ def test_widened_table_equals_one_built_at_full_width():
         assert np.array_equal(narrow, wide[:21])
         assert np.array_equal(grown.pi_table(20, 100)[:, :101],
                               direct.pi_table(20, 100)[:, :101])
+
+
+# Sparsities, besides 1/q + 1e-9 just above classic, at which the
+# order-at-a-time pi table is held to its term-at-a-time loop: through the
+# middle, up to where the approximation breaks down.
+_PARITY_P = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999)
+# (20, 21) leaves the order-20 full-rank column one entry wide, the shape in
+# which numpy's sum over the orders would switch to pairwise addition.
+_PARITY_SIZES = ((1, 5), (2, 3), (20, 21), (20, 22), (20, 176), (61, 200))
+
+
+def _assert_model_matches_the_loops(q, p, variant, L, R):
+    model = _SparseRankModel(q, p, variant)
+    table = model.pi_table(L, R - 1)
+    assert table.shape == (L, R)
+    assert table.tobytes() == pi_table_by_loop(model, L, R).tobytes(), (L, R)
+    for c in sorted({1, 2, L // 2, L - 1, L} - {0}):
+        if c > 60 or c >= R:
+            continue
+        got = model._full_rank_column(c, R - 1)
+        want = full_rank_column_by_loop(model, c, R - 1)
+        assert got.tobytes() == want.tobytes(), (L, R, c)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+@pytest.mark.parametrize("variant", PI_VARIANTS)
+def test_pi_table_and_full_rank_columns_match_the_term_loops(q, variant):
+    for p in (1.0 / q + 1e-9, *(p for p in _PARITY_P if p > 1.0 / q)):
+        for L, R in _PARITY_SIZES:
+            _assert_model_matches_the_loops(q, p, variant, L, R)
+        # a table widened from R=22 to 176 holds what a direct build holds
+        model = _SparseRankModel(q, p, variant)
+        model.pi_table(20, 21)
+        widened = model.pi_table(20, 175)
+        assert widened.shape == (20, 176)
+        assert widened.tobytes() == pi_table_by_loop(model, 20, 176).tobytes(), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 4, 16, 256]),
+    u=st.floats(1e-9, 1.0 - 1e-9),
+    variant=st.sampled_from(PI_VARIANTS),
+    L=st.integers(1, 40),
+    R=st.integers(1, 90),
+)
+def test_pi_recursion_by_orders_equals_the_term_loop(q, u, variant, L, R):
+    p = 1.0 / q + u * (1.0 - 1.0 / q)
+    if not 1.0 / q < p < 1.0:
+        return
+    _assert_model_matches_the_loops(q, p, variant, L, R)
+
+
+@pytest.mark.parametrize("p, q, c", [(0.9999, 2, 20), (0.99, 2, 40)])
+def test_overflowing_full_rank_exponent_is_logged_not_warned(p, q, c, caplog):
+    # The full-rank exponent overflows at these points; the column must come
+    # back clipped, with one srlnc.rank log record naming (q, p, c) and no
+    # RuntimeWarning.
+    model = _SparseRankModel(q, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = model.full_rank_probs(c, c)
+        widened = model.full_rank_probs(c, 3 * c)
+    assert np.array_equal(first, widened[:1])
+    assert np.all((widened >= 0.0) & (widened <= 1.0))
+    records = [r for r in caplog.records
+               if r.name == "srlnc.rank" and "full-rank exponent overflows" in r.getMessage()]
+    assert len(records) == 1
+    assert records[0].levelname == "WARNING"
+    assert f"q={q} p={p:g} c={c};" in records[0].getMessage()
