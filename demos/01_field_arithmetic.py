@@ -14,7 +14,7 @@ gf4 = get_field(4)
 print("GF(4) addition (XOR) and multiplication tables")
 print("   +  | " + "  ".join(str(b) for b in range(4)))
 for a in range(4):
-    print(f"   {a}  | " + "  ".join(str(gf4.add(a, b)) for b in range(4)))
+    print(f"   {a}  | " + "  ".join(str(a ^ b) for b in range(4)))
 print("   *  | " + "  ".join(str(b) for b in range(4)))
 for a in range(4):
     print(f"   {a}  | " + "  ".join(str(gf4.mul(a, b)) for b in range(4)))
@@ -31,7 +31,7 @@ for q in (2, 4, 8, 16, 256):
     ok = all(gf.mul(a, gf.inv(a)) == 1 for a in range(1, q))
     ok &= all(gf.mul(a, b) == gf.mul(b, a) for a in elems for b in range(a, q))
     ok &= all(
-        gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
         for a in range(0, q, max(1, q // 16))
         for b in range(0, q, max(1, q // 16))
         for c in range(0, q, max(1, q // 16))
@@ -40,10 +40,11 @@ for q in (2, 4, 8, 16, 256):
           f"{'ok' if ok else 'BROKEN'}")
 
 # solve 7*x + 3 = 12 in GF(16): x = (12 - 3) / 7 = (12 XOR 3) * inv(7)
-x = gf16.mul(gf16.add(12, 3), gf16.inv(7))
+x = gf16.mul(12 ^ 3, gf16.inv(7))
 print(f"\nSolve 7*x + 3 = 12 over GF(16): x = {x} "
-      f"(check: {gf16.add(gf16.mul(7, x), 3)} == 12)")
+      f"(check: {gf16.mul(7, x) ^ 3} == 12)")
 
-# scale_row is the vectorized workhorse behind elimination
+# scaling a whole row is one lookup in the multiplication table, the
+# vectorized workhorse behind elimination
 row = np.array([0, 1, 5, 9, 14], dtype=np.uint8)
-print(f"scale_row(3, {row.tolist()}) = {gf16.scale_row(3, row).tolist()}")
+print(f"scale_row(3, {row.tolist()}) = {gf16.mul_table[3, row].tolist()}")

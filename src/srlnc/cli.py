@@ -45,13 +45,7 @@ from .chain import (
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError
 from .optimize import ImConfig, intercept_gain, solve_im
-from .rank import (
-    DEFAULT_PI_VARIANT,
-    PI_VARIANTS,
-    RankTables,
-    exact_full_rank_prob,
-    exact_innovation_prob,
-)
+from .rank import RankTables, exact_full_rank_prob, exact_innovation_prob
 from .sim import SimConfig, estimate
 
 FIGURES = ("1a", "1b", "2a", "2b", "2c", "2d")
@@ -62,7 +56,7 @@ _CONFIG_KEYS = {
     "eps_b": float, "eps_e": float, "eps_k": float,
     "trials": int, "seed": int, "mode": str, "threads": int,
     "format": str, "Dhat": float, "p_max": float, "tol": float,
-    "pi_variant": str, "figure": str,
+    "figure": str,
 }
 
 # Hard defaults applied after flags and config file both passed.  trials is
@@ -72,7 +66,6 @@ _DEFAULTS = {
     "q": 2, "eps_b": 0.0, "eps_e": 0.0, "eps_k": 1.0,
     "seed": 0, "mode": DEFAULT_MODE, "threads": 1,
     "format": "csv", "Dhat": 0.99, "p_max": 0.95, "tol": 1e-6,
-    "pi_variant": DEFAULT_PI_VARIANT,
 }
 
 
@@ -91,8 +84,6 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         "threads": dict(type=int, help="worker processes for simulation"),
         "out": dict(help="output path (default: stdout)"),
         "format": dict(choices=("csv", "json"), help="output format"),
-        "pi_variant": dict(choices=PI_VARIANTS,
-                           help="correction-term recursion variant"),
         "Dhat": dict(type=float, help="delivery floor for the optimizer"),
         "p_max": dict(type=float, help="upper end of the sparsity search"),
         "tol": dict(type=float, help="delivery tolerance of the bisection"),
@@ -101,8 +92,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
             "eps_b": "--eps-b", "eps_e": "--eps-e", "eps_k": "--eps-k",
             "trials": "--trials", "seed": "--seed", "mode": "--mode",
             "threads": "--threads", "out": "--out", "format": "--format",
-            "pi_variant": "--pi-variant", "Dhat": "--Dhat",
-            "p_max": "--p-max", "tol": "--tol"}
+            "Dhat": "--Dhat", "p_max": "--p-max", "tol": "--tol"}
     for name in names:
         sub.add_argument(flag[name], dest=name, default=None, **spec[name])
     sub.add_argument("--config", default=None,
@@ -119,14 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("rank", help="innovation/full-rank probability tables")
-    _add_common(s, "K", "q", "p", "Nhat", "pi_variant", "out", "format",
-                "seed", "mode")
+    _add_common(s, "K", "q", "p", "Nhat", "out", "format", "seed", "mode")
     s.add_argument("--with-oracle", action="store_true",
                    help="add an exact enumeration column (small K only)")
 
     s = subs.add_parser("chain", help="analytical intercept and delivery")
     _add_common(s, "K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k",
-                "mode", "pi_variant", "out", "format", "seed")
+                "mode", "out", "format", "seed")
     s.add_argument("--dump-matrix", default=None, metavar="PATH",
                    help="also write the transition matrix as (row, col, prob)")
 
@@ -136,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("optimize", help="solve the sparsity optimization")
     _add_common(s, "K", "q", "Nhat", "eps_b", "eps_e", "eps_k", "Dhat",
-                "p_max", "tol", "mode", "pi_variant", "out", "format", "seed")
+                "p_max", "tol", "mode", "out", "format", "seed")
 
     s = subs.add_parser("sweep", help="reproduce one figure panel")
     s.add_argument("--figure", required=True, choices=FIGURES)
     _add_common(s, "K", "q", "eps_b", "eps_k", "Dhat", "p_max", "trials",
-                "seed", "threads", "mode", "pi_variant", "out", "format")
+                "seed", "threads", "mode", "out", "format")
     return parser
 
 
@@ -235,7 +224,7 @@ def _nhat_default(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p")
     n_hat = _nhat_default(args)
-    tables = RankTables(args.K, args.q, args.p, args.pi_variant)
+    tables = RankTables(args.K, args.q, args.p)
     records = []
     for t in range(args.K):
         rec = {"K": args.K, "q": args.q, "p": args.p, "kind": "innovation",
@@ -267,7 +256,7 @@ def _cmd_chain(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p", "Nhat")
     code = CodeParams(K=args.K, q=args.q, p=args.p, n_hat=args.Nhat)
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
-    tables = RankTables(args.K, args.q, args.p, args.pi_variant)
+    tables = RankTables(args.K, args.q, args.p)
     P = build_chain(code, chan, tables, args.mode)
     record = {
         "p": args.p, "N_hat": args.Nhat,
@@ -313,7 +302,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     code = CodeParams(K=args.K, q=args.q, p=1.0 / args.q, n_hat=args.Nhat)
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
     cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat, p_max=args.p_max,
-                   tol=args.tol, pi_variant=args.pi_variant, mode=args.mode)
+                   tol=args.tol, mode=args.mode)
     sol = solve_im(cfg)
     record = {
         "K": args.K, "q": args.q, "N_hat": args.Nhat, "D_hat": args.Dhat,
@@ -368,7 +357,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             eps_e = round(eps_b + 0.25, 6)
             for p in _fig1_p_grid(q):
                 code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-                tables = RankTables(K, q, p, args.pi_variant)
+                tables = RankTables(K, q, p)
                 # Delivery reads eps_b only, so one evaluation serves every eps_k.
                 delivery = delivery_probability(
                     code, ChannelParams(eps_b, eps_e, eps_ks[0]), tables)
@@ -414,8 +403,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                 chan = ChannelParams(eps_b_panel, eps_e_panel, eps_k)
                 code = CodeParams(K=K, q=q, p=1.0 / q, n_hat=2 * K)
                 cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat,
-                               p_max=args.p_max,
-                               pi_variant=args.pi_variant, mode=args.mode)
+                               p_max=args.p_max, mode=args.mode)
                 points = intercept_gain(
                     cfg, _fig2_nhat_grid(K, q), trials=trials,
                     base_seed=args.seed, workers=args.threads,

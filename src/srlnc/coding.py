@@ -87,10 +87,9 @@ class DecoderState:
 
     Maintains a reduced echelon basis of the innovative coding vectors seen so
     far: every basis row has a leading 1 at its pivot column and every pivot
-    column is zero in all other rows.  For q = 2 rows are packed into machine
-    integers (bit i = coordinate i) so an absorption is a handful of XORs; for
-    larger fields rows are uint8 arrays and elimination goes through the
-    field's multiplication table.
+    column is zero in all other rows.  Rows are uint8 arrays and elimination
+    goes through the field's multiplication table, at q = 2 as well (its 2 x 2
+    table scales by 0 or 1).
 
     The original (unreduced) vector of each innovative absorption is kept so
     payloads can be decoded later; dependent vectors leave the state unchanged.
@@ -102,14 +101,12 @@ class DecoderState:
         self.K = K
         self.field = get_field(q)
         self.q = q
-        self._packed = q == 2 and K <= 64  # bit-packed rows need one machine word
-        self._pivot_rows: dict[int, int] = {}        # packed: pivot bit -> packed row
-        self._rows: dict[int, np.ndarray] = {}       # generic: pivot index -> uint8 row
+        self._rows: dict[int, np.ndarray] = {}  # pivot index -> uint8 row
         self.originals: list[np.ndarray] = []
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows) if self._packed else len(self._rows)
+        return len(self._rows)
 
     @property
     def defect(self) -> int:
@@ -128,28 +125,10 @@ class DecoderState:
         self.field.check_elements(v)
         if self.rank == self.K:
             return False
-        if self._packed:
-            grew = self._absorb_packed(int(np.bitwise_or.reduce(
-                v.astype(np.uint64) << np.arange(self.K, dtype=np.uint64))))
-        else:
-            grew = self._absorb_row(v.copy())
+        grew = self._absorb_row(v.copy())
         if grew:
             self.originals.append(v.copy())
         return grew
-
-    def _absorb_packed(self, x: int) -> bool:
-        rows = self._pivot_rows
-        for piv, row in rows.items():
-            if (x >> piv) & 1:
-                x ^= row
-        if x == 0:
-            return False
-        piv = (x & -x).bit_length() - 1
-        for other_piv, row in rows.items():
-            if (row >> piv) & 1:
-                rows[other_piv] = row ^ x
-        rows[piv] = x
-        return True
 
     def _absorb_row(self, w: np.ndarray) -> bool:
         gf = self.field
@@ -175,36 +154,37 @@ class DecoderState:
     def basis_matrix(self) -> np.ndarray:
         """Current basis as a (rank, K) uint8 array, rows ordered by pivot."""
         out = np.zeros((self.rank, self.K), dtype=np.uint8)
-        if self._packed:
-            for i, piv in enumerate(sorted(self._pivot_rows)):
-                packed = self._pivot_rows[piv]
-                for j in range(self.K):
-                    out[i, j] = (packed >> j) & 1
-        else:
-            for i, piv in enumerate(sorted(self._rows)):
-                out[i] = self._rows[piv]
+        for i, piv in enumerate(sorted(self._rows)):
+            out[i] = self._rows[piv]
         return out
 
 
-def encode_payload(gf: GF, sources, coding_vector: np.ndarray) -> np.ndarray:
-    """Combine K equal-length source payload blocks with one coding vector.
+def _payload_blocks(gf: GF, blocks) -> np.ndarray:
+    """Payload blocks as one uint8 array, a row per block.
 
-    Payload entries are field symbols (values below q).  The exception is
-    q = 2, where payload bytes may be arbitrary: coefficients are 0/1 and the
-    combination is a plain XOR, which is GF(2)-linear bit by bit.
+    Blocks must share one length, and their entries must be field symbols
+    (values below q).  The exception is q = 2, where payload bytes may be
+    arbitrary: coefficients are 0/1 and every combination is a plain XOR,
+    which is GF(2)-linear bit by bit.
     """
+    rows = [np.asarray(b, dtype=np.uint8) for b in blocks]
+    if any(r.ndim != 1 or r.shape != rows[0].shape for r in rows):
+        raise ConfigError("payload blocks must share one length")
+    out = np.stack(rows)
+    if gf.q > 2:
+        gf.check_elements(out)
+    return out
+
+
+def encode_payload(gf: GF, sources, coding_vector: np.ndarray) -> np.ndarray:
+    """Combine K equal-length source payload blocks with one coding vector
+    (block rules as in ``_payload_blocks``)."""
     v = np.asarray(coding_vector, dtype=np.uint8)
     if len(sources) != v.shape[0]:
         raise ConfigError("one coefficient per source block is required")
-    blocks = [np.asarray(s, dtype=np.uint8) for s in sources]
-    length = blocks[0].shape[0]
-    if any(b.shape != (length,) for b in blocks):
-        raise ConfigError("source blocks must share one length")
     gf.check_elements(v)
-    if gf.q > 2:
-        for b in blocks:
-            gf.check_elements(b)
-    acc = np.zeros(length, dtype=np.uint8)
+    blocks = _payload_blocks(gf, sources)
+    acc = np.zeros(blocks.shape[1], dtype=np.uint8)
     for g, b in zip(v, blocks):
         g = int(g)
         if g == 0:
@@ -217,8 +197,9 @@ def decode_payloads(state: DecoderState, payloads) -> list[np.ndarray]:
     """Recover the K source blocks from a full-rank decoder state.
 
     ``payloads`` must line up with ``state.originals``: one payload block per
-    innovative absorption, in absorption order.  Raises NotDecodableError
-    while the defect is positive.
+    innovative absorption, in absorption order, under the block rules of
+    ``_payload_blocks``.  Raises NotDecodableError while the defect is
+    positive.
     """
     if state.defect != 0:
         raise NotDecodableError(
@@ -228,8 +209,8 @@ def decode_payloads(state: DecoderState, payloads) -> list[np.ndarray]:
     if len(payloads) != state.K:
         raise ConfigError(f"expected {state.K} payload blocks, got {len(payloads)}")
     gf = state.field
-    G = np.stack([np.asarray(v, dtype=np.uint8) for v in state.originals])
-    C = np.stack([np.asarray(c, dtype=np.uint8) for c in payloads])
+    G = np.stack(state.originals)
+    C = _payload_blocks(gf, payloads)
     K = state.K
 
     # Gauss-Jordan on [G | C]; G is invertible because the originals were

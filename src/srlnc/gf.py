@@ -101,14 +101,7 @@ class GF:
             )
         return mul, inv
 
-    # -- scalar operations -------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    # Characteristic 2: subtraction is addition.
-    sub = add
+    # -- scalar operations (addition is XOR) --------------------------------
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
@@ -118,14 +111,7 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, self.inv(b)])
-
     # -- vector operations --------------------------------------------------
-
-    def scale_row(self, c: int, row: np.ndarray) -> np.ndarray:
-        """Return ``c * row`` elementwise for a uint8 vector of elements."""
-        return self.mul_table[c, row]
 
     def check_elements(self, arr: np.ndarray) -> None:
         if arr.size and int(arr.max(initial=0)) >= self.q:

@@ -35,7 +35,7 @@ from .chain import (
 )
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError
-from .rank import DEFAULT_PI_VARIANT, PI_VARIANTS, RankTables
+from .rank import RankTables
 from .sim import SimConfig, estimate
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,9 @@ class ImConfig:
     """Inputs of one constrained-sparsity solve.
 
     code.p is ignored (p is the decision variable); code supplies K, q and
-    the transmission budget.  The search runs over [1/q, p_max].
+    the transmission budget.  The search runs over [1/q, p_max].  Delivery
+    and intercept come from ``RankTables`` (the one pi recursion of
+    ``srlnc.rank``); mode picks the chain's transition law.
     """
 
     code: CodeParams
@@ -61,7 +63,6 @@ class ImConfig:
     p_max: float = 0.95
     tol: float = 1e-6
     max_iter: int = 100
-    pi_variant: str = DEFAULT_PI_VARIANT
     mode: str = DEFAULT_MODE
 
     def __post_init__(self) -> None:
@@ -76,10 +77,6 @@ class ImConfig:
             raise ConfigError(f"tol={self.tol!r} must be positive")
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ConfigError(f"max_iter={self.max_iter!r} must be a positive integer")
-        if self.pi_variant not in PI_VARIANTS:
-            raise ConfigError(
-                f"pi_variant must be one of {PI_VARIANTS}, got {self.pi_variant!r}"
-            )
         if self.mode not in TRANSITION_MODES:
             raise ConfigError(
                 f"mode must be one of {TRANSITION_MODES}, got {self.mode!r}"
@@ -113,7 +110,7 @@ TablesFactory = Callable[[float], RankTables]
 
 
 def _default_factory(cfg: ImConfig) -> TablesFactory:
-    return lambda p: RankTables(cfg.code.K, cfg.code.q, p, cfg.pi_variant)
+    return lambda p: RankTables(cfg.code.K, cfg.code.q, p)
 
 
 def _model_intercept(cfg: ImConfig, p: float, tables: RankTables) -> float:

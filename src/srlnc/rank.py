@@ -22,15 +22,14 @@ pins it against exhaustive enumeration for small matrices.
 
 The recursion for ``pi`` is printed ambiguously in its source: the second
 subscript of the convolution factor reads as the subset size where a row
-count would be expected.  Both readings are implemented behind
-``pi_variant``: ``"subset-size"`` evaluates the factor as rho(s, ell) exactly
-as printed, ``"row-count"`` evaluates rho(s, r).  The row-count reading makes
-``pi(ell, r)`` the probability that ``ell`` specific columns form a minimal
-zero-sum set (verified against enumeration), and it is the default.
+count would be expected.  Read literally, the factor is rho(s, ell); here it
+is rho(s, r), the row-count reading, which makes ``pi(ell, r)`` the
+probability that ``ell`` specific columns form a minimal zero-sum set.  That
+is the reading exhaustive enumeration verifies, and the only one implemented.
 
-Tables.  One rank model exists per ``(q, p, pi_variant)``, kept warm by an
-lru cache.  It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one
-numpy array, built one order at a time: one multiply writes every term
+Tables.  One rank model exists per ``(q, p)``, kept warm by an lru cache.
+It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one numpy array,
+built one order at a time: one multiply writes every term
 ``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1 .. ell-1, into rows below
 ``rho(ell, .)``, and ``np.subtract.reduce`` down the rows subtracts them one
 row after another, so each element sees the scalar ``val -= term(s)`` in
@@ -60,10 +59,6 @@ from .errors import ConfigError
 from .gf import get_field
 
 log = logging.getLogger(__name__)
-
-PI_VARIANTS = ("row-count", "subset-size")
-DEFAULT_PI_VARIANT = "row-count"
-
 
 def _binom(n: int, k: int) -> float:
     """Binomial coefficient as a float; log-gamma above 60 to dodge overflow."""
@@ -116,22 +111,17 @@ def _validate_pq(p: float, q: int) -> None:
 
 
 class _SparseRankModel:
-    """rho/pi/full-rank machinery for one (q, p, pi_variant).
+    """rho/pi/full-rank machinery for one (q, p).
 
     Independent of the generation size.  ``_pi[ell - 1, r]`` holds pi(ell, r)
     for r = 0 .. R; the array is replaced by a larger one when a caller needs
     more, never written in place, so readers always see a complete table.
     """
 
-    def __init__(self, q: int, p: float, pi_variant: str = DEFAULT_PI_VARIANT):
+    def __init__(self, q: int, p: float):
         _validate_pq(p, q)
-        if pi_variant not in PI_VARIANTS:
-            raise ConfigError(
-                f"pi_variant must be one of {PI_VARIANTS}, got {pi_variant!r}"
-            )
         self.q = q
         self.p = p
-        self.pi_variant = pi_variant
         self.classic = p == 1.0 / q
         self._lam = 1.0 - q * (1.0 - p) / (q - 1.0)
         self._pi = np.empty((0, 0))
@@ -163,14 +153,12 @@ class _SparseRankModel:
         per_row = [self._per_row(c) for c in range(L + 1)]
         rho = np.power(np.array(per_row)[:, None], np.arange(R))
         pi = np.empty((L, R))
-        # Row 0 holds rho(ell, .), row s the term (C(ell-1, s) factor(s))
+        # Row 0 holds rho(ell, .), row s the term (C(ell-1, s) rho(s, .))
         # pi(ell-s, .); subtract.reduce goes down the rows one at a time.
         work = np.empty((L, R))
         for ell in range(1, L + 1):
             work[0] = rho[ell]
-            factor = (np.array([per_row[s] ** ell for s in range(1, ell)])[:, None]
-                      if self.pi_variant == "subset-size" else rho[1:ell])
-            np.multiply(_binom_row(ell - 1)[1:ell, None] * factor,
+            np.multiply(_binom_row(ell - 1)[1:ell, None] * rho[1:ell],
                         pi[: ell - 1][::-1], out=work[1:ell])
             np.subtract.reduce(work[:ell], axis=0, out=pi[ell - 1])
         pi.flags.writeable = False
@@ -227,30 +215,30 @@ class _SparseRankModel:
 
 
 @functools.lru_cache(maxsize=256)
-def _model(q: int, p: float, pi_variant: str) -> _SparseRankModel:
-    return _SparseRankModel(q, p, pi_variant)
+def _model(q: int, p: float) -> _SparseRankModel:
+    return _SparseRankModel(q, p)
 
 
 def rho(c: int, r: int, p: float, q: int) -> float:
     """Module-level convenience wrapper; see _SparseRankModel.rho."""
-    return _model(q, p, DEFAULT_PI_VARIANT).rho(c, r)
+    return _model(q, p).rho(c, r)
 
 
-def full_rank_prob(
-    r: int, c: int, p: float, q: int, pi_variant: str = DEFAULT_PI_VARIANT
-) -> float:
+def full_rank_prob(r: int, c: int, p: float, q: int) -> float:
     """Full-rank probability of an r x c sparse matrix (r >= c)."""
-    return _model(q, p, pi_variant).full_rank_prob(r, c)
+    return _model(q, p).full_rank_prob(r, c)
 
 
 class RankTables:
     """Innovation and full-rank probabilities for one (K, q, p).
 
-    Builds the innovation table ``W[t]`` for ``t = 0 .. K-1`` from the shared
-    rank model's pi table on first use, so callers that only need full-rank
-    probabilities (the delivery constraint) never pay for it.  Instances are
-    cheap and safe to share between threads: the shared model only ever
-    replaces its arrays by larger complete ones.
+    Every value comes from the row-count pi recursion of the module
+    docstring, held by the rank model that all tables of one (q, p) share.
+    The innovation table ``W[t]`` for ``t = 0 .. K-1`` is built from its pi
+    table on first use, so callers that only need full-rank probabilities
+    (the delivery constraint) never pay for it.  Instances are cheap and safe
+    to share between threads: the shared model only ever replaces its arrays
+    by larger complete ones.
 
     W[t] is the probability that, given t mutually independent sparse columns
     of height K, one more sparse column is independent of them.  It is exact
@@ -259,14 +247,13 @@ class RankTables:
     because extreme p can push the approximation outside its comfort zone).
     """
 
-    def __init__(self, K: int, q: int, p: float, pi_variant: str = DEFAULT_PI_VARIANT):
+    def __init__(self, K: int, q: int, p: float):
         if not isinstance(K, int) or K < 1:
             raise ConfigError(f"K must be a positive integer, got {K!r}")
         self.K = K
         self.q = q
         self.p = p
-        self.pi_variant = pi_variant
-        self._mdl = _model(q, p, pi_variant)
+        self._mdl = _model(q, p)
         self.classic = self._mdl.classic
 
     @functools.cached_property

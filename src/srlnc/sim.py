@@ -14,8 +14,7 @@ trajectories over the whole budget first, for a chunk of trials at once, and
 applies the stopping rule afterwards: the source stops in the first slot t
 where Bob's rank is K and the ACK of slot t survives (else after the
 budget), Bob has decoded if his rank reaches K by then, and Eve has decoded
-if her rank after slot t (after slot t - 1 when the stopping slot is not
-counted for her) is K.
+if her rank after slot t is K.
 
 Ranks come from one batched elimination kernel, ``GF.prefix_pivots``.  Each
 receiver's copy of a trial's vectors is one stream, an erased slot a zero
@@ -67,16 +66,13 @@ class SimConfig:
 
     The ACK for a decoding-completing packet is attempted in that same slot,
     and a successful ACK stops the source after the current slot, whose
-    broadcast Eve still overhears.  eve_counts_stopping_slot=False suppresses Eve's reception in that final
-    slot; it exists to measure the alternative reading of the stopping rule
-    and is not a supported operating mode.
+    broadcast Eve still overhears: her rank is read after the stopping slot.
     """
 
     code: CodeParams
     chan: ChannelParams
     trials: int = 20000
     base_seed: int = 0
-    eve_counts_stopping_slot: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -208,12 +204,11 @@ def _outcomes(cfg: SimConfig, start: int, stop: int):
     stop_now = (rank[0, :, 1:] == K) & ack_ok
     stopped = stop_now.any(axis=1)
     slots = np.where(stopped, stop_now.argmax(axis=1) + 1, N)
-    heard = slots - (stopped & (not cfg.eve_counts_stopping_slot))
     counted = np.arange(N) < slots[:, None]
     return (
         slots,
         rank[0, :, N] == K,
-        rank[1, at, heard] == K,
+        rank[1, at, slots] == K,
         (rx[:, 0] & counted).sum(axis=1),
         (rx[:, 1] & counted).sum(axis=1),
     )

@@ -162,23 +162,19 @@ def innovation_table_by_loop(tables) -> tuple[float, ...]:
 def pi_table_by_loop(model, L: int, R: int) -> np.ndarray:
     """The (L, R) pi table of a rank model, one term of the recursion at a time.
 
-    pi(ell, .) = rho(ell, .) - sum_{s=1}^{ell-1} (C(ell-1, s) f(s)) pi(ell-s, .)
-    with the terms subtracted in ascending s, where f(s) is rho(s, .) for the
-    row-count reading and the scalar per_row(s)^ell for subset-size; per_row(s)
-    is model.rho(s, 1).  The same float operations in the same order as the
+    pi(ell, .) = rho(ell, .) - sum_{s=1}^{ell-1} (C(ell-1, s) rho(s, .)) pi(ell-s, .)
+    with the terms subtracted in ascending s, where rho(s, .) is
+    model.rho(s, 1) ** r.  The same float operations in the same order as the
     package's table, so the two must agree bit for bit.  Binomials are exact
     up to L = 61.
     """
     r = np.arange(R)
-    per_row = [model.rho(c, 1) for c in range(L + 1)]
-    rho = [a**r for a in per_row]
-    subset_size = model.pi_variant == "subset-size"
+    rho = [model.rho(c, 1) ** r for c in range(L + 1)]
     pi = np.empty((L, R))
     for ell in range(1, L + 1):
         val = rho[ell].copy()
         for s in range(1, ell):
-            factor = per_row[s] ** ell if subset_size else rho[s]
-            val -= (float(math.comb(ell - 1, s)) * factor) * pi[ell - s - 1]
+            val -= (float(math.comb(ell - 1, s)) * rho[s]) * pi[ell - s - 1]
         pi[ell - 1] = val
     return pi
 
@@ -379,17 +375,3 @@ class MpRowCountModel:
                 out.append(float(self._clamp(base * mpmath.exp(-expo))))
             return out
 
-
-def subset_size_pi(ell: int, r: int, p: float, q: int) -> float:
-    """pi(ell, r) under the subset-size reading, as the recursion is printed:
-    the convolution factor is rho(s, ell), not rho(s, r).  Plain floats,
-    one recursive call per term."""
-    lam = 1.0 - q * (1.0 - p) / (q - 1.0)
-
-    def rho(c: int, height: int) -> float:
-        return ((1.0 + (q - 1.0) * lam ** c) / q) ** height
-
-    val = rho(ell, r)
-    for s in range(1, ell):
-        val -= math.comb(ell - 1, s) * rho(s, ell) * subset_size_pi(ell - s, r, p, q)
-    return val

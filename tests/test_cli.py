@@ -59,6 +59,45 @@ def test_rank_golden_bytes(capsys):
     assert out == _GOLDEN_RANK
 
 
+# Frozen output of one figure-1a chain point under each transition law and
+# of one figure-2a optimize budget, which runs the whole pi recursion,
+# bisection and audit.
+_GOLDEN_CHAIN = {mode: f"""\
+# command = srlnc chain --K 20 --q 2 --p 0.7 --Nhat 40 --eps-b 0.01 --eps-e 0.26 --eps-k 0.5 --mode {mode}
+# seed = 0
+# mode = {mode}
+# version = 0.1.0
+p,N_hat,I,D,I_chain_delivery,K,q,eps_B,eps_E,eps_K,mode
+0.7,40,{intercept},0.9999833221587657,0.9999999550718197,20,2,0.01,0.26,0.5,{mode}
+""" for mode, intercept in (("paper-exact", "0.074769437948314"),
+                            ("consistent", "0.06930771675600658"))}
+_GOLDEN_OPTIMIZE = """\
+# command = srlnc optimize --K 20 --q 16 --Nhat 61 --eps-b 0.05 --eps-e 0.2 --eps-k 1.0
+# seed = 0
+# mode = paper-exact
+# version = 0.1.0
+K,q,N_hat,D_hat,p_star,status,delivery,intercept,intercept_classic,iterations,mode
+20,16,61,0.99,0.8767503739135816,interior-root,0.9900000498158624,0.9999999999973507,1.0,16,paper-exact
+"""
+
+
+@pytest.mark.parametrize("mode", list(_GOLDEN_CHAIN))
+def test_chain_golden_bytes(capsys, mode):
+    rc, out, err = _run(capsys, [
+        "chain", "--K", "20", "--q", "2", "--p", "0.7", "--Nhat", "40",
+        "--eps-b", "0.01", "--eps-e", "0.26", "--eps-k", "0.5", "--mode", mode])
+    assert rc == 0 and err == ""
+    assert out == _GOLDEN_CHAIN[mode]
+
+
+def test_optimize_golden_bytes(capsys):
+    rc, out, err = _run(capsys, ["optimize", "--K", "20", "--q", "16",
+                                 "--Nhat", "61", "--eps-b", "0.05",
+                                 "--eps-e", "0.2", "--eps-k", "1.0"])
+    assert rc == 0 and err == ""
+    assert out == _GOLDEN_OPTIMIZE
+
+
 def test_rank_classic_endpoint_row(capsys):
     rc, out, _ = _run(capsys, ["rank", "--K", "20", "--p", "0.5"])
     assert rc == 0
@@ -213,11 +252,26 @@ def test_config_file_fills_gaps_and_flags_win(capsys, tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
+    # pi_variant is no key: the pi recursion has one reading
     ini = tmp_path / "bad.ini"
-    ini.write_text("[run]\nK = 3\nbudget = 9\n")
-    rc, _, err = _run(capsys, ["rank", "--config", str(ini), "--p", "0.6"])
-    assert rc == 2
-    assert "budget" in err
+    for key, value in (("budget", "9"), ("pi_variant", "row-count")):
+        ini.write_text(f"[run]\nK = 3\n{key} = {value}\n")
+        rc, _, err = _run(capsys, ["rank", "--config", str(ini), "--p", "0.6"])
+        assert rc == 2
+        assert key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--K", "3", "--p", "0.6"],
+    ["chain", "--K", "3", "--p", "0.6", "--Nhat", "6"],
+    ["optimize", "--K", "3", "--Nhat", "6"],
+    ["sweep", "--figure", "2a"],
+], ids=lambda argv: argv[0])
+def test_retired_recursion_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--pi-variant", "row-count"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pi-variant" in capsys.readouterr().err
 
 
 def test_json_format_carries_the_same_records(capsys):

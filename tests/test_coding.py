@@ -194,6 +194,20 @@ def test_decode_refuses_below_full_rank():
         decode_payloads(state, [np.zeros(4, dtype=np.uint8)] * 3)
 
 
+@pytest.mark.parametrize("first", [1, 3])
+def test_decode_validates_payload_blocks(first):
+    # first = 1 decodes without a multiplication, first = 3 scales row 0
+    state = DecoderState(2, 16)
+    state.absorb(np.array([first, 0], dtype=np.uint8))
+    state.absorb(np.array([0, 1], dtype=np.uint8))
+    ok = np.array([1, 2, 3], dtype=np.uint8)
+    with pytest.raises(ConfigError, match="one length"):
+        decode_payloads(state, [ok, np.array([4, 5], dtype=np.uint8)])
+    with pytest.raises(ConfigError, match="not field elements"):
+        decode_payloads(state, [np.array([1, 200, 3], dtype=np.uint8), ok])
+    assert len(decode_payloads(state, [ok, ok])) == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.sampled_from([2, 4, 16]), st.integers(0, 2**32 - 1))
 def test_rank_never_decreases_and_steps_by_at_most_one(K, q, seed):

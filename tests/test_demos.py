@@ -14,8 +14,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("demo", [
     "01_field_arithmetic.py",
     "02_sparse_coding_roundtrip.py",
+    "03_rank_probabilities.py",
     "04_intercept_chain.py",
     "05_feedback_jamming_sim.py",
+    "06_sparsity_optimization.py",
 ])
 def test_demo_exits_cleanly(demo):
     src = os.path.dirname(os.path.dirname(srlnc.__file__))

@@ -35,8 +35,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _im(max_iter=0)
     with pytest.raises(ConfigError):
-        _im(pi_variant="bogus")
-    with pytest.raises(ConfigError):
         _im(mode="exact")
 
 
@@ -153,52 +151,53 @@ def test_solution_shape():
 # iteration count, recorded before the pi recursion ran one order at a time.
 # Each bisection step builds a new pi table, so a change in the last bit of
 # any table moves p_star, the iteration count or the final bracket here.
-# Keys: (q, n_hat, pi_variant, mode, eps_k) at K=20 on the figure-2a channel
-# (eps_b=0.05, eps_e=0.2, D_hat=0.99, p_max=0.95); the row-count rows at
-# eps_k=1 are the 30 budgets of the benchmark's optimize-fig2 workload.
+# Keys: (q, n_hat, mode, eps_k) at K=20 on the figure-2a channel
+# (eps_b=0.05, eps_e=0.2, D_hat=0.99, p_max=0.95); the rows at eps_k=1 are
+# the 30 budgets of the benchmark's optimize-fig2 workload.
 _SOLVE_PINS = {
-    (2, 21, "row-count", "paper-exact", 1.0): (None, None, None, "0x1.3c64b11a22fe2p-6", "0x0.0p+0", "infeasible", 0),
-    (2, 26, "row-count", "paper-exact", 1.0): (None, None, None, "0x1.f075d38e3dd25p-2", "0x0.0p+0", "infeasible", 0),
-    (2, 31, "row-count", "paper-exact", 1.0): ("0x1.860eccce6a962p-1", "0x1.fae159820e56fp-1", "0x1.d7b3e1f0e7f54p-1", "0x1.cf19dac2ddab2p-1", "0x1.ccccccc510000p-16", "interior-root", 14),
-    (2, 36, "row-count", "paper-exact", 1.0): ("0x1.98d1e0014d344p-1", "0x1.fae15bc97d7c9p-1", "0x1.fa54784233b14p-1", "0x1.faed86b1e0c1cp-1", "0x1.ccccccc580000p-20", "interior-root", 18),
-    (2, 41, "row-count", "paper-exact", 1.0): ("0x1.a48cf3344e054p-1", "0x1.fae14aaa7cf54p-1", "0x1.fee2e3d34b799p-1", "0x1.ff9388ceccdf9p-1", "0x1.ccccccc540000p-19", "interior-root", 17),
-    (2, 46, "row-count", "paper-exact", 1.0): ("0x1.adc44ccdc009bp-1", "0x1.fae15c5290890p-1", "0x1.ff97db245b56bp-1", "0x1.fff773236ec14p-1", "0x1.ccccccc520000p-18", "interior-root", 16),
-    (2, 51, "row-count", "paper-exact", 1.0): ("0x1.b547d334062a8p-1", "0x1.fae154994cc92p-1", "0x1.ffbe12f2d50c1p-1", "0x1.ffff556d5c5b3p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
-    (2, 56, "row-count", "paper-exact", 1.0): ("0x1.bb8806671e850p-1", "0x1.fae165b82acb6p-1", "0x1.ffc5f82c6d21fp-1", "0x1.fffff2bb71d67p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
-    (2, 61, "row-count", "paper-exact", 1.0): ("0x1.c0d0f333d49eep-1", "0x1.fae1501eaccc8p-1", "0x1.ffc64d679fdafp-1", "0x1.fffffef7df79cp-1", "0x1.ccccccc540000p-19", "interior-root", 17),
-    (2, 66, "row-count", "paper-exact", 1.0): ("0x1.c557b333c12e2p-1", "0x1.fae1500824e2bp-1", "0x1.ffc7a1a28b064p-1", "0x1.ffffffeb761c8p-1", "0x1.ccccccc520000p-18", "interior-root", 16),
-    (2, 71, "row-count", "paper-exact", 1.0): ("0x1.c9436ccd49f0cp-1", "0x1.fae1535c87b65p-1", "0x1.ffcdb7411e931p-1", "0x1.fffffffe6725ap-1", "0x1.ccccccc500000p-20", "interior-root", 18),
-    (2, 76, "row-count", "paper-exact", 1.0): ("0x1.ccb160006e694p-1", "0x1.fae14e3dd449bp-1", "0x1.ffd839e63cba8p-1", "0x1.ffffffffe0357p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
-    (2, 80, "row-count", "paper-exact", 1.0): ("0x1.cf243999fd7e8p-1", "0x1.fae158f4f913bp-1", "0x1.ffe1dcc1890c8p-1", "0x1.fffffffffbe18p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
-    (16, 21, "row-count", "paper-exact", 1.0): (None, None, None, "0x1.bd9490861c931p-5", "0x0.0p+0", "infeasible", 0),
-    (16, 26, "row-count", "paper-exact", 1.0): ("0x1.771efb351123dp-1", "0x1.fae165f1d2b24p-1", "0x1.7b2a9a107ce38p-1", "0x1.786fdd2dcd090p-1", "0x1.c666665ec0000p-19", "interior-root", 18),
-    (16, 31, "row-count", "paper-exact", 1.0): ("0x1.8ade2e67ef871p-1", "0x1.fae1642c44264p-1", "0x1.f8439ee305742p-1", "0x1.f8b54c0cb92b0p-1", "0x1.c666665ec0000p-19", "interior-root", 18),
-    (16, 36, "row-count", "paper-exact", 1.0): ("0x1.9978ff347d99ep-1", "0x1.fae15ce11af02p-1", "0x1.ffcd96e87c44ep-1", "0x1.ffdd827b7609fp-1", "0x1.c666665e80000p-20", "interior-root", 19),
-    (16, 41, "row-count", "paper-exact", 1.0): ("0x1.a4d98ccde6560p-1", "0x1.fae15286ed6dbp-1", "0x1.ffff1297b7a16p-1", "0x1.ffffaea5ec21ap-1", "0x1.c666665ec0000p-16", "interior-root", 15),
-    (16, 46, "row-count", "paper-exact", 1.0): ("0x1.adf5ad9a8c026p-1", "0x1.fae1534585621p-1", "0x1.fffffbb87b6a9p-1", "0x1.ffffff89c8db6p-1", "0x1.c666665f00000p-20", "interior-root", 19),
-    (16, 51, "row-count", "paper-exact", 1.0): ("0x1.b56ae99a6bfa6p-1", "0x1.fae14c873c34ap-1", "0x1.ffffffe8e4344p-1", "0x1.ffffffff879afp-1", "0x1.c666665ec0000p-18", "interior-root", 17),
-    (16, 56, "row-count", "paper-exact", 1.0): ("0x1.bba26c00b7ad4p-1", "0x1.fae15042b1cb3p-1", "0x1.ffffffff5f923p-1", "0x1.ffffffffffa2ep-1", "0x1.c666665e80000p-20", "interior-root", 19),
-    (16, 61, "row-count", "paper-exact", 1.0): ("0x1.c0e56ccd6de0ap-1", "0x1.fae14959feb85p-1", "0x1.fffffffffa2c9p-1", "0x1.0000000000000p+0", "0x1.c666665ec0000p-17", "interior-root", 16),
-    (16, 66, "row-count", "paper-exact", 1.0): ("0x1.c56810008db4cp-1", "0x1.fae14f8b1b19bp-1", "0x1.ffffffffffb6cp-1", "0x1.0000000000000p+0", "0x1.c666665ee0000p-18", "interior-root", 17),
-    (16, 71, "row-count", "paper-exact", 1.0): ("0x1.c950b8007ceafp-1", "0x1.fae166c8fe61cp-1", "0x1.fffffffffffaap-1", "0x1.0000000000000p+0", "0x1.c666665ec0000p-19", "interior-root", 18),
-    (16, 76, "row-count", "paper-exact", 1.0): ("0x1.ccbc759a07d36p-1", "0x1.fae15fcc72fd4p-1", "0x1.ffffffffffff5p-1", "0x1.0000000000000p+0", "0x1.c666665e80000p-20", "interior-root", 19),
-    (16, 81, "row-count", "paper-exact", 1.0): ("0x1.cfc12399fadc9p-1", "0x1.fae15f170a86cp-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
-    (16, 86, "row-count", "paper-exact", 1.0): ("0x1.d26ff40055bd4p-1", "0x1.fae15db7066cap-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-20", "interior-root", 19),
-    (16, 91, "row-count", "paper-exact", 1.0): ("0x1.d4d66f99e507bp-1", "0x1.fae15fbdeab60p-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
-    (16, 96, "row-count", "paper-exact", 1.0): ("0x1.d6ff7599dbc08p-1", "0x1.fae15ec212487p-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0", "0x1.c666665e80000p-20", "interior-root", 19),
-    (16, 100, "row-count", "paper-exact", 1.0): ("0x1.d8939acd082bdp-1", "0x1.fae15636edba6p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
-    (16, 61, "subset-size", "paper-exact", 1.0): ("0x1.d8288ccd09f79p-1", "0x1.fae1655a37b86p-1", "0x1.ffffffffffffep-1", "0x1.0000000000000p+0", "0x1.c666665ec8000p-16", "interior-root", 15),
-    (16, 100, "subset-size", "paper-exact", 1.0): ("0x1.e666666666666p-1", "0x1.fbedafe5cf059p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0", "saturated-at-pmax", 0),
-    (2, 40, "row-count", "consistent", 0.5): ("0x1.a271d99abd772p-1", "0x1.fae1605ad6572p-1", "0x1.0962995a13e10p-2", "0x1.13af478f33817p-2", "0x1.ccccccc500000p-19", "interior-root", 17),
+    (2, 21, "paper-exact", 1.0): (None, None, None, "0x1.3c64b11a22fe2p-6", "0x0.0p+0", "infeasible", 0),
+    (2, 26, "paper-exact", 1.0): (None, None, None, "0x1.f075d38e3dd25p-2", "0x0.0p+0", "infeasible", 0),
+    (2, 31, "paper-exact", 1.0): ("0x1.860eccce6a962p-1", "0x1.fae159820e56fp-1", "0x1.d7b3e1f0e7f54p-1", "0x1.cf19dac2ddab2p-1", "0x1.ccccccc510000p-16", "interior-root", 14),
+    (2, 36, "paper-exact", 1.0): ("0x1.98d1e0014d344p-1", "0x1.fae15bc97d7c9p-1", "0x1.fa54784233b14p-1", "0x1.faed86b1e0c1cp-1", "0x1.ccccccc580000p-20", "interior-root", 18),
+    (2, 41, "paper-exact", 1.0): ("0x1.a48cf3344e054p-1", "0x1.fae14aaa7cf54p-1", "0x1.fee2e3d34b799p-1", "0x1.ff9388ceccdf9p-1", "0x1.ccccccc540000p-19", "interior-root", 17),
+    (2, 46, "paper-exact", 1.0): ("0x1.adc44ccdc009bp-1", "0x1.fae15c5290890p-1", "0x1.ff97db245b56bp-1", "0x1.fff773236ec14p-1", "0x1.ccccccc520000p-18", "interior-root", 16),
+    (2, 51, "paper-exact", 1.0): ("0x1.b547d334062a8p-1", "0x1.fae154994cc92p-1", "0x1.ffbe12f2d50c1p-1", "0x1.ffff556d5c5b3p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
+    (2, 56, "paper-exact", 1.0): ("0x1.bb8806671e850p-1", "0x1.fae165b82acb6p-1", "0x1.ffc5f82c6d21fp-1", "0x1.fffff2bb71d67p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
+    (2, 61, "paper-exact", 1.0): ("0x1.c0d0f333d49eep-1", "0x1.fae1501eaccc8p-1", "0x1.ffc64d679fdafp-1", "0x1.fffffef7df79cp-1", "0x1.ccccccc540000p-19", "interior-root", 17),
+    (2, 66, "paper-exact", 1.0): ("0x1.c557b333c12e2p-1", "0x1.fae1500824e2bp-1", "0x1.ffc7a1a28b064p-1", "0x1.ffffffeb761c8p-1", "0x1.ccccccc520000p-18", "interior-root", 16),
+    (2, 71, "paper-exact", 1.0): ("0x1.c9436ccd49f0cp-1", "0x1.fae1535c87b65p-1", "0x1.ffcdb7411e931p-1", "0x1.fffffffe6725ap-1", "0x1.ccccccc500000p-20", "interior-root", 18),
+    (2, 76, "paper-exact", 1.0): ("0x1.ccb160006e694p-1", "0x1.fae14e3dd449bp-1", "0x1.ffd839e63cba8p-1", "0x1.ffffffffe0357p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
+    (2, 80, "paper-exact", 1.0): ("0x1.cf243999fd7e8p-1", "0x1.fae158f4f913bp-1", "0x1.ffe1dcc1890c8p-1", "0x1.fffffffffbe18p-1", "0x1.ccccccc500000p-20", "interior-root", 18),
+    (16, 21, "paper-exact", 1.0): (None, None, None, "0x1.bd9490861c931p-5", "0x0.0p+0", "infeasible", 0),
+    (16, 26, "paper-exact", 1.0): ("0x1.771efb351123dp-1", "0x1.fae165f1d2b24p-1", "0x1.7b2a9a107ce38p-1", "0x1.786fdd2dcd090p-1", "0x1.c666665ec0000p-19", "interior-root", 18),
+    (16, 31, "paper-exact", 1.0): ("0x1.8ade2e67ef871p-1", "0x1.fae1642c44264p-1", "0x1.f8439ee305742p-1", "0x1.f8b54c0cb92b0p-1", "0x1.c666665ec0000p-19", "interior-root", 18),
+    (16, 36, "paper-exact", 1.0): ("0x1.9978ff347d99ep-1", "0x1.fae15ce11af02p-1", "0x1.ffcd96e87c44ep-1", "0x1.ffdd827b7609fp-1", "0x1.c666665e80000p-20", "interior-root", 19),
+    (16, 41, "paper-exact", 1.0): ("0x1.a4d98ccde6560p-1", "0x1.fae15286ed6dbp-1", "0x1.ffff1297b7a16p-1", "0x1.ffffaea5ec21ap-1", "0x1.c666665ec0000p-16", "interior-root", 15),
+    (16, 46, "paper-exact", 1.0): ("0x1.adf5ad9a8c026p-1", "0x1.fae1534585621p-1", "0x1.fffffbb87b6a9p-1", "0x1.ffffff89c8db6p-1", "0x1.c666665f00000p-20", "interior-root", 19),
+    (16, 51, "paper-exact", 1.0): ("0x1.b56ae99a6bfa6p-1", "0x1.fae14c873c34ap-1", "0x1.ffffffe8e4344p-1", "0x1.ffffffff879afp-1", "0x1.c666665ec0000p-18", "interior-root", 17),
+    (16, 56, "paper-exact", 1.0): ("0x1.bba26c00b7ad4p-1", "0x1.fae15042b1cb3p-1", "0x1.ffffffff5f923p-1", "0x1.ffffffffffa2ep-1", "0x1.c666665e80000p-20", "interior-root", 19),
+    (16, 61, "paper-exact", 1.0): ("0x1.c0e56ccd6de0ap-1", "0x1.fae14959feb85p-1", "0x1.fffffffffa2c9p-1", "0x1.0000000000000p+0", "0x1.c666665ec0000p-17", "interior-root", 16),
+    (16, 66, "paper-exact", 1.0): ("0x1.c56810008db4cp-1", "0x1.fae14f8b1b19bp-1", "0x1.ffffffffffb6cp-1", "0x1.0000000000000p+0", "0x1.c666665ee0000p-18", "interior-root", 17),
+    (16, 71, "paper-exact", 1.0): ("0x1.c950b8007ceafp-1", "0x1.fae166c8fe61cp-1", "0x1.fffffffffffaap-1", "0x1.0000000000000p+0", "0x1.c666665ec0000p-19", "interior-root", 18),
+    (16, 76, "paper-exact", 1.0): ("0x1.ccbc759a07d36p-1", "0x1.fae15fcc72fd4p-1", "0x1.ffffffffffff5p-1", "0x1.0000000000000p+0", "0x1.c666665e80000p-20", "interior-root", 19),
+    (16, 81, "paper-exact", 1.0): ("0x1.cfc12399fadc9p-1", "0x1.fae15f170a86cp-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
+    (16, 86, "paper-exact", 1.0): ("0x1.d26ff40055bd4p-1", "0x1.fae15db7066cap-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-20", "interior-root", 19),
+    (16, 91, "paper-exact", 1.0): ("0x1.d4d66f99e507bp-1", "0x1.fae15fbdeab60p-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
+    (16, 96, "paper-exact", 1.0): ("0x1.d6ff7599dbc08p-1", "0x1.fae15ec212487p-1", "0x1.ffffffffffffdp-1", "0x1.0000000000000p+0", "0x1.c666665e80000p-20", "interior-root", 19),
+    (16, 100, "paper-exact", 1.0): ("0x1.d8939acd082bdp-1", "0x1.fae15636edba6p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c666665f00000p-21", "interior-root", 20),
+    (2, 40, "consistent", 0.5): ("0x1.a271d99abd772p-1", "0x1.fae1605ad6572p-1", "0x1.0962995a13e10p-2", "0x1.13af478f33817p-2", "0x1.ccccccc500000p-19", "interior-root", 17),
 }
 
 
-def _fig2a_point(q, n_hat, pi_variant, mode, eps_k):
+def _fig2a_point(q, n_hat, mode, eps_k):
     return _im(K=20, q=q, eps_b=0.05, eps_e=0.2, eps_k=eps_k, n_hat=n_hat,
-               d_hat=0.99, p_max=0.95, pi_variant=pi_variant, mode=mode)
+               d_hat=0.99, p_max=0.95, mode=mode)
 
 
-@pytest.mark.parametrize("key", list(_SOLVE_PINS), ids=lambda k: "-".join(map(str, k)))
+# The ids name the pi recursion's reading (row-count) the pins were recorded
+# under.
+@pytest.mark.parametrize("key", list(_SOLVE_PINS),
+                         ids=lambda k: "{}-{}-row-count-{}-{}".format(*k))
 def test_solver_path_is_pinned_bit_for_bit(key):
     sol = solve_im(_fig2a_point(*key))
 
@@ -210,11 +209,3 @@ def test_solver_path_is_pinned_bit_for_bit(key):
            hex_or_none(sol.bracket_width), sol.status, sol.iterations)
     assert got == _SOLVE_PINS[key]
 
-
-def test_subset_size_audit_failure_is_pinned():
-    # At N=21 the subset-size reading makes delivery rise near p = 0.9;
-    # the audit's message carries the size and place of the rise.
-    cfg = _fig2a_point(16, 21, "subset-size", "paper-exact", 1.0)
-    with pytest.raises(NumericalIntegrityError,
-                       match=r"rises by 1\.998e-02 near p=0\.8957;"):
-        solve_im(cfg)

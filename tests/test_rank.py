@@ -22,7 +22,6 @@ from oracles import (
     pi_table_by_loop,
     sparse_full_rank_gf2,
     sparse_innovation_gf2,
-    subset_size_pi,
 )
 from srlnc import (
     ConfigError,
@@ -34,7 +33,7 @@ from srlnc import (
     full_rank_prob,
     rho,
 )
-from srlnc.rank import DEFAULT_PI_VARIANT, PI_VARIANTS, _SparseRankModel
+from srlnc.rank import _SparseRankModel
 
 
 def test_rho_hand_values():
@@ -65,23 +64,13 @@ def test_rho_against_direct_convolution():
                 assert rho(c, r, p, 2) == pytest.approx(per_row**r, abs=1e-12)
 
 
-def test_pi_variants_differ_only_in_the_cross_term():
-    t = RankTables(4, 2, 0.7, pi_variant="subset-size")
-    # first-order term is the base case in both variants
+def test_pi_recursion_first_step_uses_the_row_count_factor():
+    t = RankTables(4, 2, 0.7)
+    # the first-order term is the base case
     assert t.pi(1, 3) == t.rho(1, 3)
-    # one step of the recursion, subset-size reading:
-    assert t.pi(2, 3) == pytest.approx(t.rho(2, 3) - t.rho(1, 2) * t.pi(1, 3),
+    # one step of the recursion: the factor is rho(s, r), here rho(1, 3)
+    assert t.pi(2, 3) == pytest.approx(t.rho(2, 3) - t.rho(1, 3) * t.pi(1, 3),
                                        abs=1e-15)
-    rc = RankTables(4, 2, 0.7, pi_variant="row-count")
-    assert rc.pi(2, 3) == pytest.approx(rc.rho(2, 3) - rc.rho(1, 3) * rc.pi(1, 3),
-                                        abs=1e-15)
-    assert rc.pi(2, 3) != t.pi(2, 3)
-
-
-def test_pi_variant_names():
-    assert DEFAULT_PI_VARIANT in PI_VARIANTS
-    with pytest.raises(ConfigError):
-        full_rank_prob(3, 2, 0.6, 2, pi_variant="bogus")
 
 
 def test_classic_closed_forms_match_exact_rationals():
@@ -289,21 +278,6 @@ def test_full_rank_vector_matches_the_scalar_reads():
         tables.full_rank_probs(8, 7)
 
 
-def test_subset_size_variant_matches_the_printed_recursion():
-    for q, p in ((2, 0.6), (2, 0.8), (16, 0.3)):
-        tables = RankTables(5, q, p, pi_variant="subset-size")
-        for ell in range(1, 6):
-            for r in range(0, 13):
-                assert tables.pi(ell, r) == pytest.approx(
-                    subset_size_pi(ell, r, p, q), rel=1e-12, abs=1e-15), (q, p, ell, r)
-        base = 1.0 - p**5
-        for t in range(5):
-            expo = sum(math.comb(t, ell - 1) * subset_size_pi(ell, 5, p, q) / base**ell
-                       for ell in range(2, t + 2))
-            want = min(1.0, max(0.0, base * math.exp(-expo)))
-            assert tables.W[t] == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
 def test_widened_table_equals_one_built_at_full_width():
     for q, p in ((2, 0.7), (16, 0.3)):
         grown = _SparseRankModel(q, p)
@@ -325,8 +299,8 @@ _PARITY_P = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999)
 _PARITY_SIZES = ((1, 5), (2, 3), (20, 21), (20, 22), (20, 176), (61, 200))
 
 
-def _assert_model_matches_the_loops(q, p, variant, L, R):
-    model = _SparseRankModel(q, p, variant)
+def _assert_model_matches_the_loops(q, p, L, R):
+    model = _SparseRankModel(q, p)
     table = model.pi_table(L, R - 1)
     assert table.shape == (L, R)
     assert table.tobytes() == pi_table_by_loop(model, L, R).tobytes(), (L, R)
@@ -338,14 +312,14 @@ def _assert_model_matches_the_loops(q, p, variant, L, R):
         assert got.tobytes() == want.tobytes(), (L, R, c)
 
 
-@pytest.mark.parametrize("q", [2, 4, 16, 256])
-@pytest.mark.parametrize("variant", PI_VARIANTS)
-def test_pi_table_and_full_rank_columns_match_the_term_loops(q, variant):
+# The ids name the pi recursion's reading (row-count) the parity covers.
+@pytest.mark.parametrize("q", [2, 4, 16, 256], ids=lambda q: f"row-count-{q}")
+def test_pi_table_and_full_rank_columns_match_the_term_loops(q):
     for p in (1.0 / q + 1e-9, *(p for p in _PARITY_P if p > 1.0 / q)):
         for L, R in _PARITY_SIZES:
-            _assert_model_matches_the_loops(q, p, variant, L, R)
+            _assert_model_matches_the_loops(q, p, L, R)
         # a table widened from R=22 to 176 holds what a direct build holds
-        model = _SparseRankModel(q, p, variant)
+        model = _SparseRankModel(q, p)
         model.pi_table(20, 21)
         widened = model.pi_table(20, 175)
         assert widened.shape == (20, 176)
@@ -356,15 +330,14 @@ def test_pi_table_and_full_rank_columns_match_the_term_loops(q, variant):
 @given(
     q=st.sampled_from([2, 4, 16, 256]),
     u=st.floats(1e-9, 1.0 - 1e-9),
-    variant=st.sampled_from(PI_VARIANTS),
     L=st.integers(1, 40),
     R=st.integers(1, 90),
 )
-def test_pi_recursion_by_orders_equals_the_term_loop(q, u, variant, L, R):
+def test_pi_recursion_by_orders_equals_the_term_loop(q, u, L, R):
     p = 1.0 / q + u * (1.0 - 1.0 / q)
     if not 1.0 / q < p < 1.0:
         return
-    _assert_model_matches_the_loops(q, p, variant, L, R)
+    _assert_model_matches_the_loops(q, p, L, R)
 
 
 @pytest.mark.parametrize("p, q, c", [(0.9999, 2, 20), (0.99, 2, 40)])

@@ -118,48 +118,30 @@ def test_packed_binary_tracker_matches_the_decoder(q, K):
         assert set(piv) == {True, False}
 
 
-# (q, eps_k, n_hat, eve_counts_stopping_slot, eve_decoded, bob_decoded,
-# total slots) of estimate() at K=20, eps_b=0.05, eps_e=0.2, 60 trials,
-# base_seed 1000 + q, p = _GOLDEN_P[q], recorded from the per-trial tracker
-# that preceded the batched kernel.
+# (q, eps_k, n_hat, eve_decoded, bob_decoded, total slots) of estimate()
+# at K=20, eps_b=0.05, eps_e=0.2, 60 trials, base_seed 1000 + q,
+# p = _GOLDEN_P[q], recorded from the per-trial tracker that preceded the
+# batched kernel.
 _GOLDEN_P = {2: 0.7, 4: 0.5, 16: 0.3, 256: 0.1}
 _GOLDEN_TOTALS = [
-    (2, 0.0, 21, True, 0, 17, 1255), (2, 0.0, 21, False, 0, 17, 1255),
-    (2, 0.0, 40, True, 14, 60, 1387), (2, 0.0, 40, False, 6, 60, 1387),
-    (2, 0.0, 100, True, 13, 60, 1392), (2, 0.0, 100, False, 2, 60, 1392),
-    (2, 0.9, 21, True, 0, 17, 1260), (2, 0.9, 21, False, 0, 17, 1260),
-    (2, 0.9, 40, True, 44, 60, 1852), (2, 0.9, 40, False, 39, 60, 1852),
-    (2, 0.9, 100, True, 40, 60, 2015), (2, 0.9, 100, False, 34, 60, 2015),
-    (2, 1.0, 21, True, 0, 17, 1260), (2, 1.0, 21, False, 0, 17, 1260),
-    (2, 1.0, 40, True, 60, 60, 2400), (2, 1.0, 40, False, 60, 60, 2400),
-    (2, 1.0, 100, True, 60, 60, 6000), (2, 1.0, 100, False, 60, 60, 6000),
-    (4, 0.0, 21, True, 1, 33, 1246), (4, 0.0, 21, False, 0, 33, 1246),
-    (4, 0.0, 40, True, 1, 60, 1265), (4, 0.0, 40, False, 1, 60, 1265),
-    (4, 0.0, 100, True, 8, 60, 1292), (4, 0.0, 100, False, 1, 60, 1292),
-    (4, 0.9, 21, True, 2, 33, 1259), (4, 0.9, 21, False, 2, 33, 1259),
-    (4, 0.9, 40, True, 38, 60, 1679), (4, 0.9, 40, False, 32, 60, 1679),
-    (4, 0.9, 100, True, 39, 60, 1883), (4, 0.9, 100, False, 36, 60, 1883),
-    (4, 1.0, 21, True, 3, 33, 1260), (4, 1.0, 21, False, 3, 33, 1260),
-    (4, 1.0, 40, True, 60, 60, 2400), (4, 1.0, 40, False, 60, 60, 2400),
-    (4, 1.0, 100, True, 60, 60, 6000), (4, 1.0, 100, False, 60, 60, 6000),
-    (16, 0.0, 21, True, 5, 41, 1239), (16, 0.0, 21, False, 3, 41, 1239),
-    (16, 0.0, 40, True, 8, 60, 1280), (16, 0.0, 40, False, 5, 60, 1280),
-    (16, 0.0, 100, True, 6, 60, 1263), (16, 0.0, 100, False, 3, 60, 1263),
-    (16, 0.9, 21, True, 6, 41, 1258), (16, 0.9, 21, False, 6, 41, 1258),
-    (16, 0.9, 40, True, 41, 60, 1747), (16, 0.9, 40, False, 36, 60, 1747),
-    (16, 0.9, 100, True, 38, 60, 1906), (16, 0.9, 100, False, 35, 60, 1906),
-    (16, 1.0, 21, True, 6, 41, 1260), (16, 1.0, 21, False, 6, 41, 1260),
-    (16, 1.0, 40, True, 60, 60, 2400), (16, 1.0, 40, False, 60, 60, 2400),
-    (16, 1.0, 100, True, 60, 60, 6000), (16, 1.0, 100, False, 60, 60, 6000),
-    (256, 0.0, 21, True, 2, 41, 1241), (256, 0.0, 21, False, 2, 41, 1241),
-    (256, 0.0, 40, True, 5, 60, 1263), (256, 0.0, 40, False, 2, 60, 1263),
-    (256, 0.0, 100, True, 6, 60, 1256), (256, 0.0, 100, False, 1, 60, 1256),
-    (256, 0.9, 21, True, 3, 41, 1258), (256, 0.9, 21, False, 3, 41, 1258),
-    (256, 0.9, 40, True, 43, 60, 1747), (256, 0.9, 40, False, 42, 60, 1747),
-    (256, 0.9, 100, True, 39, 60, 1860), (256, 0.9, 100, False, 35, 60, 1860),
-    (256, 1.0, 21, True, 3, 41, 1260), (256, 1.0, 21, False, 3, 41, 1260),
-    (256, 1.0, 40, True, 60, 60, 2400), (256, 1.0, 40, False, 60, 60, 2400),
-    (256, 1.0, 100, True, 60, 60, 6000), (256, 1.0, 100, False, 60, 60, 6000),
+    (2, 0.0, 21, 0, 17, 1255), (2, 0.0, 40, 14, 60, 1387),
+    (2, 0.0, 100, 13, 60, 1392), (2, 0.9, 21, 0, 17, 1260),
+    (2, 0.9, 40, 44, 60, 1852), (2, 0.9, 100, 40, 60, 2015),
+    (2, 1.0, 21, 0, 17, 1260), (2, 1.0, 40, 60, 60, 2400),
+    (2, 1.0, 100, 60, 60, 6000), (4, 0.0, 21, 1, 33, 1246),
+    (4, 0.0, 40, 1, 60, 1265), (4, 0.0, 100, 8, 60, 1292),
+    (4, 0.9, 21, 2, 33, 1259), (4, 0.9, 40, 38, 60, 1679),
+    (4, 0.9, 100, 39, 60, 1883), (4, 1.0, 21, 3, 33, 1260),
+    (4, 1.0, 40, 60, 60, 2400), (4, 1.0, 100, 60, 60, 6000),
+    (16, 0.0, 21, 5, 41, 1239), (16, 0.0, 40, 8, 60, 1280),
+    (16, 0.0, 100, 6, 60, 1263), (16, 0.9, 21, 6, 41, 1258),
+    (16, 0.9, 40, 41, 60, 1747), (16, 0.9, 100, 38, 60, 1906),
+    (16, 1.0, 21, 6, 41, 1260), (16, 1.0, 40, 60, 60, 2400),
+    (16, 1.0, 100, 60, 60, 6000), (256, 0.0, 21, 2, 41, 1241),
+    (256, 0.0, 40, 5, 60, 1263), (256, 0.0, 100, 6, 60, 1256),
+    (256, 0.9, 21, 3, 41, 1258), (256, 0.9, 40, 43, 60, 1747),
+    (256, 0.9, 100, 39, 60, 1860), (256, 1.0, 21, 3, 41, 1260),
+    (256, 1.0, 40, 60, 60, 2400), (256, 1.0, 100, 60, 60, 6000),
 ]
 
 # (q, trial index, slots_used, bob_decoded, eve_decoded, n_bob, n_eve) of
@@ -180,13 +162,12 @@ _GOLDEN_OUTCOMES = [
 
 
 def test_estimate_totals_match_the_golden_pins():
-    for q, eps_k, n_hat, flag, eve, bob, slots in _GOLDEN_TOTALS:
+    for q, eps_k, n_hat, eve, bob, slots in _GOLDEN_TOTALS:
         s = estimate(_cfg(20, q, _GOLDEN_P[q], 0.05, 0.2, eps_k, n_hat,
-                          trials=60, seed=1000 + q,
-                          eve_counts_stopping_slot=flag))
+                          trials=60, seed=1000 + q))
         got = (round(s.intercept_hat * 60), round(s.delivery_hat * 60),
                round(s.mean_slots * 60))
-        assert got == (eve, bob, slots), (q, eps_k, n_hat, flag)
+        assert got == (eve, bob, slots), (q, eps_k, n_hat)
 
 
 def test_trial_outcomes_match_the_golden_pins():
@@ -198,8 +179,7 @@ def test_trial_outcomes_match_the_golden_pins():
 def test_batched_outcomes_equal_single_trials_across_chunks():
     # one block spanning a sub-chunk boundary, trial by trial and in total
     n = sim._CHUNK + 40
-    cfg = _cfg(6, 16, 0.3, 0.1, 0.3, 0.6, 14, trials=n, seed=21,
-               eve_counts_stopping_slot=False)
+    cfg = _cfg(6, 16, 0.3, 0.1, 0.3, 0.6, 14, trials=n, seed=21)
     singles = [run_trial(cfg, i) for i in range(n)]
     slots, bob, eve, n_bob, n_eve = sim._outcomes(cfg, 0, n)
     for i, out in enumerate(singles):
@@ -335,16 +315,3 @@ def test_stats_halfwidths_match_the_normal_formula():
     for phat, ci in ((s.intercept_hat, s.intercept_ci),
                      (s.delivery_hat, s.delivery_ci)):
         assert ci == pytest.approx(1.96 * math.sqrt(phat * (1 - phat) / 600))
-
-
-def test_stopping_slot_accounting_flag():
-    # K=1, no erasures, clean feedback: Bob stops at the first nonzero
-    # vector, which is also the only vector Eve has seen.  Counting that
-    # slot gives Eve everything; suppressing it starves her completely.
-    kw = dict(trials=400, seed=44)
-    on = estimate(_cfg(1, 2, 0.5, 0.0, 0.0, 0.0, 3, **kw))
-    off = estimate(_cfg(1, 2, 0.5, 0.0, 0.0, 0.0, 3,
-                        eve_counts_stopping_slot=False, **kw))
-    assert off.intercept_hat == 0.0
-    assert on.intercept_hat > 0.8
-    assert on.delivery_hat == off.delivery_hat
