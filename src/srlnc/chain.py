@@ -239,6 +239,14 @@ def _layout(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return off, has, src, dst
 
 
+def _check_tables(code: CodeParams, tables: RankTables) -> None:
+    if not tables.matches(code.K, code.q, code.p):
+        raise ConfigError(
+            f"rank tables built for (K={tables.K}, q={tables.q}, p={tables.p}) "
+            f"do not match code params (K={code.K}, q={code.q}, p={code.p})"
+        )
+
+
 def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
                 mode: str = DEFAULT_MODE) -> TransitionMatrix:
     """Populate the transition matrix for one parameter set.
@@ -251,11 +259,7 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
     """
     if mode not in TRANSITION_MODES:
         raise ConfigError(f"mode must be one of {TRANSITION_MODES}, got {mode!r}")
-    if not tables.matches(code.K, code.q, code.p):
-        raise ConfigError(
-            f"rank tables built for (K={tables.K}, q={tables.q}, p={tables.p}) "
-            f"do not match code params (K={code.K}, q={code.q}, p={code.p})"
-        )
+    _check_tables(code, tables)
     K = code.K
     eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
     # Wd[d] = W[K - d] for a receiver at defect d; the pad at d = 0 is unused.
@@ -372,11 +376,7 @@ def delivery_probability(code: CodeParams, chan: ChannelParams,
     times the probability that n sparse coded packets already carry full
     rank.  Needs at least K receptions, so a budget below K yields 0.
     """
-    if not tables.matches(code.K, code.q, code.p):
-        raise ConfigError(
-            f"rank tables built for (K={tables.K}, q={tables.q}, p={tables.p}) "
-            f"do not match code params (K={code.K}, q={code.q}, p={code.p})"
-        )
+    _check_tables(code, tables)
     N = code.n_hat if n_hat is None else n_hat
     if not isinstance(N, int) or N < 0:
         raise ConfigError(f"n_hat={N!r} must be a nonnegative integer")

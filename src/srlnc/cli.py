@@ -10,6 +10,10 @@ Subcommands:
 
 Output is CSV on stdout by default: ``#``-prefixed metadata lines (command,
 seed, mode, version), then a header row, then one row per grid point.
+``--seed`` is taken by ``simulate`` and ``sweep``, the only subcommands that
+draw random numbers, and ``--mode`` by ``chain``, ``optimize`` and ``sweep``,
+the ones that build a chain; elsewhere the metadata records the fixed value
+(seed 0, mode paper-exact).
 ``--format json`` emits the same content as ``{"meta": ..., "records": ...}``.
 ``--out FILE`` redirects to a file.  Numbers are rendered with repr so files
 are byte-stable across runs; re-running the command recorded in the metadata
@@ -50,51 +54,47 @@ from .sim import SimConfig, estimate
 
 FIGURES = ("1a", "1b", "2a", "2b", "2c", "2d")
 
-# Keys accepted from --config files, with the type used to parse them.
-_CONFIG_KEYS = {
-    "K": int, "q": int, "p": float, "Nhat": int,
-    "eps_b": float, "eps_e": float, "eps_k": float,
-    "trials": int, "seed": int, "mode": str, "threads": int,
-    "format": str, "Dhat": float, "p_max": float, "tol": float,
-    "figure": str,
+# Every parameter: name -> (type, or a tuple of choices; hard default; help).
+# Its flag is "--" + name with dashes for underscores, and every name but
+# out is also a --config key.  A None default leaves the value to the
+# subcommand: trials is 20000 in simulate and figure-1 sweeps, 10000 in the
+# much heavier gain curves of figure 2.
+_PARAMS = {
+    "K": (int, None, "generation size (source packets)"),
+    "q": (int, 2, "field order, a power of two up to 256"),
+    "p": (float, None, "coefficient zero-probability in [1/q, 1)"),
+    "Nhat": (int, None, "transmission budget in slots"),
+    "eps_b": (float, 0.0, "legitimate receiver erasure probability"),
+    "eps_e": (float, 0.0, "eavesdropper erasure probability"),
+    "eps_k": (float, 1.0, "feedback (ACK) erasure probability"),
+    "trials": (int, None, "Monte Carlo trials per point"),
+    "seed": (int, 0, "base RNG seed"),
+    "mode": (TRANSITION_MODES, DEFAULT_MODE, "transition-matrix variant"),
+    "threads": (int, 1, "worker processes for simulation"),
+    "out": (str, None, "output path (default: stdout)"),
+    "format": (("csv", "json"), "csv", "output format"),
+    "Dhat": (float, 0.99, "delivery floor for the optimizer"),
+    "p_max": (float, 0.95, "upper end of the sparsity search"),
+    "tol": (float, 1e-6, "delivery tolerance of the bisection"),
 }
 
-# Hard defaults applied after flags and config file both passed.  trials is
-# absent on purpose: simulate and figure-1 sweeps default to 20000, the much
-# heavier gain curves of figure 2 to 10000.
-_DEFAULTS = {
-    "q": 2, "eps_b": 0.0, "eps_e": 0.0, "eps_k": 1.0,
-    "seed": 0, "mode": DEFAULT_MODE, "threads": 1,
-    "format": "csv", "Dhat": 0.99, "p_max": 0.95, "tol": 1e-6,
+# Config-file values are parsed by type; a choice is read as a plain string.
+_CONFIG_KEYS = {
+    name: str if isinstance(kind, tuple) else kind
+    for name, (kind, _, _) in _PARAMS.items() if name != "out"
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "K": dict(type=int, help="generation size (source packets)"),
-        "q": dict(type=int, help="field order, a power of two up to 256"),
-        "p": dict(type=float, help="coefficient zero-probability in [1/q, 1)"),
-        "Nhat": dict(type=int, help="transmission budget in slots"),
-        "eps_b": dict(type=float, help="legitimate receiver erasure probability"),
-        "eps_e": dict(type=float, help="eavesdropper erasure probability"),
-        "eps_k": dict(type=float, help="feedback (ACK) erasure probability"),
-        "trials": dict(type=int, help="Monte Carlo trials per point"),
-        "seed": dict(type=int, help="base RNG seed"),
-        "mode": dict(choices=TRANSITION_MODES, help="transition-matrix variant"),
-        "threads": dict(type=int, help="worker processes for simulation"),
-        "out": dict(help="output path (default: stdout)"),
-        "format": dict(choices=("csv", "json"), help="output format"),
-        "Dhat": dict(type=float, help="delivery floor for the optimizer"),
-        "p_max": dict(type=float, help="upper end of the sparsity search"),
-        "tol": dict(type=float, help="delivery tolerance of the bisection"),
-    }
-    flag = {"K": "--K", "q": "--q", "p": "--p", "Nhat": "--Nhat",
-            "eps_b": "--eps-b", "eps_e": "--eps-e", "eps_k": "--eps-k",
-            "trials": "--trials", "seed": "--seed", "mode": "--mode",
-            "threads": "--threads", "out": "--out", "format": "--format",
-            "Dhat": "--Dhat", "p_max": "--p-max", "tol": "--tol"}
     for name in names:
-        sub.add_argument(flag[name], dest=name, default=None, **spec[name])
+        kind, _, help_text = _PARAMS[name]
+        typed = dict(choices=kind) if isinstance(kind, tuple) else dict(type=kind)
+        sub.add_argument(_flag(name), dest=name, default=None, help=help_text,
+                         **typed)
     sub.add_argument("--config", default=None,
                      help="INI file with parameter defaults (flags win)")
 
@@ -109,23 +109,23 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("rank", help="innovation/full-rank probability tables")
-    _add_common(s, "K", "q", "p", "Nhat", "out", "format", "seed", "mode")
+    _add_common(s, "K", "q", "p", "Nhat", "out", "format")
     s.add_argument("--with-oracle", action="store_true",
                    help="add an exact enumeration column (small K only)")
 
     s = subs.add_parser("chain", help="analytical intercept and delivery")
     _add_common(s, "K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k",
-                "mode", "out", "format", "seed")
+                "mode", "out", "format")
     s.add_argument("--dump-matrix", default=None, metavar="PATH",
                    help="also write the transition matrix as (row, col, prob)")
 
     s = subs.add_parser("simulate", help="Monte Carlo protocol simulation")
     _add_common(s, "K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k",
-                "trials", "seed", "threads", "out", "format", "mode")
+                "trials", "seed", "threads", "out", "format")
 
     s = subs.add_parser("optimize", help="solve the sparsity optimization")
     _add_common(s, "K", "q", "Nhat", "eps_b", "eps_e", "eps_k", "Dhat",
-                "p_max", "tol", "mode", "out", "format", "seed")
+                "p_max", "tol", "mode", "out", "format")
 
     s = subs.add_parser("sweep", help="reproduce one figure panel")
     s.add_argument("--figure", required=True, choices=FIGURES)
@@ -165,8 +165,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         if getattr(args, key) is None:
             if key in from_file:
                 setattr(args, key, from_file[key])
-            elif key in _DEFAULTS and key not in skip_defaults:
-                setattr(args, key, _DEFAULTS[key])
+            elif key in _PARAMS and key not in skip_defaults:
+                setattr(args, key, _PARAMS[key][1])
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -174,7 +174,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     if missing:
         raise ConfigError(
             "missing required parameter(s): "
-            + ", ".join(f"--{n.replace('_', '-')}" for n in missing)
+            + ", ".join(_flag(n) for n in missing)
         )
 
 

@@ -116,18 +116,17 @@ class DecoderState:
         """Fold one coding vector into the basis.
 
         Returns True when the vector was innovative (rank grew by one).  The
-        vector is validated for length and element range; the state is left
-        untouched for dependent vectors.
+        vector is validated for length, integer type and element range; the
+        state is left untouched for dependent vectors.
         """
-        v = np.asarray(vector, dtype=np.uint8)
+        v = _symbols(vector, self.q)
         if v.shape != (self.K,):
             raise ConfigError(f"expected a length-{self.K} vector, got shape {v.shape}")
-        self.field.check_elements(v)
         if self.rank == self.K:
             return False
         grew = self._absorb_row(v.copy())
         if grew:
-            self.originals.append(v.copy())
+            self.originals.append(v)
         return grew
 
     def _absorb_row(self, w: np.ndarray) -> bool:
@@ -159,6 +158,20 @@ class DecoderState:
         return out
 
 
+def _symbols(values, bound: int, what: str = "field elements") -> np.ndarray:
+    """Outside input as a new uint8 array, refusing anything that is not an
+    integer in ``0 .. bound - 1`` (a float is refused, not truncated)."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{what} must form a regular array") from exc
+    if a.dtype.kind not in "biu":
+        raise ConfigError(f"{what} must be integers, got {a.dtype} values")
+    if a.size and not (a.min() >= 0 and a.max() < bound):
+        raise ConfigError(f"values outside 0..{bound - 1}; not {what}")
+    return a.astype(np.uint8)
+
+
 def _payload_blocks(gf: GF, blocks) -> np.ndarray:
     """Payload blocks as one uint8 array, a row per block.
 
@@ -167,30 +180,33 @@ def _payload_blocks(gf: GF, blocks) -> np.ndarray:
     arbitrary: coefficients are 0/1 and every combination is a plain XOR,
     which is GF(2)-linear bit by bit.
     """
-    rows = [np.asarray(b, dtype=np.uint8) for b in blocks]
+    if gf.q == 2:
+        rows = [_symbols(b, 256, "bytes") for b in blocks]
+    else:
+        rows = [_symbols(b, gf.q) for b in blocks]
     if any(r.ndim != 1 or r.shape != rows[0].shape for r in rows):
         raise ConfigError("payload blocks must share one length")
-    out = np.stack(rows)
-    if gf.q > 2:
-        gf.check_elements(out)
-    return out
+    return np.stack(rows)
 
 
-def encode_payload(gf: GF, sources, coding_vector: np.ndarray) -> np.ndarray:
-    """Combine K equal-length source payload blocks with one coding vector
-    (block rules as in ``_payload_blocks``)."""
-    v = np.asarray(coding_vector, dtype=np.uint8)
-    if len(sources) != v.shape[0]:
-        raise ConfigError("one coefficient per source block is required")
-    gf.check_elements(v)
-    blocks = _payload_blocks(gf, sources)
+def _combine(gf: GF, blocks: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Sum of the validated payload blocks scaled by field coefficients."""
     acc = np.zeros(blocks.shape[1], dtype=np.uint8)
-    for g, b in zip(v, blocks):
+    for g, b in zip(coefficients, blocks):
         g = int(g)
         if g == 0:
             continue
         acc ^= b if gf.q == 2 else gf.mul_table[g, b]
     return acc
+
+
+def encode_payload(gf: GF, sources, coding_vector: np.ndarray) -> np.ndarray:
+    """Combine K equal-length source payload blocks with one coding vector
+    (block rules as in ``_payload_blocks``)."""
+    v = _symbols(coding_vector, gf.q)
+    if v.shape != (len(sources),):
+        raise ConfigError("one coefficient per source block is required")
+    return _combine(gf, _payload_blocks(gf, sources), v)
 
 
 def decode_payloads(state: DecoderState, payloads) -> list[np.ndarray]:
@@ -208,27 +224,13 @@ def decode_payloads(state: DecoderState, payloads) -> list[np.ndarray]:
         )
     if len(payloads) != state.K:
         raise ConfigError(f"expected {state.K} payload blocks, got {len(payloads)}")
-    gf = state.field
-    G = np.stack(state.originals)
-    C = _payload_blocks(gf, payloads)
+    blocks = _payload_blocks(state.field, payloads)
     K = state.K
-
-    # Gauss-Jordan on [G | C]; G is invertible because the originals were
-    # innovative when absorbed.
-    for col in range(K):
-        pivot = next(r for r in range(col, K) if G[r, col])
-        if pivot != col:
-            G[[col, pivot]] = G[[pivot, col]]
-            C[[col, pivot]] = C[[pivot, col]]
-        lead = int(G[col, col])
-        if lead != 1:
-            G[col] = gf.mul_table[gf.inv(lead), G[col]]
-            C[col] = gf.mul_table[gf.inv(lead), C[col]]
-        for r in range(K):
-            if r == col:
-                continue
-            c = int(G[r, col])
-            if c:
-                G[r] ^= gf.mul_table[c, G[col]]
-                C[r] ^= C[col] if gf.q == 2 else gf.mul_table[c, C[col]]
-    return [C[r] for r in range(K)]
+    # The originals G are independent, so the reduced basis of the rows
+    # [G | I] is [I | G^-1], and source i is row i of G^-1 applied to the
+    # payloads.
+    inverse = DecoderState(2 * K, state.q)
+    for g, e in zip(state.originals, np.eye(K, dtype=np.uint8)):
+        inverse.absorb(np.concatenate([g, e]))
+    return [_combine(state.field, blocks, row)
+            for row in inverse.basis_matrix()[:, K:]]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: Default reduction polynomial per extension degree, bit i = coefficient of
+#: Reduction polynomial per extension degree, bit i = coefficient of
 #: x^i.  Degree 4 is x^4+x+1 and degree 8 is x^8+x^4+x^3+x+1; the others are
 #: the usual low-weight choices.  Every entry is verified irreducible when the
 #: field is built (an inverse must exist for each nonzero element).
@@ -45,38 +45,28 @@ class GF:
     ----------
     q : int
         Field order, a power of two between 2 and 256.
-    poly : int, optional
-        Reduction polynomial override, encoded with bit i as the coefficient
-        of x^i.  Must have degree exactly log2(q) and be irreducible over
-        GF(2); the default is taken from ``DEFAULT_POLYNOMIALS``.
 
     Attributes
     ----------
     q, m : int
         Field order and extension degree.
     poly : int
-        Reduction polynomial in use.
+        Reduction polynomial, ``DEFAULT_POLYNOMIALS[m]``.
     mul_table : numpy.ndarray
         ``(q, q)`` uint8 table, ``mul_table[a, b] = a * b``.
     inv_table : numpy.ndarray
         ``(q,)`` uint8 table of multiplicative inverses; entry 0 is unused.
     """
 
-    def __init__(self, q: int, poly: int | None = None):
+    def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q & (q - 1):
             raise ConfigError(f"field order must be a power of two, got {q!r}")
         m = q.bit_length() - 1
         if m > 8:
             raise ConfigError(f"field order {q} above 256 is not supported")
-        if poly is None:
-            poly = DEFAULT_POLYNOMIALS[m]
-        if poly.bit_length() - 1 != m:
-            raise ConfigError(
-                f"reduction polynomial {poly:#x} must have degree {m} for q={q}"
-            )
         self.q = q
         self.m = m
-        self.poly = poly
+        self.poly = DEFAULT_POLYNOMIALS[m]
         self.mul_table, self.inv_table = self._build_tables()
 
     def _build_tables(self):
@@ -110,14 +100,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
-
-    # -- vector operations --------------------------------------------------
-
-    def check_elements(self, arr: np.ndarray) -> None:
-        if arr.size and int(arr.max(initial=0)) >= self.q:
-            raise ConfigError(
-                f"vector contains values >= q={self.q}; not field elements"
-            )
 
     def __repr__(self):
         return f"GF({self.q}, poly={self.poly:#x})"
@@ -196,5 +178,5 @@ class GF:
 
 @functools.lru_cache(maxsize=None)
 def get_field(q: int) -> GF:
-    """Shared field instance for the given order (default polynomial)."""
+    """Shared field instance for the given order."""
     return GF(q)

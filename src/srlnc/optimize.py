@@ -40,8 +40,8 @@ from .sim import SimConfig, estimate
 
 log = logging.getLogger(__name__)
 
-SOLVER_STATUSES = ("interior-root", "saturated-at-pmax", "infeasible")
-
+# Bisection steps at most; the bracket falls below 1e-13 well before.
+_MAX_ITER = 100
 # Grid size for the pre-bisection monotonicity audit of delivery(p).
 _MONOTONE_GRID = 50
 _MONOTONE_SLACK = 1e-10
@@ -62,7 +62,6 @@ class ImConfig:
     d_hat: float = 0.99
     p_max: float = 0.95
     tol: float = 1e-6
-    max_iter: int = 100
     mode: str = DEFAULT_MODE
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class ImConfig:
             )
         if not self.tol > 0.0:
             raise ConfigError(f"tol={self.tol!r} must be positive")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ConfigError(f"max_iter={self.max_iter!r} must be a positive integer")
         if self.mode not in TRANSITION_MODES:
             raise ConfigError(
                 f"mode must be one of {TRANSITION_MODES}, got {self.mode!r}"
@@ -175,7 +172,7 @@ def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSo
     lo, hi = float(grid[0]), cfg.p_max  # delivery(lo) >= d_hat > delivery(hi)
     best_p, best_d = lo, d_lo
     iterations = 0
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         d_mid = delivery_at(mid)
         iterations += 1

@@ -81,6 +81,18 @@ K,q,N_hat,D_hat,p_star,status,delivery,intercept,intercept_classic,iterations,mo
 """
 
 
+# A seeded simulate run: simulate takes no --mode, and its metadata still
+# records the fixed transition law.
+_GOLDEN_SIMULATE = """\
+# command = srlnc simulate --K 4 --q 2 --p 0.7 --Nhat 10 --eps-b 0.05 --eps-e 0.3 --eps-k 0.5 --trials 300 --seed 11
+# seed = 11
+# mode = paper-exact
+# version = 0.1.0
+p,N_hat,eps_B,eps_E,eps_K,K,q,trials,intercept_hat,delivery_hat,ci,mean_slots
+0.7,10,0.05,0.3,0.5,4,2,300,0.39666666666666667,0.8166666666666667,0.05535883696059401,7.8566666666666665
+"""
+
+
 @pytest.mark.parametrize("mode", list(_GOLDEN_CHAIN))
 def test_chain_golden_bytes(capsys, mode):
     rc, out, err = _run(capsys, [
@@ -96,6 +108,15 @@ def test_optimize_golden_bytes(capsys):
                                  "--eps-e", "0.2", "--eps-k", "1.0"])
     assert rc == 0 and err == ""
     assert out == _GOLDEN_OPTIMIZE
+
+
+def test_simulate_golden_bytes(capsys):
+    rc, out, err = _run(capsys, ["simulate", "--K", "4", "--q", "2",
+                                 "--p", "0.7", "--Nhat", "10", "--eps-b", "0.05",
+                                 "--eps-e", "0.3", "--eps-k", "0.5",
+                                 "--trials", "300", "--seed", "11"])
+    assert rc == 0 and err == ""
+    assert out == _GOLDEN_SIMULATE
 
 
 def test_rank_classic_endpoint_row(capsys):
@@ -237,41 +258,65 @@ def test_numerical_integrity_failures_exit_3(capsys, monkeypatch):
 
 def test_config_file_fills_gaps_and_flags_win(capsys, tmp_path):
     ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nK = 3\np = 0.6\nNhat = 7\nseed = 11\n")
+    ini.write_text("[run]\nK = 3\np = 0.6\nNhat = 7\n")
     rc, out, _ = _run(capsys, ["rank", "--config", str(ini)])
     assert rc == 0
     rows = _rows(out)
     assert rows[0]["K"] == "3" and rows[0]["p"] == "0.6"
     assert rows[-1]["index"] == "7"  # Nhat from the file
-    assert "# seed = 11" in out
 
     # an explicit flag beats the file value
     rc, out, _ = _run(capsys, ["rank", "--config", str(ini), "--p", "0.7"])
     assert rc == 0
     assert _rows(out)[0]["p"] == "0.7"
 
+    # a seed from the file drives simulate exactly as the flag does
+    ini.write_text("[run]\nK = 3\np = 0.6\nNhat = 7\nseed = 11\n")
+    sim = ["simulate", "--eps-b", "0.1", "--eps-e", "0.3", "--eps-k", "0.8",
+           "--trials", "200"]
+    rc, from_file, _ = _run(capsys, sim + ["--config", str(ini)])
+    assert rc == 0
+    assert "# seed = 11" in from_file
+    rc, from_flag, _ = _run(capsys, sim + ["--K", "3", "--p", "0.6",
+                                           "--Nhat", "7", "--seed", "11"])
+    assert rc == 0
+    assert from_file.splitlines()[1:] == from_flag.splitlines()[1:]
+
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
-    # pi_variant is no key: the pi recursion has one reading
+    # pi_variant is no key: the pi recursion has one reading; figure is no
+    # key: sweep requires the --figure flag before the file is read
     ini = tmp_path / "bad.ini"
-    for key, value in (("budget", "9"), ("pi_variant", "row-count")):
+    for key, value in (("budget", "9"), ("pi_variant", "row-count"),
+                       ("figure", "2a")):
         ini.write_text(f"[run]\nK = 3\n{key} = {value}\n")
         rc, _, err = _run(capsys, ["rank", "--config", str(ini), "--p", "0.6"])
         assert rc == 2
         assert key in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["rank", "--K", "3", "--p", "0.6"],
-    ["chain", "--K", "3", "--p", "0.6", "--Nhat", "6"],
-    ["optimize", "--K", "3", "--Nhat", "6"],
-    ["sweep", "--figure", "2a"],
-], ids=lambda argv: argv[0])
-def test_retired_recursion_flag_is_a_usage_error(capsys, argv):
+# --pi-variant is retired with the misprinted reading of the pi recursion;
+# --seed and --mode are flags only where they change the numbers (seed in
+# simulate and sweep, mode in chain, optimize and sweep).
+@pytest.mark.parametrize("argv,flag", [
+    (["rank", "--K", "3", "--p", "0.6"], ["--pi-variant", "row-count"]),
+    (["chain", "--K", "3", "--p", "0.6", "--Nhat", "6"],
+     ["--pi-variant", "row-count"]),
+    (["optimize", "--K", "3", "--Nhat", "6"], ["--pi-variant", "row-count"]),
+    (["sweep", "--figure", "2a"], ["--pi-variant", "row-count"]),
+    (["rank", "--K", "3", "--p", "0.6"], ["--seed", "1"]),
+    (["rank", "--K", "3", "--p", "0.6"], ["--mode", "consistent"]),
+    (["chain", "--K", "3", "--p", "0.6", "--Nhat", "6"], ["--seed", "1"]),
+    (["simulate", "--K", "3", "--p", "0.6", "--Nhat", "6"],
+     ["--mode", "consistent"]),
+    (["optimize", "--K", "3", "--Nhat", "6"], ["--seed", "1"]),
+], ids=["rank", "chain", "optimize", "sweep", "rank-seed", "rank-mode",
+        "chain-seed", "simulate-mode", "optimize-seed"])
+def test_retired_recursion_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--pi-variant", "row-count"])
+        cli.main(argv + flag)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --pi-variant" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_json_format_carries_the_same_records(capsys):

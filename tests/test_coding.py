@@ -133,6 +133,31 @@ def test_absorb_validates_input():
         state.absorb(np.array([0, 0, 0, 7], dtype=np.uint8))  # 7 >= q
 
 
+@pytest.mark.parametrize("bad", [[300, 0], [-1, 0], [1.5, 0], [1.0, 0],
+                                 ["1", "0"], [[1], [2, 3]]])
+def test_outside_input_must_be_in_range_integers(bad):
+    # numpy's uint8 conversion raised OverflowError on 300 and -1,
+    # truncated 1.5 to 1 without a word, and raised ValueError on ragged input
+    state = DecoderState(2, 16)
+    with pytest.raises(ConfigError):
+        state.absorb(bad)
+    assert state.rank == 0
+    gf = get_field(2)
+    with pytest.raises(ConfigError):
+        encode_payload(gf, [[1, 2], [3, 4]], bad)
+    with pytest.raises(ConfigError):
+        encode_payload(gf, [[1, 2], bad], [1, 1])
+    assert state.absorb([15, 0]) and state.absorb([0, 1])
+    with pytest.raises(ConfigError):
+        decode_payloads(state, [[1, 2], bad])
+    with pytest.raises(ConfigError):
+        encode_payload(gf, [[1, 2]], 1)  # not a vector
+    # q = 2 payload blocks carry whole bytes, other fields their symbols
+    assert list(encode_payload(gf, [[255, 2], [0, 4]], [1, 1])) == [255, 6]
+    with pytest.raises(ConfigError, match="not field elements"):
+        encode_payload(get_field(16), [[15, 2], [16, 4]], [1, 1])
+
+
 def test_basis_matrix_is_reduced():
     rng = np.random.default_rng(8)
     state = DecoderState(6, 16)

@@ -75,13 +75,6 @@ def test_get_field_is_cached():
     assert get_field(16) is get_field(16)
 
 
-def test_check_elements_guards_range():
-    gf = get_field(4)
-    gf.check_elements(np.array([0, 1, 2, 3], dtype=np.uint8))
-    with pytest.raises(ConfigError):
-        gf.check_elements(np.array([0, 4], dtype=np.uint8))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def test_gf256_axioms_sampled(a, b, c):

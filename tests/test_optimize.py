@@ -33,8 +33,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _im(tol=0.0)
     with pytest.raises(ConfigError):
-        _im(max_iter=0)
-    with pytest.raises(ConfigError):
         _im(mode="exact")
 
 
