@@ -384,7 +384,11 @@ def delivery_probability(code: CodeParams, chan: ChannelParams,
     if N < K:
         log.warning("transmission budget %d is below K=%d; delivery is 0", N, K)
         return 0.0
-    eb = chan.eps_b
-    n = np.arange(K, N + 1)
-    weights = _binom_row(N)[K:] * (1.0 - eb) ** n * eb ** (N - n)
+    weights = _reception_weights(K, N, chan.eps_b)
     return min(1.0, float(weights @ tables.full_rank_probs(K, N)))
+
+
+def _reception_weights(K: int, N: int, eps_b: float) -> np.ndarray:
+    """Binomial weight of Bob receiving n of N slots, for n = K .. N."""
+    n = np.arange(K, N + 1)
+    return _binom_row(N)[K:] * (1.0 - eps_b) ** n * eps_b ** (N - n)

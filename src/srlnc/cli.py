@@ -21,7 +21,8 @@ reproduces the file exactly.
 
 Parameters can also come from an INI-style config file (``--config``): keys
 in any section match the long flag names with underscores (``eps_b = 0.05``);
-explicit flags win over file values.
+explicit flags win over file values.  A file value for ``format`` or ``mode``
+must be one of the flag's choices.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 integrity failure, 4 infeasible optimization (the row is still written, with
@@ -78,10 +79,9 @@ _PARAMS = {
     "tol": (float, 1e-6, "delivery tolerance of the bisection"),
 }
 
-# Config-file values are parsed by type; a choice is read as a plain string.
+# Config-file keys and their type, or tuple of choices, as for the flags.
 _CONFIG_KEYS = {
-    name: str if isinstance(kind, tuple) else kind
-    for name, (kind, _, _) in _PARAMS.items() if name != "out"
+    name: kind for name, (kind, _, _) in _PARAMS.items() if name != "out"
 }
 
 
@@ -149,8 +149,17 @@ def _apply_config(args: argparse.Namespace) -> None:
                     raise ConfigError(
                         f"unknown key {key!r} in config file {args.config}"
                     )
+                kind = _CONFIG_KEYS[key]
+                if isinstance(kind, tuple):
+                    if raw not in kind:
+                        raise ConfigError(
+                            f"bad value for {key!r} in {args.config}: {raw!r}; "
+                            f"choose from {', '.join(kind)}"
+                        )
+                    from_file[key] = raw
+                    continue
                 try:
-                    from_file[key] = _CONFIG_KEYS[key](raw)
+                    from_file[key] = kind(raw)
                 except ValueError as exc:
                     raise ConfigError(
                         f"bad value for {key!r} in {args.config}: {raw!r}"

@@ -10,6 +10,14 @@ generic optimizer.  The intercept values at the solution and at the classic
 endpoint p = 1/q are reported alongside so the monotonicity assumption can be
 audited for any parameter set.
 
+Delivery comes from the rank kernel of ``srlnc.rank``, which evaluates many
+sparsities in one call.  The 50-point monotonicity audit is one such call,
+on rank models that stay in the shared model cache.  The bisection asks one
+call for the midpoints of its next three levels (seven points, on models that
+are dropped afterwards), then walks them in the order a one-midpoint-at-a-time
+bisection visits them: every midpoint, its delivery, the early exits, the
+iteration count and the final bracket are the same, bit for bit.
+
 `intercept_gain` produces the payoff curve: for a range of transmission
 budgets it solves the constrained problem and estimates, by simulation, how
 much interception the optimized sparsity removes compared with classic
@@ -21,21 +29,24 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
+# delivery_probability is the one-p form of the batched delivery below; it
+# stays importable here, beside the names the solver calls, for bench/spans.py.
 from .chain import (
     ChannelParams,
     DEFAULT_MODE,
     TRANSITION_MODES,
+    _reception_weights,
     build_chain,
     delivery_probability,
     intercept_probability,
 )
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError
-from .rank import RankTables
+from .rank import RankTables, _fill_full_rank, _model, _SparseRankModel
 from .sim import SimConfig, estimate
 
 log = logging.getLogger(__name__)
@@ -45,6 +56,9 @@ _MAX_ITER = 100
 # Grid size for the pre-bisection monotonicity audit of delivery(p).
 _MONOTONE_GRID = 50
 _MONOTONE_SLACK = 1e-10
+# Bisection levels whose midpoints one kernel call evaluates ahead of the walk
+# (two measured about the same, four slower).
+_LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -53,8 +67,8 @@ class ImConfig:
 
     code.p is ignored (p is the decision variable); code supplies K, q and
     the transmission budget.  The search runs over [1/q, p_max].  Delivery
-    and intercept come from ``RankTables`` (the one pi recursion of
-    ``srlnc.rank``); mode picks the chain's transition law.
+    and intercept come from the one pi recursion of ``srlnc.rank``; mode
+    picks the chain's transition law.
     """
 
     code: CodeParams
@@ -103,40 +117,62 @@ class ImSolution:
     bracket_width: float
 
 
-TablesFactory = Callable[[float], RankTables]
+def _filled_models(cfg: ImConfig, ps, shared: bool) -> list[_SparseRankModel]:
+    """Rank models at every p in ps, their full-rank column K filled up to
+    n_hat by one kernel call.  Shared models come from the rank module's
+    cache and stay there; the others are dropped with the list."""
+    q = cfg.code.q
+    models = [_model(q, p) if shared else _SparseRankModel(q, p) for p in ps]
+    _fill_full_rank(models, cfg.code.K, cfg.code.n_hat)
+    return models
 
 
-def _default_factory(cfg: ImConfig) -> TablesFactory:
-    return lambda p: RankTables(cfg.code.K, cfg.code.q, p)
+def _delivery(cfg: ImConfig, weights: np.ndarray, model: _SparseRankModel) -> float:
+    """delivery_probability at the model's p, given its reception weights."""
+    K, N = cfg.code.K, cfg.code.n_hat
+    return min(1.0, float(weights @ model.full_rank_probs(K, N)))
 
 
-def _model_intercept(cfg: ImConfig, p: float, tables: RankTables) -> float:
+def _delivery_curve(cfg: ImConfig, ps) -> list[float]:
+    """delivery_probability at every p in ps, from one kernel call."""
+    weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
+    return [_delivery(cfg, weights, m) for m in _filled_models(cfg, ps, shared=True)]
+
+
+def _midpoints(lo: float, hi: float) -> list[float]:
+    """Every midpoint the bisection can reach in its next _LOOKAHEAD steps
+    from the bracket [lo, hi], computed as the walk computes it."""
+    brackets, mids = [(lo, hi)], []
+    for _ in range(_LOOKAHEAD):
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return mids
+
+
+def _model_intercept(cfg: ImConfig, p: float) -> float:
     code = dataclasses.replace(cfg.code, p=p)
-    P = build_chain(code, cfg.chan, tables, cfg.mode)
+    P = build_chain(code, cfg.chan, RankTables(code.K, code.q, p), cfg.mode)
     return intercept_probability(P, code.n_hat)
 
 
-def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSolution:
+def solve_im(cfg: ImConfig) -> ImSolution:
     """Find the largest sparsity p in [1/q, p_max] with delivery(p) >= d_hat.
 
     Delivery is checked to be nonincreasing on a 50-point grid first; a
     violation aborts with a numerical-integrity error rather than returning a
     root of a function that is not actually monotone.
     """
-    factory = tables_factory or _default_factory(cfg)
-    chan = cfg.chan
-
-    def delivery_at(p: float) -> float:
-        code = dataclasses.replace(cfg.code, p=p)
-        return delivery_probability(code, chan, factory(p))
-
     # The grid starts a hair above p_min: at exactly 1/q delivery switches to
     # the closed-form classic branch, which sits below the approximation's
     # right-limit, and that model seam is not the bisection's problem.  The
     # midpoints the search actually evaluates all lie strictly above 1/q.
     grid = np.linspace(cfg.p_min, cfg.p_max, _MONOTONE_GRID)
     grid[0] = cfg.p_min + 1e-9 * (cfg.p_max - cfg.p_min)
-    vals = [delivery_at(float(p)) for p in grid]
+    vals = _delivery_curve(cfg, grid.tolist())
     worst = max(b - a for a, b in zip(vals, vals[1:]))
     if worst > _MONOTONE_SLACK:
         at = int(np.argmax(np.diff(vals)))
@@ -147,8 +183,7 @@ def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSo
             "p_max"
         )
 
-    tables_classic = factory(cfg.p_min)
-    i_classic = _model_intercept(cfg, cfg.p_min, tables_classic)
+    i_classic = _model_intercept(cfg, cfg.p_min)
 
     d_lo, d_hi = vals[0], vals[-1]
     if d_lo < cfg.d_hat:
@@ -164,7 +199,7 @@ def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSo
     if d_hi >= cfg.d_hat:
         return ImSolution(
             p_star=cfg.p_max, delivery=d_hi,
-            intercept=_model_intercept(cfg, cfg.p_max, factory(cfg.p_max)),
+            intercept=_model_intercept(cfg, cfg.p_max),
             intercept_classic=i_classic, status="saturated-at-pmax",
             iterations=0, bracket_width=0.0,
         )
@@ -172,9 +207,17 @@ def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSo
     lo, hi = float(grid[0]), cfg.p_max  # delivery(lo) >= d_hat > delivery(hi)
     best_p, best_d = lo, d_lo
     iterations = 0
+    # Midpoint -> rank model, filled for the next _LOOKAHEAD levels; delivery
+    # is read only where the walk goes, and a midpoint outside the batch
+    # starts the next one.
+    ahead: dict[float, _SparseRankModel] = {}
+    weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        d_mid = delivery_at(mid)
+        if mid not in ahead:
+            mids = _midpoints(lo, hi)
+            ahead = dict(zip(mids, _filled_models(cfg, mids, shared=False)))
+        d_mid = _delivery(cfg, weights, ahead[mid])
         iterations += 1
         if d_mid >= cfg.d_hat:
             lo, best_p, best_d = mid, mid, d_mid
@@ -186,7 +229,7 @@ def solve_im(cfg: ImConfig, tables_factory: TablesFactory | None = None) -> ImSo
             break
     return ImSolution(
         p_star=best_p, delivery=best_d,
-        intercept=_model_intercept(cfg, best_p, factory(best_p)),
+        intercept=_model_intercept(cfg, best_p),
         intercept_classic=i_classic, status="interior-root",
         iterations=iterations, bracket_width=hi - lo,
     )

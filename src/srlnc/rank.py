@@ -28,17 +28,25 @@ probability that ``ell`` specific columns form a minimal zero-sum set.  That
 is the reading exhaustive enumeration verifies, and the only one implemented.
 
 Tables.  One rank model exists per ``(q, p)``, kept warm by an lru cache.
-It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one numpy array,
-built one order at a time: one multiply writes every term
-``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1 .. ell-1, into rows below
-``rho(ell, .)``, and ``np.subtract.reduce`` down the rows subtracts them one
-row after another, so each element sees the scalar ``val -= term(s)`` in
-ascending ``s``, bit for bit (subtract has no pairwise path; a sum has one).
-A wider request rebuilds the array (``r`` at least doubling) without changing
-the values it held.  ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r,
-c)`` for every ``r = c .. r_max`` (memoised per ``c``), the innovation table W
-of ``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
+It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one numpy array.
+Every pi value comes from one kernel over a vector of p and a range of
+columns r, laid out as (ell, p, r) and built one order at a time: one
+multiply writes every term ``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1
+.. ell-1, into rows below ``rho(ell, .)``, and ``np.subtract.reduce`` down
+axis 0 subtracts them one row after another, so each element sees the scalar
+``val -= term(s)`` in ascending ``s``, bit for bit (subtract has no pairwise
+path; a sum has one).  A model's own table is the kernel's one-p case; a
+wider request rebuilds it (``r`` at least doubling) without changing the
+values it held.  ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r, c)``
+for every ``r = c .. r_max`` (memoised per ``c``), the innovation table W of
+``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
 ``full_rank_prob`` are lookups.
+
+The recursion never mixes columns: pi(ell, r) reads rho(., r) and pi(., r)
+at the same r only, and the full-rank exponent at r reads column r alone.
+So ``_fill_full_rank`` can give many models of one q their full-rank columns
+from one kernel call over just the columns r each model still lacks, and the
+rows it appends hold the same bytes as each model's own one-p build.
 
 Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
 goes negative in places: ``RankTables(20, 2, 0.9).pi(19, 20)`` is about
@@ -110,12 +118,69 @@ def _validate_pq(p: float, q: int) -> None:
         raise ConfigError(f"p={p} outside [1/q, 1) for q={q}")
 
 
+def _power(base: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """base[..., None] ** r as one power over flat, full operands.
+
+    numpy squares an exponent of 2 that it sees with stride 0 (broadcast, or
+    a one-element loop of more than one dimension) instead of calling its
+    pow, and the two can differ in the last bit.  Flat full operands always
+    take pow, whatever the batch's shape.
+    """
+    shape = (*base.shape, len(r))
+    flat = np.power(np.broadcast_to(base[..., None], shape).ravel(),
+                    np.broadcast_to(r, shape).ravel())
+    return flat.reshape(shape)
+
+
+def _pi_kernel(per_row: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """pi(ell, r) for ell = 1 .. L under every p at once.
+
+    ``per_row[c, j]`` is the per-row zero probability of c columns under the
+    j-th p, for c = 0 .. L; entry ``[ell - 1, j, k]`` of the result is
+    pi(ell, r[k]) under it.
+    """
+    L = per_row.shape[0] - 1
+    rho = _power(per_row, r)
+    pi = np.empty((L, *rho.shape[1:]))
+    # Row 0 holds rho(ell, .), row s the term (C(ell-1, s) rho(s, .))
+    # pi(ell-s, .); subtract.reduce goes down the rows one at a time.
+    work = np.empty_like(pi)
+    for ell in range(1, L + 1):
+        work[0] = rho[ell]
+        np.multiply(_binom_row(ell - 1)[1:ell, None, None] * rho[1:ell],
+                    pi[: ell - 1][::-1], out=work[1:ell])
+        np.subtract.reduce(work[:ell], axis=0, out=pi[ell - 1])
+    return pi
+
+
+def _full_rank_kernel(p: np.ndarray, pi: np.ndarray,
+                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """full_rank_prob(r[k], c) under every sparse p[j], with c = len(pi) >= 1.
+
+    ``pi[ell - 1, j, k]`` is pi(ell, r[k]) under p[j]; returns the (j, k)
+    probabilities and where the exponent overflowed.
+    """
+    c = pi.shape[0]
+    # base > 0 because p < 1 and r >= 1.
+    base = 1.0 - _power(p, r)
+    # Row ell - 1 is order ell; row 0 (order 1 is not in the sum) is the
+    # zero start, and the running sum adds one order at a time.
+    powers = np.array([base**ell for ell in range(1, c + 1)])
+    terms = _binom_row(c)[1:, None, None] * pi / powers
+    terms[0] = 0.0
+    expo = np.cumsum(terms, axis=0)[-1]
+    with np.errstate(over="ignore"):
+        decay = np.exp(-expo)
+    return np.clip(base**c * decay, 0.0, 1.0), np.isinf(decay)
+
+
 class _SparseRankModel:
     """rho/pi/full-rank machinery for one (q, p).
 
     Independent of the generation size.  ``_pi[ell - 1, r]`` holds pi(ell, r)
     for r = 0 .. R; the array is replaced by a larger one when a caller needs
     more, never written in place, so readers always see a complete table.
+    Full-rank columns are replaced the same way.
     """
 
     def __init__(self, q: int, p: float):
@@ -126,17 +191,22 @@ class _SparseRankModel:
         self._lam = 1.0 - q * (1.0 - p) / (q - 1.0)
         self._pi = np.empty((0, 0))
         self._full_rank: dict[int, np.ndarray] = {}
-        self._overflowed: set[int] = set()  # columns c already logged
+        # column c -> whether its overflow has been logged; the warning
+        # waits for the first read, so columns filled ahead of need stay quiet
+        self._overflowed: dict[int, bool] = {}
 
-    def _per_row(self, c: int) -> float:
-        return (1.0 + (self.q - 1.0) * self._lam**c) / self.q
+    def _per_rows(self, L: int) -> list[float]:
+        """rho(c, 1) for c = 0 .. L: the chance that one row of a fixed
+        nonzero combination of c sparse columns is zero."""
+        q, lam = self.q, self._lam
+        return [(1.0 + (q - 1.0) * lam**c) / q for c in range(L + 1)]
 
     def rho(self, c: int, r: int) -> float:
         """P(a fixed nonzero combination of c sparse columns of height r
         sums to zero)."""
         if c < 0 or r < 0:
             raise ConfigError("rho needs nonnegative arguments")
-        return self._per_row(c) ** r
+        return self._per_rows(c)[c] ** r
 
     def pi_table(self, ell_max: int, r_max: int) -> np.ndarray:
         """Array whose entry [ell - 1, r] is pi(ell, r), covering at least
@@ -150,17 +220,8 @@ class _SparseRankModel:
         return self._pi
 
     def _build_pi(self, L: int, R: int) -> np.ndarray:
-        per_row = [self._per_row(c) for c in range(L + 1)]
-        rho = np.power(np.array(per_row)[:, None], np.arange(R))
-        pi = np.empty((L, R))
-        # Row 0 holds rho(ell, .), row s the term (C(ell-1, s) rho(s, .))
-        # pi(ell-s, .); subtract.reduce goes down the rows one at a time.
-        work = np.empty((L, R))
-        for ell in range(1, L + 1):
-            work[0] = rho[ell]
-            np.multiply(_binom_row(ell - 1)[1:ell, None] * rho[1:ell],
-                        pi[: ell - 1][::-1], out=work[1:ell])
-            np.subtract.reduce(work[:ell], axis=0, out=pi[ell - 1])
+        per_row = np.array(self._per_rows(L))[:, None]
+        pi = _pi_kernel(per_row, np.arange(R))[:, 0]
         pi.flags.writeable = False
         return pi
 
@@ -182,6 +243,10 @@ class _SparseRankModel:
             got = self._full_rank_column(c, r_max)
             got.flags.writeable = False
             self._full_rank[c] = got
+        if self._overflowed.get(c) is False:
+            self._overflowed[c] = True
+            log.warning("full-rank exponent overflows at q=%d p=%g c=%d; "
+                        "approximation outside its range", self.q, self.p, c)
         return got[: r_max - c + 1]
 
     def _full_rank_column(self, c: int, r_max: int) -> np.ndarray:
@@ -192,26 +257,44 @@ class _SparseRankModel:
         if self.classic:
             return np.array([classic_full_rank_prob(r, c, self.q)
                              for r in range(c, r_max + 1)])
-        pi = self.pi_table(c, r_max)[:, c:]
-        # base > 0 because p < 1 and r >= 1.
-        base = 1.0 - self.p ** np.arange(c, c + pi.shape[1])
-        # Row ell - 1 is order ell; row 0 (order 1 is not in the sum) is the
-        # zero start, and the running sum adds one order at a time.
-        powers = np.array([base**ell for ell in range(1, c + 1)])
-        terms = _binom_row(c)[1:, None] * pi[:c] / powers
-        terms[0] = 0.0
-        expo = np.cumsum(terms, axis=0)[-1]
-        with np.errstate(over="ignore"):
-            decay = np.exp(-expo)
-        if np.isinf(decay).any() and c not in self._overflowed:
-            self._overflowed.add(c)
-            log.warning("full-rank exponent overflows at q=%d p=%g c=%d; "
-                        "approximation outside its range", self.q, self.p, c)
-        return np.clip(base**c * decay, 0.0, 1.0)
+        pi = self.pi_table(c, r_max)[:c, None, c:]
+        col, over = _full_rank_kernel(np.array([self.p]), pi,
+                                      np.arange(c, c + pi.shape[2]))
+        if over.any():
+            self._overflowed.setdefault(c, False)
+        return col[0]
 
     def full_rank_prob(self, r: int, c: int) -> float:
         """P(an r x c sparse random matrix has rank c), for r >= c >= 0."""
         return float(self.full_rank_probs(c, r)[r - c])
+
+
+def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
+    """Give every model of one q its full-rank column c up to r_max.
+
+    One kernel call covers the sparse models that lack part of it, over the
+    columns r from the first one any of them lacks; each model appends only
+    the columns it lacks.  Classic models and c = 0 are left to
+    ``full_rank_probs``, which also logs an overflow when the column is read.
+    """
+    short = [m for m in models
+             if not m.classic and len(m._full_rank.get(c, ())) <= r_max - c]
+    if c == 0 or not short:
+        return
+    have = [len(m._full_rank.get(c, ())) for m in short]
+    first = min(have)
+    r = np.arange(c + first, r_max + 1)
+    per_row = np.array([m._per_rows(c) for m in short]).T
+    rows, over = _full_rank_kernel(np.array([m.p for m in short]),
+                                   _pi_kernel(per_row, r), r)
+    for m, n, row, row_over in zip(short, have, rows, over):
+        col = row[n - first:]
+        if n:
+            col = np.concatenate((m._full_rank[c], col))
+        col.flags.writeable = False
+        m._full_rank[c] = col
+        if row_over[n - first:].any():
+            m._overflowed.setdefault(c, False)
 
 
 @functools.lru_cache(maxsize=256)

@@ -375,3 +375,68 @@ class MpRowCountModel:
                 out.append(float(self._clamp(base * mpmath.exp(-expo))))
             return out
 
+
+
+def solve_im_sequential(cfg):
+    """The constrained-sparsity solve one sparsity at a time.
+
+    The audit grid and every bisection midpoint are separate
+    `delivery_probability` calls on their own `RankTables`, in the order a
+    plain bisection visits them, and the result is built the way
+    `srlnc.solve_im` builds it.  The batched solver must return the same
+    `ImSolution`, field by field and bit for bit, and raise the same audit
+    failure.
+    """
+    import dataclasses
+
+    from srlnc import (NumericalIntegrityError, RankTables, build_chain,
+                       delivery_probability, intercept_probability)
+    from srlnc.optimize import ImSolution
+
+    K, q = cfg.code.K, cfg.code.q
+
+    def delivery_at(p):
+        code = dataclasses.replace(cfg.code, p=p)
+        return delivery_probability(code, cfg.chan, RankTables(K, q, p))
+
+    def intercept_at(p):
+        code = dataclasses.replace(cfg.code, p=p)
+        P = build_chain(code, cfg.chan, RankTables(K, q, p), cfg.mode)
+        return intercept_probability(P, code.n_hat)
+
+    grid = np.linspace(cfg.p_min, cfg.p_max, 50)
+    grid[0] = cfg.p_min + 1e-9 * (cfg.p_max - cfg.p_min)
+    vals = [delivery_at(float(p)) for p in grid]
+    worst = max(b - a for a, b in zip(vals, vals[1:]))
+    if worst > 1e-10:
+        at = int(np.argmax(np.diff(vals)))
+        raise NumericalIntegrityError(
+            f"delivery is not nonincreasing over [{cfg.p_min}, {cfg.p_max}]: "
+            f"it rises by {worst:.3e} near p={grid[at]:.4f}; bisection needs "
+            "a monotone constraint, try a finer evaluation grid or narrower "
+            "p_max"
+        )
+    i_classic = intercept_at(cfg.p_min)
+    d_lo, d_hi = vals[0], vals[-1]
+    if d_lo < cfg.d_hat:
+        return ImSolution(None, None, None, i_classic, "infeasible", 0, 0.0)
+    if d_hi >= cfg.d_hat:
+        return ImSolution(cfg.p_max, d_hi, intercept_at(cfg.p_max), i_classic,
+                          "saturated-at-pmax", 0, 0.0)
+    lo, hi = float(grid[0]), cfg.p_max
+    best_p, best_d = lo, d_lo
+    iterations = 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        d_mid = delivery_at(mid)
+        iterations += 1
+        if d_mid >= cfg.d_hat:
+            lo, best_p, best_d = mid, mid, d_mid
+            if d_mid - cfg.d_hat <= cfg.tol:
+                break
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    return ImSolution(best_p, best_d, intercept_at(best_p), i_classic,
+                      "interior-root", iterations, hi - lo)

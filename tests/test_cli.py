@@ -295,6 +295,22 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         assert key in err
 
 
+@pytest.mark.parametrize("argv,key,value,choices", [
+    (["rank", "--K", "3", "--p", "0.6"], "format", "xml", "csv, json"),
+    (["chain", "--K", "3", "--p", "0.6", "--Nhat", "8"], "mode", "exact",
+     "paper-exact, consistent"),
+])
+def test_config_file_rejects_values_outside_the_choices(capsys, tmp_path, argv,
+                                                        key, value, choices):
+    # a choice read from the file is held to the flag's choices
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[run]\n{key} = {value}\n")
+    rc, out, err = _run(capsys, argv + ["--config", str(ini)])
+    assert rc == 2
+    assert out == ""
+    assert f"{key!r}" in err and f"{value!r}" in err and choices in err
+
+
 # --pi-variant is retired with the misprinted reading of the pi recursion;
 # --seed and --mode are flags only where they change the numbers (seed in
 # simulate and sweep, mode in chain, optimize and sweep).

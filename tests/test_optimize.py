@@ -1,16 +1,18 @@
 """Constrained sparsity solver and the gain-versus-budget curve."""
 
 import dataclasses
+import warnings
 
 import pytest
 
 from srlnc.chain import ChannelParams, delivery_probability
 from srlnc.coding import CodeParams
 from srlnc.errors import ConfigError, NumericalIntegrityError
+from srlnc import optimize, rank
 from srlnc.optimize import GainPoint, ImConfig, ImSolution, intercept_gain, solve_im
 from srlnc.rank import RankTables
 
-from oracles import grid_search_pstar
+from oracles import grid_search_pstar, solve_im_sequential
 
 
 def _im(K=5, q=2, eps_b=0.05, eps_e=0.2, eps_k=1.0, n_hat=17, **kw):
@@ -87,22 +89,16 @@ def test_interior_root_postconditions(kw):
     assert sol.intercept_classic >= sol.intercept
 
 
-class _LyingTables(RankTables):
-    # reports a match regardless of p, so the solver can be fed tables
-    # built for a reversed sparsity
-    def matches(self, K, q, p):
-        return K == self.K and q == self.q
-
-
-def test_monotonicity_audit_rejects_a_rising_constraint():
+def test_monotonicity_audit_rejects_a_rising_constraint(monkeypatch):
     cfg = _im(K=4, q=2, eps_b=0.05, eps_e=0.2, n_hat=12, d_hat=0.9)
     lo, hi = cfg.p_min, cfg.p_max
+    curve = optimize._delivery_curve
 
-    def reversed_factory(p):
-        return _LyingTables(4, 2, lo + hi - p)
-
+    # the audit sees delivery evaluated at the reversed sparsities
+    monkeypatch.setattr(optimize, "_delivery_curve",
+                        lambda cfg, ps: curve(cfg, [lo + hi - p for p in ps]))
     with pytest.raises(NumericalIntegrityError, match="not nonincreasing"):
-        solve_im(cfg, tables_factory=reversed_factory)
+        solve_im(cfg)
 
 
 def test_gain_vanishes_for_a_blind_eavesdropper():
@@ -194,16 +190,79 @@ def _fig2a_point(q, n_hat, mode, eps_k):
 
 # The ids name the pi recursion's reading (row-count) the pins were recorded
 # under.
-@pytest.mark.parametrize("key", list(_SOLVE_PINS),
-                         ids=lambda k: "{}-{}-row-count-{}-{}".format(*k))
-def test_solver_path_is_pinned_bit_for_bit(key):
-    sol = solve_im(_fig2a_point(*key))
-
+def _hex_fields(sol):
     def hex_or_none(x):
         return None if x is None else float(x).hex()
 
-    got = (hex_or_none(sol.p_star), hex_or_none(sol.delivery),
-           hex_or_none(sol.intercept), hex_or_none(sol.intercept_classic),
-           hex_or_none(sol.bracket_width), sol.status, sol.iterations)
-    assert got == _SOLVE_PINS[key]
+    return (hex_or_none(sol.p_star), hex_or_none(sol.delivery),
+            hex_or_none(sol.intercept), hex_or_none(sol.intercept_classic),
+            hex_or_none(sol.bracket_width), sol.status, sol.iterations)
+
+
+@pytest.mark.parametrize("key", list(_SOLVE_PINS),
+                         ids=lambda k: "{}-{}-row-count-{}-{}".format(*k))
+def test_solver_path_is_pinned_bit_for_bit(key):
+    assert _hex_fields(solve_im(_fig2a_point(*key))) == _SOLVE_PINS[key]
+
+
+# (eps_b, eps_e, eps_k) of the grid the batched solver is held to the
+# one-p-at-a-time solve on.
+_PARITY_CHANNELS = ((0.05, 0.2, 1.0), (0.1, 0.35, 1.0), (0.01, 0.26, 0.9))
+
+
+def _solve_or_audit_failure(solver, cfg):
+    try:
+        return _hex_fields(solver(cfg))
+    except NumericalIntegrityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("K", [5, 20])
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_batched_solve_equals_the_one_p_at_a_time_solve(K, q):
+    # every field of every solution, as float.hex, or the same audit message
+    for chan in _PARITY_CHANNELS:
+        for n_hat in sorted({K + 1, K + 2, 2 * K, 3 * K + 7, 4 * K}):
+            for d_hat in (0.5, 0.9, 0.99):
+                for p_max in (0.8, 0.95):
+                    cfg = _im(K=K, q=q, eps_b=chan[0], eps_e=chan[1],
+                              eps_k=chan[2], n_hat=n_hat, d_hat=d_hat,
+                              p_max=p_max)
+                    want = _solve_or_audit_failure(solve_im_sequential, cfg)
+                    got = _solve_or_audit_failure(solve_im, cfg)
+                    assert got == want, (chan, n_hat, d_hat, p_max)
+
+
+# srlnc optimize --K 40 --q 2 --Nhat 120 --p-max 0.99 overflows on the audit
+# grid; the q=4 point also overflows at a midpoint of a batch that the walk
+# never reads.
+@pytest.mark.parametrize("K, q, n_hat, d_hat, p_max", [
+    (40, 2, 120, 0.99, 0.99),
+    (40, 4, 200, 0.1, 0.995),
+])
+def test_overflow_warnings_match_the_one_p_at_a_time_solve(
+        caplog, K, q, n_hat, d_hat, p_max):
+    # The full-rank exponent overflows at some of the sparsities the solve
+    # reads.  Each solver starts from an empty model cache, and the batched
+    # one must log the same (q, p, c) warnings, although it fills columns
+    # for midpoints the walk never reads, and no numpy RuntimeWarning.
+    cfg = _im(K=K, q=q, eps_b=0.0, eps_e=0.0, eps_k=1.0, n_hat=n_hat,
+              d_hat=d_hat, p_max=p_max)
+
+    def overflow_warnings(solver):
+        rank._model.cache_clear()
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solver(cfg)
+        return _hex_fields(sol), sorted(
+            r.getMessage() for r in caplog.records
+            if r.name == "srlnc.rank" and r.levelname == "WARNING"
+            and "full-rank exponent overflows" in r.getMessage())
+
+    want_sol, want = overflow_warnings(solve_im_sequential)
+    got_sol, got = overflow_warnings(solve_im)
+    assert want, "the reference solve no longer overflows"
+    assert got_sol == want_sol
+    assert got == want
 

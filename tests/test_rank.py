@@ -33,7 +33,7 @@ from srlnc import (
     full_rank_prob,
     rho,
 )
-from srlnc.rank import _SparseRankModel
+from srlnc.rank import _SparseRankModel, _fill_full_rank
 
 
 def test_rho_hand_values():
@@ -338,6 +338,50 @@ def test_pi_recursion_by_orders_equals_the_term_loop(q, u, L, R):
     if not 1.0 / q < p < 1.0:
         return
     _assert_model_matches_the_loops(q, p, L, R)
+
+
+def _batch_ps(q):
+    # just above classic, through the middle, and where the exponent overflows
+    return [1.0 / q + 1e-9,
+            *(p for p in (0.3, 0.6, 0.9, 0.99, 0.9999) if p > 1.0 / q)]
+
+
+def _assert_rows_match_models_built_alone(models, c, r_max):
+    for m in models:
+        alone = _SparseRankModel(m.q, m.p).full_rank_probs(c, r_max)
+        got = m.full_rank_probs(c, r_max)
+        assert got.tobytes() == alone.tobytes(), (m.q, m.p, c, r_max)
+
+
+# (c, r_max): one-column batches (r = 2 alone is where numpy would square a
+# broadcast exponent instead of calling pow), single orders, the figure
+# sizes and one beyond them.
+_BATCH_SIZES = ((1, 1), (2, 2), (2, 9), (5, 30), (20, 20), (20, 21),
+                (20, 100), (40, 120))
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_batched_full_rank_rows_equal_each_p_built_alone(q):
+    for c, r_max in _BATCH_SIZES:
+        models = [_SparseRankModel(q, p) for p in _batch_ps(q)]
+        _fill_full_rank(models, c, r_max)
+        _assert_rows_match_models_built_alone(models, c, r_max)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_batch_over_models_of_different_cached_widths(q):
+    # each model only appends the columns it lacks, and the classic model
+    # is left to its own closed form
+    models = [_SparseRankModel(q, p) for p in (1.0 / q, *_batch_ps(q))]
+    models[1].full_rank_probs(20, 20)  # as wide as its pi table (r <= 20)
+    models[2].full_rank_probs(20, 45)  # doubled pi table
+    _fill_full_rank(models[3:5], 20, 33)
+    _fill_full_rank(models[5:], 20, 25)
+    _fill_full_rank(models, 20, 90)
+    assert all(len(m._full_rank[20]) >= 71 for m in models[1:])
+    _assert_rows_match_models_built_alone(models, 20, 90)
+    _fill_full_rank(models, 20, 64)  # nothing lacking: nothing changes
+    _assert_rows_match_models_built_alone(models, 20, 64)
 
 
 @pytest.mark.parametrize("p, q, c", [(0.9999, 2, 20), (0.99, 2, 40)])
