@@ -75,10 +75,24 @@ def sample_coding_matrix(
     block draws nothing (numpy's ``integers(1, 2)`` leaves the generator
     untouched), so it is skipped.
     """
-    nonzero = rng.random((n, params.K)) >= params.p
-    if params.q == 2:
+    u = rng.random((n, params.K))
+    values = None
+    if params.q > 2:
+        values = rng.integers(1, params.q, size=(n, params.K), dtype=np.uint8)
+    return coefficient_law(u, values, params.p)
+
+
+def coefficient_law(u: np.ndarray, values: np.ndarray | None,
+                    p: float) -> np.ndarray:
+    """The biased coefficient law applied to drawn blocks of any shape.
+
+    A uniform ``u >= p`` makes its coefficient nonzero, and the nonzero one
+    takes its entry of ``values`` (None at q = 2, where it is 1).  Returns
+    uint8 field elements.
+    """
+    nonzero = u >= p
+    if values is None:
         return nonzero.view(np.uint8)
-    values = rng.integers(1, params.q, size=(n, params.K), dtype=np.uint8)
     return np.where(nonzero, values, np.uint8(0))
 
 

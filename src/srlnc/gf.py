@@ -9,9 +9,9 @@ field costs O(q^2) to build once and every later operation is a lookup.
 The table layout also gives vectorised row operations for free: indexing the
 multiplication table with a scalar and a uint8 array scales a whole coding
 vector in one numpy call, which is what the decoder relies on.  For rank
-alone, ``GF.prefix_pivots`` eliminates many streams of vectors at once on
-rows packed into uint64 words; the simulator and the enumeration oracle both
-use it.
+alone, ``GF.pack`` packs vectors into uint64 words and ``GF.prefix_pivots``
+eliminates many streams of packed vectors at once; the simulator and the
+enumeration oracle both use them.
 """
 
 from __future__ import annotations
@@ -106,30 +106,57 @@ class GF:
 
     # -- batched elimination ------------------------------------------------
 
-    def prefix_pivots(self, sym: np.ndarray) -> np.ndarray:
+    def pack(self, sym: np.ndarray) -> np.ndarray:
+        """Vectors of field elements packed into uint64 words for
+        :meth:`prefix_pivots`.
+
+        ``sym`` is a ``(..., K)`` uint8 array; the result is ``(..., W)``
+        uint64 with element j in lane ``j % (64 // m)`` of word
+        ``j // (64 // m)``, ``m`` bits a lane, unused lanes zero.  At q = 2
+        that is bit j of the little-endian bit string, which ``np.packbits``
+        writes directly.
+        """
+        *lead, K = sym.shape
+        m, per = self.m, 64 // self.m
+        W = -(-K // per)
+        if m == 1:
+            bits = np.zeros((*lead, 64 * W), dtype=np.uint8)
+            bits[..., :K] = sym
+            packed = np.packbits(bits, bitorder="little")
+            return packed.view("<u8").reshape(*lead, W)
+        words = np.zeros((*lead, W), dtype=np.uint64)
+        for j in range(K):
+            words[..., j // per] |= np.left_shift(
+                sym[..., j], np.uint64(m * (j % per)), dtype=np.uint64)
+        return words
+
+    def prefix_pivots(self, words: np.ndarray, K: int) -> np.ndarray:
         """Pivot flags of forward elimination on S streams of N vectors.
 
-        ``sym`` is an ``(S, N, K)`` uint8 array of field elements.  Returns the
-        ``(S, N)`` bool array ``piv``: ``piv[s, t]`` is True exactly when
-        vector t of stream s lies outside the span of vectors ``0 .. t-1``, so
-        the cumulative sum along a stream is the rank of each of its prefixes.
+        ``words`` is an ``(S, N, W)`` uint64 array of length-K vectors packed
+        by :meth:`pack`.  Returns the ``(S, N)`` bool array ``piv``:
+        ``piv[s, t]`` is True exactly when vector t of stream s lies outside
+        the span of vectors ``0 .. t-1``, so the cumulative sum along a
+        stream is the rank of each of its prefixes.
 
-        Vectors are packed ``64 // m`` elements to a uint64 word (element j in
-        lane ``j % (64 // m)`` of word ``j // (64 // m)``, ``m`` bits a lane)
-        and held word-major, ``(W, S, N + 1)``.  The extra last row of each
-        stream is a sentinel, nonzero in every lane, so a stream with no
-        pivot in a column picks the sentinel.  Column by column, the earliest
-        row with a nonzero element in the column becomes its pivot and is
-        taken out (zeroed), and the column is cleared from every later row by
-        adding a multiple of the pivot row.  Rows only ever have earlier rows
-        added to them, so every prefix keeps its span, and the rows left
-        standing at the end are zero.  The multiples come in the style of the
-        Method of Four Russians: for every 4 bits of the multiplier one table
-        holds all 16 combinations of ``alpha^b * pivot``, built by doubling,
-        and one gather applies it.  Multiplying by the generator alpha is a
-        shift and a reduction in every lane of a word at once.
+        The rows are held word-major, ``(W, S, N + 1)``.  The extra last row
+        of each stream is a sentinel, nonzero in every lane, so a stream with
+        no pivot in a column picks the sentinel.  Column by column, the
+        earliest row with a nonzero element in the column becomes its pivot
+        and is taken out (zeroed), and the column is cleared from every later
+        row by adding a multiple of the pivot row.  Rows only ever have
+        earlier rows added to them, so every prefix keeps its span, and the
+        rows left standing at the end are zero.
+
+        At q = 2 every multiplier is 0 or 1: the column test is one shift
+        and AND, and the update adds the pivot times that bit, with no
+        table.  Above q = 2 the multiples come in the style of the Method of
+        Four Russians: for every 4 bits of the multiplier one table holds all
+        16 combinations of ``alpha^b * pivot``, built by doubling, and one
+        gather applies it.  Multiplying by the generator alpha is a shift
+        and a reduction in every lane of a word at once.
         """
-        S, N, K = sym.shape
+        S, N, W = words.shape
         m, per = self.m, 64 // self.m
         lows = sum(1 << (m * i) for i in range(per))
         below_top = np.uint64(lows * ((1 << (m - 1)) - 1))
@@ -138,27 +165,29 @@ class GF:
         mul = self.mul_table.ravel()
         inv = self.inv_table.astype(np.uint64) << np.uint64(m)
 
-        W = -(-K // per)
-        work = np.zeros((W, S, N + 1), dtype=np.uint64)
-        for j in range(K):
-            work[j // per, :, :N] |= np.left_shift(
-                sym[:, :, j], np.uint64(m * (j % per)), dtype=np.uint64)
-
+        work = np.empty((W, S, N + 1), dtype=np.uint64)
+        work[:, :, :N] = words.transpose(2, 0, 1)
         at = np.arange(S)
         streams = at.astype(np.uint64)[:, None]
+        row0 = at * (N + 1)  # flat index of each stream's first row
         firsts = np.empty((K, S), dtype=np.intp)
         for j in range(K):
             w = j // per
             rest = work[w:]
+            flat_rest = rest.reshape(len(rest), -1)
             rest[:, :, N] = lows  # restore the sentinel the last column used
             col = (work[w] >> np.uint64(m * (j % per))) & lane
-            first = firsts[j] = (col != 0).argmax(axis=1)
-            pivot = rest[:, at, first]
-            rest[:, at, first] = 0
+            first = firsts[j] = (col if m == 1 else col != 0).argmax(axis=1)
+            at_first = row0 + first
+            pivot = flat_rest[:, at_first]
+            flat_rest[:, at_first] = 0
             if m > 1:
                 # Multiplier of each row: its element over the pivot's.
-                col = mul.take(inv[col[at, first]][:, None] | col)
-            col[at, first] = 0
+                col = mul.take(inv[col.take(at_first)][:, None] | col)
+            col.put(at_first, 0)
+            if m == 1:
+                rest ^= pivot[:, :, None] * col
+                continue
             for b0 in range(0, m, 4):
                 k = min(4, m - b0)
                 table = np.zeros(rest.shape[:2] + (1 << k,), dtype=np.uint64)

@@ -16,16 +16,17 @@ where Bob's rank is K and the ACK of slot t survives (else after the
 budget), Bob has decoded if his rank reaches K by then, and Eve has decoded
 if her rank after slot t is K.
 
-Ranks come from one batched elimination kernel, ``GF.prefix_pivots``.  Each
-receiver's copy of a trial's vectors is one stream, an erased slot a zero
-row, and Bob's and Eve's streams of the chunk run together.  Elimination
-only ever adds earlier rows to later ones, so every prefix keeps its span
-and the rank after slot t is the number of pivot rows among the first t.
-Inside the kernel each vector's K elements are packed 64 // m to a uint64
-word (m = log2 q bits a lane).  The kernel is deliberately independent of
-coding.DecoderState (which carries payload bookkeeping);
-``test_packed_binary_tracker_matches_the_decoder`` checks its pivot flags
-and prefix ranks against ``DecoderState.absorb`` slot by slot.
+Ranks come from one batched elimination kernel, ``GF.prefix_pivots``.  A
+chunk's coding vectors are packed once by ``GF.pack``, their K elements
+64 // m to a uint64 word (m = log2 q bits a lane).  Each receiver's copy of
+a trial's vectors is one stream, made by multiplying the packed words by
+that receiver's reception mask, so an erased slot is a zero row, and Bob's
+and Eve's streams of the chunk run together.  Elimination only ever adds
+earlier rows to later ones, so every prefix keeps its span and the rank
+after slot t is the number of pivot rows among the first t.  The kernel is
+deliberately independent of coding.DecoderState (which carries payload
+bookkeeping); ``test_packed_binary_tracker_matches_the_decoder`` checks its
+pivot flags and prefix ranks against ``DecoderState.absorb`` slot by slot.
 
 Determinism: trial i draws from numpy's ``default_rng([base_seed, base_seed
 XOR i])`` stream, so estimates are reproducible bit for bit no matter how
@@ -35,7 +36,11 @@ Generator per trial costs about as much as the rest of a q = 2 trial, so
 chunk at once: numpy's ``SeedSequence`` hash as uint32 array arithmetic,
 then PCG64's closed-form 128-bit seeding (numpy keeps both stable, NEP 19).
 Each state is assigned in turn to one reused PCG64, which then draws
-exactly what the trial's own generator would.
+exactly what the trial's own generator would, in the order
+``coding.sample_coding_matrix`` and the channels use: the coefficient
+uniforms, at q > 2 the nonzero values, then the erasure and ACK uniforms.
+The draws of the chunk land in shared arrays, and the coefficient law
+(``coding.coefficient_law``) is applied to all of them at once.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodeParams, sample_coding_matrix
+# sample_coding_matrix draws what one trial's coefficient block holds; it is
+# not called here, but bench/spans.py wraps it under this module's name.
+from .coding import CodeParams, coefficient_law, sample_coding_matrix  # noqa: F401
 from .errors import ConfigError
 from .chain import ChannelParams
-from .gf import get_field
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,7 +62,7 @@ _MASK64 = (1 << 64) - 1
 # trial -> block assignment never depends on the worker count.
 _BLOCK = 2048
 # Trials per elimination call; bounds the working arrays of a block (about
-# 4 MB at K=20, q=16, a budget of 100).
+# 7 MB at K=20 and a budget of 100, most of it the chunk's uniforms).
 _CHUNK = 256
 
 
@@ -117,6 +123,18 @@ _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 
 
+def _hash_consts(init: int, mult: int, uses: int) -> np.ndarray:
+    """Constants k = 0 .. uses of a SeedSequence hash, as a column: use k of
+    the hash xors with constant k and multiplies by constant k + 1."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(uses + 1)], dtype=np.uint32)[:, None]
+
+
+# Hash A takes the 4 entropy words and 12 mixing steps, hash B the 8 outputs.
+_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
 def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
     """``SeedSequence([base_seed, base_seed ^ i]).generate_state(4, uint64)``
     for i = start..stop-1, as a (4, stop - start) uint64 array."""
@@ -130,33 +148,26 @@ def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
         entropy = [base_seed & _MASK32, base_seed >> 32, b_lo, b_hi]
     else:
         entropy = [base_seed, b_lo, b_hi, 0]
-    hash_const = _INIT_A
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+    def hashmix(values, consts, k):
+        # row r of values takes use k + r of the hash
+        n = len(values)
+        values = (values ^ consts[k:k + n]) * consts[k + 1:k + n + 1]
+        return values ^ (values >> np.uint32(16))
 
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    pool = [hashmix(np.full(b.shape, w, dtype=np.uint32)) for w in entropy]
+    pool = hashmix(np.array([np.broadcast_to(w, b.shape) for w in entropy],
+                            dtype=np.uint32), _CONSTS_A, 0)
+    # Each source word is hashed into the other three in turn; it is not
+    # itself changed while it is the source.
     for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+        dst = [i for i in range(4) if i != i_src]
+        hashed = hashmix(pool[[i_src] * 3], _CONSTS_A, 4 + 3 * i_src)
+        mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                 - np.uint32(_MIX_MULT_R) * hashed)
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _CONSTS_B, 0).astype(np.uint64)
     # uint32 words pair up little-endian into uint64 words
-    return np.stack([out[j] | out[j + 1] << np.uint64(32) for j in range(0, 8, 2)])
+    return out[0::2] | out[1::2] << np.uint64(32)
 
 
 def _trial_states(base_seed: int, start: int, stop: int) -> list[dict]:
@@ -174,29 +185,45 @@ def _trial_states(base_seed: int, start: int, stop: int) -> list[dict]:
     return states
 
 
-def _outcomes(cfg: SimConfig, start: int, stop: int):
-    """Trials start..stop-1 as arrays: slots used, Bob decoded, Eve decoded,
-    Bob's and Eve's received counts."""
+def _draw(cfg: SimConfig, start: int, stop: int):
+    """What trials start..stop-1 draw: the packed coding vectors ``(B, N,
+    W)``, which packets Bob and Eve receive ``(B, 2, N)`` and which ACKs
+    survive ``(B, N)``."""
     code, chan = cfg.code, cfg.chan
     K, N, B = code.K, code.n_hat, stop - start
-    # Bob's copy of the coding vectors in sym[0], Eve's in sym[1]; a lost
-    # packet is a zero row.
-    sym = np.empty((2, B, N, K), dtype=np.uint8)
-    draws = np.empty((B, 3, N))
+    # Each trial's stream in order: the coefficient law's uniforms, at q > 2
+    # its nonzero values, then Bob's erasure, Eve's erasure and ACK draws.
+    # At q = 2 the two uniform blocks are back to back, so one call draws them.
+    nk = N * K
+    floats = np.empty((B, nk + 3 * N))
+    values = None if code.q == 2 else np.empty((B, N, K), dtype=np.uint8)
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
     for k, state in enumerate(_trial_states(cfg.base_seed, start, stop)):
         bit_gen.state = state
-        sym[0, k] = sample_coding_matrix(code, N, rng)
-        rng.random(out=draws[k])  # Bob's erasures, Eve's, the ACKs, in turn
+        if values is None:
+            rng.random(out=floats[k])
+        else:
+            rng.random(out=floats[k, :nk])
+            values[k] = rng.integers(1, code.q, size=(N, K), dtype=np.uint8)
+            rng.random(out=floats[k, nk:])
+    sym = coefficient_law(floats[:, :nk].reshape(B, N, K), values, code.p)
+    draws = floats[:, nk:].reshape(B, 3, N)
     # A draw below the erasure probability is a lost packet, so reception is
     # u >= eps; same convention for the ACK channel.
     rx = draws[:, :2] >= np.array([chan.eps_b, chan.eps_e])[:, None]
-    ack_ok = draws[:, 2] >= chan.eps_k
-    np.multiply(sym[0], rx[:, 1, :, None], out=sym[1])
-    sym[0] *= rx[:, 0, :, None]
+    return code.field.pack(sym), rx, draws[:, 2] >= chan.eps_k
 
-    piv = get_field(code.q).prefix_pivots(sym.reshape(2 * B, N, K))
+
+def _outcomes(cfg: SimConfig, start: int, stop: int):
+    """Trials start..stop-1 as arrays: slots used, Bob decoded, Eve decoded,
+    Bob's and Eve's received counts."""
+    K, N, B = cfg.code.K, cfg.code.n_hat, stop - start
+    words, rx, ack_ok = _draw(cfg, start, stop)
+    # Bob's stream of each trial, then Eve's: the chunk's packed vectors
+    # times the receiver's reception mask, so a lost packet is a zero row.
+    streams = words * rx.transpose(1, 0, 2)[..., None]
+    piv = cfg.code.field.prefix_pivots(streams.reshape(2 * B, N, -1), K)
     rank = np.zeros((2, B, N + 1), dtype=np.int32)
     np.cumsum(piv.reshape(2, B, N), axis=2, out=rank[:, :, 1:])
 

@@ -33,6 +33,7 @@ from srlnc import (
     full_rank_prob,
     rho,
 )
+from srlnc import rank
 from srlnc.rank import _SparseRankModel, _fill_full_rank
 
 
@@ -62,6 +63,32 @@ def test_rho_against_direct_convolution():
             )
             for r in (0, 1, 3):
                 assert rho(c, r, p, 2) == pytest.approx(per_row**r, abs=1e-12)
+
+
+# p grids of the rho parity test, fixed before it was first run
+_RHO_PARITY_P = {
+    2: (0.5, 0.501, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99),
+    16: (1 / 16, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99),
+}
+
+
+@pytest.mark.parametrize("q", [2, 16])
+def test_scalar_rho_is_the_rho_the_tables_use(q):
+    # the kernel raises each per-row probability to the power r with numpy's
+    # pow; the scalar rho must give the same float, and pi(1, r) = rho(1, r)
+    r = np.arange(41)
+    for p in _RHO_PARITY_P[q]:
+        model = _SparseRankModel(q, p)
+        kernel = rank._power(np.array(model._per_rows(20))[:, None], r)[:, 0]
+        tables = RankTables(20, q, p)
+        for c in range(21):
+            for k in r.tolist():
+                want = float(kernel[c, k]).hex()
+                assert model.rho(c, k).hex() == want, (p, c, k)
+                assert rho(c, k, p, q).hex() == want, (p, c, k)
+                assert tables.rho(c, k).hex() == want, (p, c, k)
+        for k in r.tolist():
+            assert model.pi(1, k) == model.rho(1, k), (p, k)
 
 
 def test_pi_recursion_first_step_uses_the_row_count_factor():

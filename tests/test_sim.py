@@ -97,20 +97,24 @@ def test_trial_draws_follow_their_own_streams():
 
 
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
-@pytest.mark.parametrize("K", [1, 3, 8, 20, 70])
+@pytest.mark.parametrize("K", [1, 3, 8, 20, 64, 65, 70])
 def test_packed_binary_tracker_matches_the_decoder(q, K):
     # The simulator's elimination kernel against the GF(q) decoder on one
-    # seeded sparse stream of 3K + 5 vectors, so both verdicts occur, and on
-    # a copy with about a fifth of the slots erased (zero rows), both in one
-    # batch.  K=70 and q=256 need several packed words per row.
+    # seeded sparse stream of 3K + 5 vectors, so both verdicts occur, on a
+    # copy with about a fifth of the slots erased (zero rows), and on an
+    # all-erased copy that has no pivot and picks the sentinel in every
+    # column, all in one batch.  K=64 and K=65 are the one-word/two-word edge
+    # at q=2; K=70 and q=256 need several packed words per row.
     code = CodeParams(K=K, q=q, p=0.75, n_hat=3 * K + 5)
     rng = np.random.default_rng([q, K])
     vectors = sample_coding_matrix(code, code.n_hat, rng)
     erased = vectors * (rng.random(code.n_hat) >= 0.2)[:, None]
-    streams = np.stack([vectors, erased])
-    pivots = get_field(q).prefix_pivots(streams)
-    assert pivots.shape == (2, code.n_hat)
-    for stream, piv in zip(streams, pivots):
+    streams = np.stack([vectors, erased, np.zeros_like(vectors)])
+    gf = get_field(q)
+    pivots = gf.prefix_pivots(gf.pack(streams), K)
+    assert pivots.shape == (3, code.n_hat)
+    assert not pivots[2].any()
+    for stream, piv in zip(streams[:2], pivots):
         dec = DecoderState(K, q)
         for t, v in enumerate(stream):
             assert piv[t] == dec.absorb(v)
@@ -194,15 +198,16 @@ def test_batched_outcomes_equal_single_trials_across_chunks():
 
 def test_block_memory_stays_bounded():
     # a full pool block at the largest figure budget, feedback jammed so
-    # every trial runs all 100 slots
-    cfg = _cfg(20, 16, 0.3, 0.01, 0.26, 1.0, 100, trials=sim._BLOCK, seed=4)
-    tracemalloc.start()
-    try:
-        sim._run_block(cfg, 0, sim._BLOCK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # every trial runs all 100 slots, at q=16 and on the GF(2) path
+    for q, p in [(16, 0.3), (2, 0.7)]:
+        cfg = _cfg(20, q, p, 0.01, 0.26, 1.0, 100, trials=sim._BLOCK, seed=4)
+        tracemalloc.start()
+        try:
+            sim._run_block(cfg, 0, sim._BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, q
 
 
 def test_run_trial_is_deterministic_in_seed_and_index():
