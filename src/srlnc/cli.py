@@ -244,10 +244,11 @@ def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
             except ConfigError:
                 pass  # enumeration too large; leave the cell empty
         records.append(rec)
-    for r in range(args.K, n_hat + 1):
+    full_rank = (tables.full_rank_probs(args.K, n_hat).tolist()
+                 if n_hat >= args.K else [])
+    for r, value in enumerate(full_rank, start=args.K):
         rec = {"K": args.K, "q": args.q, "p": args.p, "kind": "full_rank",
-               "index": r, "value": tables.full_rank_prob(r, args.K),
-               "oracle": None}
+               "index": r, "value": value, "oracle": None}
         if args.with_oracle:
             try:
                 rec["oracle"] = exact_full_rank_prob(r, args.K, args.p, args.q)

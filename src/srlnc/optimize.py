@@ -39,6 +39,7 @@ from .chain import (
     ChannelParams,
     DEFAULT_MODE,
     TRANSITION_MODES,
+    _delivery,
     _reception_weights,
     build_chain,
     delivery_probability,
@@ -127,16 +128,11 @@ def _filled_models(cfg: ImConfig, ps, shared: bool) -> list[_SparseRankModel]:
     return models
 
 
-def _delivery(cfg: ImConfig, weights: np.ndarray, model: _SparseRankModel) -> float:
-    """delivery_probability at the model's p, given its reception weights."""
-    K, N = cfg.code.K, cfg.code.n_hat
-    return min(1.0, float(weights @ model.full_rank_probs(K, N)))
-
-
 def _delivery_curve(cfg: ImConfig, ps) -> list[float]:
     """delivery_probability at every p in ps, from one kernel call."""
-    weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
-    return [_delivery(cfg, weights, m) for m in _filled_models(cfg, ps, shared=True)]
+    K, N = cfg.code.K, cfg.code.n_hat
+    weights = _reception_weights(K, N, cfg.chan.eps_b)
+    return [_delivery(weights, m, K, N) for m in _filled_models(cfg, ps, shared=True)]
 
 
 def _midpoints(lo: float, hi: float) -> list[float]:
@@ -217,7 +213,7 @@ def solve_im(cfg: ImConfig) -> ImSolution:
         if mid not in ahead:
             mids = _midpoints(lo, hi)
             ahead = dict(zip(mids, _filled_models(cfg, mids, shared=False)))
-        d_mid = _delivery(cfg, weights, ahead[mid])
+        d_mid = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
         iterations += 1
         if d_mid >= cfg.d_hat:
             lo, best_p, best_d = mid, mid, d_mid

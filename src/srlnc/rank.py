@@ -28,25 +28,23 @@ probability that ``ell`` specific columns form a minimal zero-sum set.  That
 is the reading exhaustive enumeration verifies, and the only one implemented.
 
 Tables.  One rank model exists per ``(q, p)``, kept warm by an lru cache.
-It holds ``pi(ell, r)`` for ``ell <= L``, ``r = 0 .. R`` in one numpy array.
 Every pi value comes from one kernel over a vector of p and a range of
 columns r, laid out as (ell, p, r) and built one order at a time: one
 multiply writes every term ``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1
 .. ell-1, into rows below ``rho(ell, .)``, and ``np.subtract.reduce`` down
 axis 0 subtracts them one row after another, so each element sees the scalar
 ``val -= term(s)`` in ascending ``s``, bit for bit (subtract has no pairwise
-path; a sum has one).  A model's own table is the kernel's one-p case; a
-wider request rebuilds it (``r`` at least doubling) without changing the
-values it held.  ``full_rank_probs(c, r_max)`` gives ``full_rank_prob(r, c)``
-for every ``r = c .. r_max`` (memoised per ``c``), the innovation table W of
-``RankTables`` uses the column ``r = K``, and the scalar ``pi`` and
-``full_rank_prob`` are lookups.
+path; a sum has one).  No pi table is kept.  A model keeps what its readers
+come back for: per ``c``, the column ``full_rank_prob(r, c)`` for ``r = c ..
+r_max``, which ``full_rank_probs`` extends by the columns it lacks, and per
+``K``, the innovation table W of ``RankTables``, built from pi at the one
+column ``r = K``.  The scalar ``pi`` runs the kernel at its one column.
 
 The recursion never mixes columns: pi(ell, r) reads rho(., r) and pi(., r)
 at the same r only, and the full-rank exponent at r reads column r alone.
-So ``_fill_full_rank`` can give many models of one q their full-rank columns
-from one kernel call over just the columns r each model still lacks, and the
-rows it appends hold the same bytes as each model's own one-p build.
+So ``_fill_full_rank``, the one writer of full-rank columns, serves many
+models of one q from one kernel call over just the columns r they lack, and
+a column grown piece by piece holds the bytes of one built whole.
 
 Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
 goes negative in places: ``RankTables(20, 2, 0.9).pi(19, 20)`` is about
@@ -60,6 +58,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -110,6 +109,14 @@ def classic_innovation_prob(t: int, K: int, q: int) -> float:
     """Exact classic probability that a fresh uniform vector escapes a
     t-dimensional subspace of GF(q)^K: 1 - q^(t-K)."""
     return 1.0 - float(q) ** (t - K)
+
+
+def _count(value: object, name: str) -> int:
+    """A count argument as a Python int (numpy integers too), else ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validate_pq(p: float, q: int) -> None:
@@ -177,10 +184,10 @@ def _full_rank_kernel(p: np.ndarray, pi: np.ndarray,
 class _SparseRankModel:
     """rho/pi/full-rank machinery for one (q, p).
 
-    Independent of the generation size.  ``_pi[ell - 1, r]`` holds pi(ell, r)
-    for r = 0 .. R; the array is replaced by a larger one when a caller needs
-    more, never written in place, so readers always see a complete table.
-    Full-rank columns are replaced the same way.
+    Independent of the generation size.  ``_full_rank[c]`` holds
+    full_rank_prob(r, c) for r = c .. as far as any caller has asked, and
+    ``_innovation[K]`` the innovation table W.  A column is replaced by a
+    longer one, never written in place, so readers see complete values.
     """
 
     def __init__(self, q: int, p: float):
@@ -189,11 +196,11 @@ class _SparseRankModel:
         self.p = p
         self.classic = p == 1.0 / q
         self._lam = 1.0 - q * (1.0 - p) / (q - 1.0)
-        self._pi = np.empty((0, 0))
         self._full_rank: dict[int, np.ndarray] = {}
         # column c -> whether its overflow has been logged; the warning
         # waits for the first read, so columns filled ahead of need stay quiet
         self._overflowed: dict[int, bool] = {}
+        self._innovation: dict[int, tuple[float, ...]] = {}
 
     def _per_rows(self, L: int) -> list[float]:
         """rho(c, 1) for c = 0 .. L: the chance that one row of a fixed
@@ -201,101 +208,102 @@ class _SparseRankModel:
         q, lam = self.q, self._lam
         return [(1.0 + (q - 1.0) * lam**c) / q for c in range(L + 1)]
 
+    def _pi_column(self, L: int, r: int) -> np.ndarray:
+        """pi(ell, r) for ell = 1 .. L at the one column r."""
+        per_row = np.array(self._per_rows(L))[:, None]
+        return _pi_kernel(per_row, np.array([r]))[:, 0, 0]
+
     def rho(self, c: int, r: int) -> float:
         """P(a fixed nonzero combination of c sparse columns of height r
         sums to zero)."""
+        c, r = _count(c, "c"), _count(r, "r")
         if c < 0 or r < 0:
             raise ConfigError("rho needs nonnegative arguments")
-        # numpy's pow, as in the pi tables: Python's differs in the last bit
+        # numpy's pow, as in the pi kernel: Python's differs in the last bit
         return float(_power(np.array(self._per_rows(c)[c]), np.array([r]))[0])
-
-    def pi_table(self, ell_max: int, r_max: int) -> np.ndarray:
-        """Array whose entry [ell - 1, r] is pi(ell, r), covering at least
-        ell = 1 .. ell_max and r = 0 .. r_max."""
-        L, R = self._pi.shape
-        if ell_max > L or r_max >= R:
-            # Widening r at least doubles the table, so a caller stepping r
-            # upwards one at a time triggers O(log r) rebuilds, not O(r).
-            R = R if r_max < R else max(r_max + 1, 2 * R)
-            self._pi = self._build_pi(max(ell_max, L), R)
-        return self._pi
-
-    def _build_pi(self, L: int, R: int) -> np.ndarray:
-        per_row = np.array(self._per_rows(L))[:, None]
-        pi = _pi_kernel(per_row, np.arange(R))[:, 0]
-        pi.flags.writeable = False
-        return pi
 
     def pi(self, ell: int, r: int) -> float:
         """Signed correction term of order ell for columns of height r."""
-        if not (isinstance(ell, int) and isinstance(r, int)) or ell < 1 or r < 0:
+        ell, r = _count(ell, "ell"), _count(r, "r")
+        if ell < 1 or r < 0:
             raise ConfigError(f"pi needs integers ell >= 1 and r >= 0, got {ell}, {r}")
-        return float(self.pi_table(ell, r)[ell - 1, r])
+        return float(self._pi_column(ell, r)[ell - 1])
 
     def full_rank_probs(self, c: int, r_max: int) -> np.ndarray:
         """Read-only array of full_rank_prob(r, c) for r = c .. r_max."""
-        if not (isinstance(c, int) and isinstance(r_max, int)) or not 0 <= c <= r_max:
+        c, r_max = _count(c, "c"), _count(r_max, "r")
+        if not 0 <= c <= r_max:
             raise ConfigError(
                 f"full-rank probabilities need integers r >= c >= 0, "
                 f"got r={r_max}, c={c}"
             )
-        got = self._full_rank.get(c)
-        if got is None or len(got) <= r_max - c:
-            got = self._full_rank_column(c, r_max)
-            got.flags.writeable = False
-            self._full_rank[c] = got
+        _fill_full_rank([self], c, r_max)
         if self._overflowed.get(c) is False:
             self._overflowed[c] = True
             log.warning("full-rank exponent overflows at q=%d p=%g c=%d; "
                         "approximation outside its range", self.q, self.p, c)
-        return got[: r_max - c + 1]
-
-    def _full_rank_column(self, c: int, r_max: int) -> np.ndarray:
-        """full_rank_prob(r, c) for r = c up to r_max or further, as far as
-        the pi table reaches."""
-        if c == 0:
-            return np.ones(r_max + 1)
-        if self.classic:
-            return np.array([classic_full_rank_prob(r, c, self.q)
-                             for r in range(c, r_max + 1)])
-        pi = self.pi_table(c, r_max)[:c, None, c:]
-        col, over = _full_rank_kernel(np.array([self.p]), pi,
-                                      np.arange(c, c + pi.shape[2]))
-        if over.any():
-            self._overflowed.setdefault(c, False)
-        return col[0]
+        return self._full_rank[c][: r_max - c + 1]
 
     def full_rank_prob(self, r: int, c: int) -> float:
         """P(an r x c sparse random matrix has rank c), for r >= c >= 0."""
         return float(self.full_rank_probs(c, r)[r - c])
 
+    def _innovation_table(self, K: int) -> tuple[float, ...]:
+        """W[t] for t = 0 .. K-1 (see RankTables), memoised per K."""
+        W = self._innovation.get(K)
+        if W is not None:
+            return W
+        if self.classic:
+            W = tuple(classic_innovation_prob(t, K, self.q) for t in range(K))
+        else:
+            pi = self._pi_column(K, K)
+            # base > 0 because p < 1 and K >= 1.
+            base = 1.0 - self.p**K
+            # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1): row ell-2 of
+            # `terms` is order ell for every t (0 for t < ell - 1), and the
+            # running sum down the rows adds one order at a time.
+            binoms = _pascal(K - 1)[:, 1:].T
+            powers = np.array([base**ell for ell in range(2, K + 1)])
+            terms = np.where(binoms > 0.0, binoms * pi[1:K, None] / powers[:, None], 0.0)
+            expo = np.cumsum(terms, axis=0)[-1] if K > 1 else np.zeros(1)
+            # At extreme p, exp overflows to inf; the clip maps it to 1 and
+            # RankTables.W logs the non-monotone table, not numpy.
+            with np.errstate(over="ignore"):
+                W = tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
+        self._innovation[K] = W
+        return W
+
 
 def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
     """Give every model of one q its full-rank column c up to r_max.
 
-    One kernel call covers the sparse models that lack part of it, over the
-    columns r from the first one any of them lacks; each model appends only
-    the columns it lacks.  Classic models and c = 0 are left to
-    ``full_rank_probs``, which also logs an overflow when the column is read.
+    The only code that writes a full-rank column; each model appends only
+    the columns r it lacks.  One kernel call covers the sparse models, from
+    the first column any of them lacks; the closed form covers classic models
+    and c = 0 (an empty product).  ``full_rank_probs`` logs an overflow noted
+    here when the column is first read.
     """
-    short = [m for m in models
-             if not m.classic and len(m._full_rank.get(c, ())) <= r_max - c]
-    if c == 0 or not short:
-        return
+    short = [m for m in models if len(m._full_rank.get(c, ())) <= r_max - c]
     have = [len(m._full_rank.get(c, ())) for m in short]
-    first = min(have)
-    r = np.arange(c + first, r_max + 1)
-    per_row = np.array([m._per_rows(c) for m in short]).T
-    rows, over = _full_rank_kernel(np.array([m.p for m in short]),
-                                   _pi_kernel(per_row, r), r)
-    for m, n, row, row_over in zip(short, have, rows, over):
-        col = row[n - first:]
+    sparse = [i for i, m in enumerate(short) if c and not m.classic]
+    new: dict[int, np.ndarray] = {}
+    if sparse:
+        first = min(have[i] for i in sparse)
+        r = np.arange(c + first, r_max + 1)
+        per_row = np.array([short[i]._per_rows(c) for i in sparse]).T
+        rows, over = _full_rank_kernel(np.array([short[i].p for i in sparse]),
+                                       _pi_kernel(per_row, r), r)
+        for i, row, row_over in zip(sparse, rows, over):
+            new[i] = row[have[i] - first:]
+            if row_over[have[i] - first:].any():
+                short[i]._overflowed.setdefault(c, False)
+    for i, (m, n) in enumerate(zip(short, have)):
+        col = new[i] if i in new else np.array(
+            [classic_full_rank_prob(r, c, m.q) for r in range(c + n, r_max + 1)])
         if n:
             col = np.concatenate((m._full_rank[c], col))
         col.flags.writeable = False
         m._full_rank[c] = col
-        if row_over[n - first:].any():
-            m._overflowed.setdefault(c, False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,12 +325,12 @@ class RankTables:
     """Innovation and full-rank probabilities for one (K, q, p).
 
     Every value comes from the row-count pi recursion of the module
-    docstring, held by the rank model that all tables of one (q, p) share.
-    The innovation table ``W[t]`` for ``t = 0 .. K-1`` is built from its pi
-    table on first use, so callers that only need full-rank probabilities
-    (the delivery constraint) never pay for it.  Instances are cheap and safe
-    to share between threads: the shared model only ever replaces its arrays
-    by larger complete ones.
+    docstring, through the rank model that all tables of one (q, p) share.
+    The model builds the innovation table ``W[t]``, t = 0 .. K-1, from pi at
+    the one column r = K on first use and keeps it per K, so callers that
+    only need full-rank probabilities (the delivery constraint) never pay
+    for it.  Instances are cheap and safe to share between threads: the
+    shared model only ever replaces its values by larger complete ones.
 
     W[t] is the probability that, given t mutually independent sparse columns
     of height K, one more sparse column is independent of them.  It is exact
@@ -332,7 +340,8 @@ class RankTables:
     """
 
     def __init__(self, K: int, q: int, p: float):
-        if not isinstance(K, int) or K < 1:
+        K = _count(K, "K")
+        if K < 1:
             raise ConfigError(f"K must be a positive integer, got {K!r}")
         self.K = K
         self.q = q
@@ -343,7 +352,7 @@ class RankTables:
     @functools.cached_property
     def W(self) -> tuple[float, ...]:
         """Innovation table, W[t] for t = 0 .. K-1."""
-        W = self._innovation_table()
+        W = self._mdl._innovation_table(self.K)
         worst = max((W[t + 1] - W[t] for t in range(self.K - 1)), default=0.0)
         if worst > 1e-9:
             log.warning(
@@ -353,28 +362,10 @@ class RankTables:
             )
         return W
 
-    def _innovation_table(self) -> tuple[float, ...]:
-        K = self.K
-        if self.classic:
-            return tuple(classic_innovation_prob(t, K, self.q) for t in range(K))
-        pi = self._mdl.pi_table(K, K)[:, K]
-        # base > 0 because p < 1 and K >= 1.
-        base = 1.0 - self.p**K
-        # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1): row ell - 2 of
-        # `terms` is order ell for every t (0 for t < ell - 1), and the running
-        # sum down the rows adds one order at a time, as a loop over ell would.
-        binoms = _pascal(K - 1)[:, 1:].T
-        powers = np.array([base**ell for ell in range(2, K + 1)])
-        terms = np.where(binoms > 0.0, binoms * pi[1:K, None] / powers[:, None], 0.0)
-        expo = np.cumsum(terms, axis=0)[-1] if K > 1 else np.zeros(1)
-        # At extreme p, exp overflows to inf; the clip maps it to 1 and the W
-        # property logs the non-monotone table, so numpy's warning adds nothing.
-        with np.errstate(over="ignore"):
-            return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
-
     def innovation_probability(self, t: int) -> float:
         """W[t] for 0 <= t <= K-1."""
-        if not isinstance(t, int) or not (0 <= t < self.K):
+        t = _count(t, "t")
+        if not 0 <= t < self.K:
             raise ConfigError(f"t={t!r} outside 0..{self.K - 1}")
         return self.W[t]
 
@@ -417,6 +408,7 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     by their number of nonzero entries, which fixes their weight.
     """
     _validate_pq(p, q)
+    r, c = _count(r, "r"), _count(c, "c")
     if c < 0 or r < c:
         raise ConfigError(f"enumeration needs r >= c >= 0, got {r}, {c}")
     if c == 0:
@@ -456,6 +448,7 @@ def exact_innovation_prob(t: int, K: int, p: float, q: int,
     height K: the chance that vector t+1 is innovative given the first t
     were mutually independent.
     """
+    t, K = _count(t, "t"), _count(K, "K")
     if not 0 <= t < K:
         raise ConfigError(f"t={t!r} outside 0..{K - 1}")
     # The denominator is positive for every p < 1: any full-rank matrix

@@ -146,15 +146,16 @@ def innovation_table_by_loop(tables) -> tuple[float, ...]:
     expo[t] accumulates C(t, ell-1) pi(ell, K) / base^ell over ell = 2 .. t+1
     in ascending ell, with base = 1 - p^K, and W = clip(base exp(-expo), 0, 1).
     The same float operations in the same order as the package's table, so
-    the two must agree bit for bit; pi comes from the public scalar lookup.
+    the two must agree bit for bit; pi comes from the public scalar pi.
     Binomials are exact up to K = 61.
     """
     K = tables.K
     base = 1.0 - tables.p ** K
     expo = np.zeros(K)
     for ell in range(2, K + 1):
+        pi = tables.pi(ell, K)
         for t in range(ell - 1, K):
-            expo[t] += float(math.comb(t, ell - 1)) * tables.pi(ell, K) / base ** ell
+            expo[t] += float(math.comb(t, ell - 1)) * pi / base ** ell
     with np.errstate(over="ignore"):
         return tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
 
@@ -165,8 +166,8 @@ def pi_table_by_loop(model, L: int, R: int) -> np.ndarray:
     pi(ell, .) = rho(ell, .) - sum_{s=1}^{ell-1} (C(ell-1, s) rho(s, .)) pi(ell-s, .)
     with the terms subtracted in ascending s, where rho(s, .) is
     model.rho(s, 1) ** r.  The same float operations in the same order as the
-    package's table, so the two must agree bit for bit.  Binomials are exact
-    up to L = 61.
+    package's pi kernel over the columns r = 0 .. R-1, so the two must agree
+    bit for bit.  Binomials are exact up to L = 61.
     """
     r = np.arange(R)
     rho = [model.rho(c, 1) ** r for c in range(L + 1)]
@@ -180,16 +181,17 @@ def pi_table_by_loop(model, L: int, R: int) -> np.ndarray:
 
 
 def full_rank_column_by_loop(model, c: int, r_max: int) -> np.ndarray:
-    """full_rank_prob(r, c) of a sparse (p > 1/q) rank model for r = c up to
-    as far as the model's pi table reaches, one order of the exponent at a time.
+    """full_rank_prob(r, c) of a sparse (p > 1/q) rank model for r = c ..
+    r_max, one order of the exponent at a time.
 
     expo accumulates C(c, ell) pi(ell, r) / base^ell over ell = 2 .. c in
     ascending ell, with base = 1 - p^r, and the column is
     clip(base^c exp(-expo), 0, 1).  The same float operations in the same
     order as the package's column, so the two must agree bit for bit; pi comes
-    from the model's public table.  Binomials are exact up to c = 60.
+    from pi_table_by_loop, not from the package.  Binomials are exact up to
+    c = 60.
     """
-    pi = model.pi_table(c, r_max)[:, c:]
+    pi = pi_table_by_loop(model, c, r_max + 1)[:, c:]
     base = 1.0 - model.p ** np.arange(c, c + pi.shape[1])
     expo = np.zeros(pi.shape[1])
     for ell in range(2, c + 1):

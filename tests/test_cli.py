@@ -59,6 +59,134 @@ def test_rank_golden_bytes(capsys):
     assert out == _GOLDEN_RANK
 
 
+# `srlnc rank --K 20 --q 16 --p 0.3` on both sides of K, recorded when each
+# full-rank row was read on its own: --Nhat 100 gives the rows r = 20 .. 100,
+# --Nhat 19 lies below K and gives the innovation rows only, with exit code 0.
+_GOLDEN_RANK_K20_HEAD = """\
+# command = srlnc rank --K 20 --q 16 --p 0.3 --Nhat {n}
+# seed = 0
+# mode = paper-exact
+# version = 0.1.0
+K,q,p,kind,index,value
+"""
+_GOLDEN_RANK_K20_W = """\
+20,16,0.3,innovation,0,0.9999999999651321
+20,16,0.3,innovation,1,0.9999999999651321
+20,16,0.3,innovation,2,0.9999999999651321
+20,16,0.3,innovation,3,0.9999999999651321
+20,16,0.3,innovation,4,0.9999999999651321
+20,16,0.3,innovation,5,0.9999999999651321
+20,16,0.3,innovation,6,0.9999999999651321
+20,16,0.3,innovation,7,0.9999999999651321
+20,16,0.3,innovation,8,0.9999999999651321
+20,16,0.3,innovation,9,0.9999999999651321
+20,16,0.3,innovation,10,0.9999999999651321
+20,16,0.3,innovation,11,0.9999999999651321
+20,16,0.3,innovation,12,0.9999999999651321
+20,16,0.3,innovation,13,0.9999999999651321
+20,16,0.3,innovation,14,0.9999999999651321
+20,16,0.3,innovation,15,0.9999999999651321
+20,16,0.3,innovation,16,0.9999999999651321
+20,16,0.3,innovation,17,0.9999999999651321
+20,16,0.3,innovation,18,0.9999999999651321
+20,16,0.3,innovation,19,0.9999999999651321
+"""
+_GOLDEN_RANK_K20_R = """\
+20,16,0.3,full_rank,20,0.9999999993026422
+20,16,0.3,full_rank,21,0.999999999790794
+20,16,0.3,full_rank,22,0.9999999999372369
+20,16,0.3,full_rank,23,0.9999999999811706
+20,16,0.3,full_rank,24,0.9999999999943512
+20,16,0.3,full_rank,25,0.9999999999983058
+20,16,0.3,full_rank,26,0.9999999999994915
+20,16,0.3,full_rank,27,0.9999999999998468
+20,16,0.3,full_rank,28,0.9999999999999534
+20,16,0.3,full_rank,29,0.9999999999999867
+20,16,0.3,full_rank,30,0.9999999999999956
+20,16,0.3,full_rank,31,0.9999999999999978
+20,16,0.3,full_rank,32,1.0
+20,16,0.3,full_rank,33,1.0
+20,16,0.3,full_rank,34,1.0
+20,16,0.3,full_rank,35,1.0
+20,16,0.3,full_rank,36,1.0
+20,16,0.3,full_rank,37,1.0
+20,16,0.3,full_rank,38,1.0
+20,16,0.3,full_rank,39,1.0
+20,16,0.3,full_rank,40,1.0
+20,16,0.3,full_rank,41,1.0
+20,16,0.3,full_rank,42,1.0
+20,16,0.3,full_rank,43,1.0
+20,16,0.3,full_rank,44,1.0
+20,16,0.3,full_rank,45,1.0
+20,16,0.3,full_rank,46,1.0
+20,16,0.3,full_rank,47,1.0
+20,16,0.3,full_rank,48,1.0
+20,16,0.3,full_rank,49,1.0
+20,16,0.3,full_rank,50,1.0
+20,16,0.3,full_rank,51,1.0
+20,16,0.3,full_rank,52,1.0
+20,16,0.3,full_rank,53,1.0
+20,16,0.3,full_rank,54,1.0
+20,16,0.3,full_rank,55,1.0
+20,16,0.3,full_rank,56,1.0
+20,16,0.3,full_rank,57,1.0
+20,16,0.3,full_rank,58,1.0
+20,16,0.3,full_rank,59,1.0
+20,16,0.3,full_rank,60,1.0
+20,16,0.3,full_rank,61,1.0
+20,16,0.3,full_rank,62,1.0
+20,16,0.3,full_rank,63,1.0
+20,16,0.3,full_rank,64,1.0
+20,16,0.3,full_rank,65,1.0
+20,16,0.3,full_rank,66,1.0
+20,16,0.3,full_rank,67,1.0
+20,16,0.3,full_rank,68,1.0
+20,16,0.3,full_rank,69,1.0
+20,16,0.3,full_rank,70,1.0
+20,16,0.3,full_rank,71,1.0
+20,16,0.3,full_rank,72,1.0
+20,16,0.3,full_rank,73,1.0
+20,16,0.3,full_rank,74,1.0
+20,16,0.3,full_rank,75,1.0
+20,16,0.3,full_rank,76,1.0
+20,16,0.3,full_rank,77,1.0
+20,16,0.3,full_rank,78,1.0
+20,16,0.3,full_rank,79,1.0
+20,16,0.3,full_rank,80,1.0
+20,16,0.3,full_rank,81,1.0
+20,16,0.3,full_rank,82,1.0
+20,16,0.3,full_rank,83,1.0
+20,16,0.3,full_rank,84,1.0
+20,16,0.3,full_rank,85,1.0
+20,16,0.3,full_rank,86,1.0
+20,16,0.3,full_rank,87,1.0
+20,16,0.3,full_rank,88,1.0
+20,16,0.3,full_rank,89,1.0
+20,16,0.3,full_rank,90,1.0
+20,16,0.3,full_rank,91,1.0
+20,16,0.3,full_rank,92,1.0
+20,16,0.3,full_rank,93,1.0
+20,16,0.3,full_rank,94,1.0
+20,16,0.3,full_rank,95,1.0
+20,16,0.3,full_rank,96,1.0
+20,16,0.3,full_rank,97,1.0
+20,16,0.3,full_rank,98,1.0
+20,16,0.3,full_rank,99,1.0
+20,16,0.3,full_rank,100,1.0
+"""
+
+
+@pytest.mark.parametrize("n_hat, body", [
+    (100, _GOLDEN_RANK_K20_W + _GOLDEN_RANK_K20_R),
+    (19, _GOLDEN_RANK_K20_W),
+], ids=["Nhat-100", "Nhat-19"])
+def test_rank_golden_bytes_on_both_sides_of_k(capsys, n_hat, body):
+    rc, out, err = _run(capsys, ["rank", "--K", "20", "--q", "16", "--p", "0.3",
+                                 "--Nhat", str(n_hat)])
+    assert rc == 0 and err == ""
+    assert out == _GOLDEN_RANK_K20_HEAD.format(n=n_hat) + body
+
+
 # Frozen output of one figure-1a chain point under each transition law and
 # of one figure-2a optimize budget, which runs the whole pi recursion,
 # bisection and audit.

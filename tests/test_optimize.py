@@ -143,8 +143,8 @@ def test_solution_shape():
 
 # Every number solve_im returns, as float.hex, with the status and the
 # iteration count, recorded before the pi recursion ran one order at a time.
-# Each bisection step builds a new pi table, so a change in the last bit of
-# any table moves p_star, the iteration count or the final bracket here.
+# Each bisection step reads pi from a new kernel call, so a change in the last
+# bit of any pi value moves p_star, the iteration count or the final bracket here.
 # Keys: (q, n_hat, mode, eps_k) at K=20 on the figure-2a channel
 # (eps_b=0.05, eps_e=0.2, D_hat=0.99, p_max=0.95); the rows at eps_k=1 are
 # the 30 budgets of the benchmark's optimize-fig2 workload.

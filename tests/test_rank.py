@@ -51,6 +51,11 @@ def test_rho_rejects_negative_arguments():
         rho(-1, 3, 0.6, 2)
     with pytest.raises(ConfigError):
         rho(1, -3, 0.6, 2)
+    # non-integer counts are refused too, whichever argument they are in
+    for c, r in ((1.5, 3), (2, 3.5)):
+        with pytest.raises(ConfigError):
+            rho(c, r, 0.6, 2)
+    assert rho(np.int64(2), np.int64(3), 0.6, 2) == rho(2, 3, 0.6, 2)
 
 
 def test_rho_against_direct_convolution():
@@ -135,6 +140,11 @@ def test_full_rank_prob_edges():
         full_rank_prob(2, 3, 0.6, 2)  # more columns than rows
     with pytest.raises(ConfigError):
         full_rank_prob(3, -1, 0.6, 2)
+    # numpy integers are integers; floats are not
+    assert full_rank_prob(np.int64(5), 4, 0.6, 2) == full_rank_prob(5, 4, 0.6, 2)
+    for r, c in ((5.0, 4), (5, 2.5)):
+        with pytest.raises(ConfigError):
+            full_rank_prob(r, c, 0.6, 2)
 
 
 def test_p_domain_is_enforced():
@@ -178,6 +188,14 @@ def test_enumeration_refuses_oversized_jobs():
         exact_full_rank_prob(6, 6, 0.6, 2, limit=1 << 20)
     with pytest.raises(ConfigError):
         exact_full_rank_prob(3, 4, 0.6, 2)  # r < c
+    with pytest.raises(ConfigError):
+        exact_full_rank_prob(3, 2.5, 0.6, 2)
+    with pytest.raises(ConfigError):
+        exact_innovation_prob(1.5, 3, 0.6, 2)
+    assert (exact_full_rank_prob(np.int64(3), np.int64(2), 0.6, 2)
+            == exact_full_rank_prob(3, 2, 0.6, 2))
+    assert (exact_innovation_prob(np.int64(1), np.int64(3), 0.6, 2)
+            == exact_innovation_prob(1, 3, 0.6, 2))
 
 
 def test_innovation_table_hand_checks():
@@ -193,9 +211,20 @@ def test_innovation_table_hand_checks():
 def test_innovation_prob_validates_t():
     tables = RankTables(4, 2, 0.6)
     assert tables.innovation_probability(2) == tables.W[2]
-    for bad in (-1, 4, 7):
+    for bad in (-1, 4, 7, 1.5, 2.0):
         with pytest.raises(ConfigError):
             tables.innovation_probability(bad)
+    # numpy integers count as integers for K, t and pi's arguments
+    assert tables.innovation_probability(np.int64(2)) == tables.W[2]
+    assert tables.pi(2, np.int64(3)) == tables.pi(2, 3)
+    wide = RankTables(np.int64(20), 2, 0.7)
+    assert type(wide.K) is int and wide.W == RankTables(20, 2, 0.7).W
+    for ell, r in ((1.5, 3), (2, 3.5)):
+        with pytest.raises(ConfigError):
+            tables.pi(ell, r)
+    for K in (0, 2.5, 4.0):
+        with pytest.raises(ConfigError):
+            RankTables(K, 2, 0.6)
 
 
 def test_w_monotone_in_t():
@@ -313,12 +342,10 @@ def test_widened_table_equals_one_built_at_full_width():
         direct = _SparseRankModel(q, p)
         assert np.array_equal(wide, direct.full_rank_probs(20, 100))
         assert np.array_equal(narrow, wide[:21])
-        assert np.array_equal(grown.pi_table(20, 100)[:, :101],
-                              direct.pi_table(20, 100)[:, :101])
 
 
 # Sparsities, besides 1/q + 1e-9 just above classic, at which the
-# order-at-a-time pi table is held to its term-at-a-time loop: through the
+# order-at-a-time pi kernel is held to its term-at-a-time loop: through the
 # middle, up to where the approximation breaks down.
 _PARITY_P = (0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.9999)
 # (20, 21) leaves the order-20 full-rank column one entry wide, the shape in
@@ -328,13 +355,13 @@ _PARITY_SIZES = ((1, 5), (2, 3), (20, 21), (20, 22), (20, 176), (61, 200))
 
 def _assert_model_matches_the_loops(q, p, L, R):
     model = _SparseRankModel(q, p)
-    table = model.pi_table(L, R - 1)
+    table = rank._pi_kernel(np.array(model._per_rows(L))[:, None], np.arange(R))[:, 0]
     assert table.shape == (L, R)
     assert table.tobytes() == pi_table_by_loop(model, L, R).tobytes(), (L, R)
     for c in sorted({1, 2, L // 2, L - 1, L} - {0}):
         if c > 60 or c >= R:
             continue
-        got = model._full_rank_column(c, R - 1)
+        got = model.full_rank_probs(c, R - 1)
         want = full_rank_column_by_loop(model, c, R - 1)
         assert got.tobytes() == want.tobytes(), (L, R, c)
 
@@ -345,12 +372,6 @@ def test_pi_table_and_full_rank_columns_match_the_term_loops(q):
     for p in (1.0 / q + 1e-9, *(p for p in _PARITY_P if p > 1.0 / q)):
         for L, R in _PARITY_SIZES:
             _assert_model_matches_the_loops(q, p, L, R)
-        # a table widened from R=22 to 176 holds what a direct build holds
-        model = _SparseRankModel(q, p)
-        model.pi_table(20, 21)
-        widened = model.pi_table(20, 175)
-        assert widened.shape == (20, 176)
-        assert widened.tobytes() == pi_table_by_loop(model, 20, 176).tobytes(), p
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,8 +421,8 @@ def test_batch_over_models_of_different_cached_widths(q):
     # each model only appends the columns it lacks, and the classic model
     # is left to its own closed form
     models = [_SparseRankModel(q, p) for p in (1.0 / q, *_batch_ps(q))]
-    models[1].full_rank_probs(20, 20)  # as wide as its pi table (r <= 20)
-    models[2].full_rank_probs(20, 45)  # doubled pi table
+    models[1].full_rank_probs(20, 20)  # one entry, r = 20
+    models[2].full_rank_probs(20, 45)  # r = 20 .. 45
     _fill_full_rank(models[3:5], 20, 33)
     _fill_full_rank(models[5:], 20, 25)
     _fill_full_rank(models, 20, 90)
