@@ -11,12 +11,19 @@ endpoint p = 1/q are reported alongside so the monotonicity assumption can be
 audited for any parameter set.
 
 Delivery comes from the rank kernel of ``srlnc.rank``, which evaluates many
-sparsities in one call.  The 50-point monotonicity audit is one such call,
-on rank models that stay in the shared model cache.  The bisection asks one
-call for the midpoints of its next three levels (seven points, on models that
-are dropped afterwards), then walks them in the order a one-midpoint-at-a-time
-bisection visits them: every midpoint, its delivery, the early exits, the
-iteration count and the final bracket are the same, bit for bit.
+sparsities in one call, and a pi value does not depend on the batch it is
+computed in.  The 50-point monotonicity audit is one such call, on rank
+models that stay in the shared model cache.  Its (p, delivery) pairs, and
+every midpoint read since, trace the curve the bisection walks down: a cubic
+through the four known points around a midpoint predicts which side of the
+floor it lands on, and so the path of the next levels, up to the predicted
+tolerance exit.  One kernel call fills every midpoint of that path (on models
+that are dropped afterwards).  The walk itself reads the real delivery at
+each midpoint, so every decision, the early exits, the iteration count and
+the final bracket are those of a one-midpoint-at-a-time bisection, bit for
+bit; a midpoint the prediction missed starts a new prediction from the
+points read so far.  At the figure-2a points that is about two kernel calls
+per solve.
 
 `intercept_gain` produces the payoff curve: for a range of transmission
 budgets it solves the constrained problem and estimates, by simulation, how
@@ -26,6 +33,7 @@ uniform coding.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 from dataclasses import dataclass
@@ -57,9 +65,8 @@ _MAX_ITER = 100
 # Grid size for the pre-bisection monotonicity audit of delivery(p).
 _MONOTONE_GRID = 50
 _MONOTONE_SLACK = 1e-10
-# Bisection levels whose midpoints one kernel call evaluates ahead of the walk
-# (two measured about the same, four slower).
-_LOOKAHEAD = 3
+# Bisection levels one prediction runs ahead of the walk at most.
+_PREDICT_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -135,17 +142,42 @@ def _delivery_curve(cfg: ImConfig, ps) -> list[float]:
     return [_delivery(weights, m, K, N) for m in _filled_models(cfg, ps, shared=True)]
 
 
-def _midpoints(lo: float, hi: float) -> list[float]:
-    """Every midpoint the bisection can reach in its next _LOOKAHEAD steps
-    from the bracket [lo, hi], computed as the walk computes it."""
-    brackets, mids = [(lo, hi)], []
-    for _ in range(_LOOKAHEAD):
-        halves = []
-        for a, b in brackets:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += [(a, mid), (mid, b)]
-        brackets = halves
+def _predicted_delivery(ps: list[float], ds: list[float], x: float) -> float:
+    """Delivery at x from the cubic through the four known points around it;
+    ps is sorted and holds at least four distinct sparsities."""
+    i = min(max(bisect.bisect(ps, x) - 2, 0), len(ps) - 4)
+    xs, ys = ps[i:i + 4], ds[i:i + 4]
+    total = 0.0
+    for j in range(4):
+        term = ys[j]
+        for k in range(4):
+            if k != j:
+                term *= (x - xs[k]) / (xs[j] - xs[k])
+        total += term
+    return total
+
+
+def _predicted_walk(cfg: ImConfig, known: dict[float, float],
+                    lo: float, hi: float) -> list[float]:
+    """The midpoints the bisection visits from the bracket [lo, hi] if
+    delivery follows the interpolant of the known (p, delivery) points, for
+    at most _PREDICT_LEVELS levels, computed as the walk computes them.  The
+    first one is the walk's next midpoint whatever the prediction."""
+    ps = sorted(known)
+    ds = [known[p] for p in ps]
+    mids = []
+    for _ in range(_PREDICT_LEVELS):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        d_mid = _predicted_delivery(ps, ds, mid)
+        if d_mid >= cfg.d_hat:
+            if d_mid - cfg.d_hat <= cfg.tol:
+                break
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
     return mids
 
 
@@ -153,6 +185,15 @@ def _model_intercept(cfg: ImConfig, p: float) -> float:
     code = dataclasses.replace(cfg.code, p=p)
     P = build_chain(code, cfg.chan, RankTables(code.K, code.q, p), cfg.mode)
     return intercept_probability(P, code.n_hat)
+
+
+def _solved(cfg: ImConfig, sol: ImSolution, calls: int = 0,
+            filled: int = 0) -> ImSolution:
+    """sol, after one DEBUG line on what the bisection cost."""
+    log.debug("solve_im K=%d q=%d n_hat=%d: %s after %d iterations, "
+              "%d kernel calls, %d midpoints filled", cfg.code.K, cfg.code.q,
+              cfg.code.n_hat, sol.status, sol.iterations, calls, filled)
+    return sol
 
 
 def solve_im(cfg: ImConfig) -> ImSolution:
@@ -187,33 +228,37 @@ def solve_im(cfg: ImConfig) -> ImSolution:
             "constraint infeasible: delivery(%.4f) = %.6f < d_hat = %.6f",
             cfg.p_min, d_lo, cfg.d_hat,
         )
-        return ImSolution(
+        return _solved(cfg, ImSolution(
             p_star=None, delivery=None, intercept=None,
             intercept_classic=i_classic, status="infeasible",
             iterations=0, bracket_width=0.0,
-        )
+        ))
     if d_hi >= cfg.d_hat:
-        return ImSolution(
+        return _solved(cfg, ImSolution(
             p_star=cfg.p_max, delivery=d_hi,
             intercept=_model_intercept(cfg, cfg.p_max),
             intercept_classic=i_classic, status="saturated-at-pmax",
             iterations=0, bracket_width=0.0,
-        )
+        ))
 
     lo, hi = float(grid[0]), cfg.p_max  # delivery(lo) >= d_hat > delivery(hi)
     best_p, best_d = lo, d_lo
     iterations = 0
-    # Midpoint -> rank model, filled for the next _LOOKAHEAD levels; delivery
-    # is read only where the walk goes, and a midpoint outside the batch
-    # starts the next one.
+    # Every (p, delivery) read so far, and the rank models of the predicted
+    # path, filled by one kernel call.  Delivery is read only where the walk
+    # goes; a midpoint off the path starts the next prediction.
+    known = dict(zip(grid.tolist(), vals))
     ahead: dict[float, _SparseRankModel] = {}
+    calls = filled = 0
     weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid not in ahead:
-            mids = _midpoints(lo, hi)
+            mids = _predicted_walk(cfg, known, lo, hi)
             ahead = dict(zip(mids, _filled_models(cfg, mids, shared=False)))
-        d_mid = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
+            calls += 1
+            filled += len(mids)
+        d_mid = known[mid] = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
         iterations += 1
         if d_mid >= cfg.d_hat:
             lo, best_p, best_d = mid, mid, d_mid
@@ -223,12 +268,12 @@ def solve_im(cfg: ImConfig) -> ImSolution:
             hi = mid
         if hi - lo < 1e-13:
             break
-    return ImSolution(
+    return _solved(cfg, ImSolution(
         p_star=best_p, delivery=best_d,
         intercept=_model_intercept(cfg, best_p),
         intercept_classic=i_classic, status="interior-root",
         iterations=iterations, bracket_width=hi - lo,
-    )
+    ), calls, filled)
 
 
 @dataclass(frozen=True)

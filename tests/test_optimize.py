@@ -266,3 +266,113 @@ def test_overflow_warnings_match_the_one_p_at_a_time_solve(
     assert got_sol == want_sol
     assert got == want
 
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Points per _filled_models(..., shared=False) call: one entry per
+    kernel call of the bisection, since the last clear()."""
+    calls = []
+    fill = optimize._filled_models
+
+    def counting(cfg, ps, shared):
+        if not shared:
+            calls.append(len(ps))
+        return fill(cfg, ps, shared)
+
+    monkeypatch.setattr(optimize, "_filled_models", counting)
+    return calls
+
+
+# (K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max) at every q of the
+# wrong-prediction test: interior roots, one saturated solve and one audit
+# failure (delivery turns up near p = 0.999 at K=20).
+_MISPREDICTED = (
+    (5, 0.05, 0.2, 1.0, 17, 0.99, 0.95),
+    (20, 0.05, 0.2, 1.0, 41, 0.99, 0.95),
+    (20, 0.01, 0.26, 0.9, 40, 0.9, 0.8),
+    (5, 0.1, 0.35, 1.0, 22, 0.5, 0.95),
+    (5, 0.05, 0.2, 1.0, 20, 0.5, 0.8),
+    (20, 0.05, 0.2, 1.0, 60, 0.99, 0.999),
+)
+
+
+@pytest.mark.parametrize("q", [2, 16, 256])
+@pytest.mark.parametrize("wrong", ["wrong-way", "nan", "one-point-path"])
+def test_a_wrong_prediction_never_changes_a_result(kernel_calls, q, wrong):
+    # The prediction only picks which midpoints one kernel call fills; the
+    # walk reads the real delivery at each.  Here the interpolant is
+    # mirrored about the floor (so every predicted step goes the other way
+    # wherever the interpolant is right), or returns NaN (every step goes
+    # left), or the path stops after the walk's next midpoint.
+    real_delivery, real_walk = optimize._predicted_delivery, optimize._predicted_walk
+    statuses, mispredicted = set(), 0
+    for K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max in _MISPREDICTED:
+        cfg = _im(K=K, q=q, eps_b=eps_b, eps_e=eps_e, eps_k=eps_k,
+                  n_hat=n_hat, d_hat=d_hat, p_max=p_max)
+        want = _solve_or_audit_failure(solve_im_sequential, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            if wrong == "wrong-way":
+                mp.setattr(optimize, "_predicted_delivery",
+                           lambda ps, ds, x: 2.0 * d_hat - real_delivery(ps, ds, x))
+            elif wrong == "nan":
+                mp.setattr(optimize, "_predicted_delivery",
+                           lambda ps, ds, x: float("nan"))
+            else:
+                mp.setattr(optimize, "_predicted_walk",
+                           lambda *args: real_walk(*args)[:1])
+            kernel_calls.clear()
+            got = _solve_or_audit_failure(solve_im, cfg)
+        assert got == want, (K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max)
+        statuses.add(got[5] if isinstance(got, tuple) else "audit failure")
+        if isinstance(got, tuple) and got[5] == "interior-root":
+            mispredicted += len(kernel_calls) > 1
+            if wrong == "one-point-path":
+                assert len(kernel_calls) == got[6]
+    assert statuses == {"interior-root", "saturated-at-pmax", "audit failure"}
+    assert mispredicted  # the broken predictor did cost kernel calls
+
+
+# These are counts of kernel calls and of the midpoints they fill, not
+# timings: they hold on any host.  A one-midpoint-at-a-time bisection makes
+# one call per iteration, 14 to 20 at these points; a predicted walk that
+# misses early, or fills far past where the walk stops, exceeds the budget.
+def test_kernel_calls_per_solve_at_the_figure_2a_points(caplog, kernel_calls):
+    caplog.set_level("DEBUG", logger="srlnc.optimize")
+    calls, points = [], []
+    for key in _SOLVE_PINS:
+        if key[2:] != ("paper-exact", 1.0):
+            continue
+        kernel_calls.clear()
+        caplog.clear()
+        sol = solve_im(_fig2a_point(*key))
+        # one DEBUG line per solve, with the counts the kernel saw
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.name == "srlnc.optimize" and r.levelname == "DEBUG"]
+        assert line.endswith(f"{sol.status} after {sol.iterations} iterations, "
+                             f"{len(kernel_calls)} kernel calls, "
+                             f"{sum(kernel_calls)} midpoints filled"), line
+        if sol.status != "infeasible":
+            calls.append(len(kernel_calls))
+            points.append(sum(kernel_calls))
+    assert len(calls) == 27
+    assert sum(calls) / len(calls) <= 2.5
+    assert sum(points) / len(points) <= 30
+
+
+@pytest.mark.parametrize("K", [5, 20])
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_kernel_calls_per_solve_on_the_parity_grid(kernel_calls, K, q):
+    # No solve of the parity grid costs more than one call per three
+    # iterations, plus one, so no channel or field size turns the
+    # prediction into a call per midpoint.
+    for chan in _PARITY_CHANNELS:
+        for n_hat in sorted({K + 1, K + 2, 2 * K, 3 * K + 7, 4 * K}):
+            for d_hat in (0.5, 0.9, 0.99):
+                for p_max in (0.8, 0.95):
+                    kernel_calls.clear()
+                    sol = solve_im(_im(K=K, q=q, eps_b=chan[0], eps_e=chan[1],
+                                       eps_k=chan[2], n_hat=n_hat,
+                                       d_hat=d_hat, p_max=p_max))
+                    budget = -(-sol.iterations // 3) + 1
+                    assert len(kernel_calls) <= budget, (chan, n_hat, d_hat, p_max)
