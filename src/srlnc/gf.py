@@ -114,23 +114,15 @@ class GF:
         uint64 with element j in lane ``j % (64 // m)`` of word
         ``j // (64 // m)``, ``m`` bits a lane, unused lanes zero.  At q = 2
         that is bit j of the little-endian bit string, which ``np.packbits``
-        writes directly.  When m divides 8 no lane crosses a byte, so byte i
-        of the little-endian words is elements ``8i/m .. 8(i+1)/m - 1``, one
-        OR of shifted lanes per element of a byte.
+        writes directly.
         """
         *lead, K = sym.shape
         m, per = self.m, 64 // self.m
         W = -(-K // per)
-        if 8 % m == 0:
-            lanes = np.zeros((*lead, per * W), dtype=np.uint8)
-            lanes[..., :K] = sym
-            if m == 1:
-                packed = np.packbits(lanes, bitorder="little")
-            else:
-                lanes = lanes.reshape(*lead, 8 * W, 8 // m)
-                packed = lanes[..., 0].copy()
-                for i in range(1, 8 // m):
-                    packed |= lanes[..., i] << np.uint8(m * i)
+        if m == 1:
+            bits = np.zeros((*lead, 64 * W), dtype=np.uint8)
+            bits[..., :K] = sym
+            packed = np.packbits(bits, bitorder="little")
             return packed.view("<u8").reshape(*lead, W)
         words = np.zeros((*lead, W), dtype=np.uint64)
         for j in range(K):

@@ -16,8 +16,8 @@ computed in.  The 50-point monotonicity audit is one such call, on rank
 models that stay in the shared model cache.  Its (p, delivery) pairs, and
 every midpoint read since, trace the curve the bisection walks down: a cubic
 through the four known points around a midpoint predicts which side of the
-floor it lands on, and so the path of the next levels, up to the predicted
-tolerance exit.  One kernel call fills every midpoint of that path (on models
+floor it lands on, and so the walk's path down to the predicted tolerance
+exit or the 1e-13 bracket.  One kernel call fills every midpoint of that path (on models
 that are dropped afterwards).  The walk itself reads the real delivery at
 each midpoint, so every decision, the early exits, the iteration count and
 the final bracket are those of a one-midpoint-at-a-time bisection, bit for
@@ -65,8 +65,6 @@ _MAX_ITER = 100
 # Grid size for the pre-bisection monotonicity audit of delivery(p).
 _MONOTONE_GRID = 50
 _MONOTONE_SLACK = 1e-10
-# Bisection levels one prediction runs ahead of the walk at most.
-_PREDICT_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,14 @@ def _predicted_delivery(ps: list[float], ds: list[float], x: float) -> float:
 def _predicted_walk(cfg: ImConfig, known: dict[float, float],
                     lo: float, hi: float) -> list[float]:
     """The midpoints the bisection visits from the bracket [lo, hi] if
-    delivery follows the interpolant of the known (p, delivery) points, for
-    at most _PREDICT_LEVELS levels, computed as the walk computes them.  The
-    first one is the walk's next midpoint whatever the prediction."""
+    delivery follows the interpolant of the known (p, delivery) points,
+    computed as the walk computes them, up to the walk's own stops (the
+    tolerance exit or the 1e-13 bracket).  The first one is the walk's next
+    midpoint whatever the prediction."""
     ps = sorted(known)
     ds = [known[p] for p in ps]
     mids = []
-    for _ in range(_PREDICT_LEVELS):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         mids.append(mid)
         d_mid = _predicted_delivery(ps, ds, mid)

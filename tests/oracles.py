@@ -33,18 +33,6 @@ def poly_mul(a: int, b: int, m: int, poly: int) -> int:
     return acc
 
 
-def pack_by_loop(sym: np.ndarray, m: int) -> np.ndarray:
-    """``GF.pack`` one element at a time: element j of each (..., K) vector
-    shifted into lane j % (64 // m) of word j // (64 // m), m bits a lane."""
-    *lead, K = sym.shape
-    per = 64 // m
-    words = np.zeros((*lead, -(-K // per)), dtype=np.uint64)
-    for j in range(K):
-        words[..., j // per] |= np.left_shift(
-            sym[..., j], np.uint64(m * (j % per)), dtype=np.uint64)
-    return words
-
-
 def classic_full_rank(r: int, c: int, q: int) -> Fraction:
     """P(an r x c matrix with iid uniform GF(q) entries has rank c), exact.
 

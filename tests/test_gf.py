@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pack_by_loop, poly_mul
+from oracles import poly_mul
 from srlnc import ConfigError, get_field
 
 FIELD_SIZES = (2, 4, 8, 16)
@@ -84,17 +84,3 @@ def test_gf256_axioms_sampled(a, b, c):
     assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
     if a:
         assert gf.mul(a, gf.inv(a)) == 1
-
-
-@pytest.mark.parametrize("q", (2, 4, 8, 16, 32, 64, 128, 256))
-@pytest.mark.parametrize("K", (1, 3, 7, 9, 17, 31, 33, 65, 70))
-def test_pack_matches_the_element_loop(q, K):
-    # Odd K leaves a partial byte at q = 4 and 16; K past 64 / m crosses
-    # into the next word at every q.  Equal as bytes, shape and dtype.
-    gf = get_field(q)
-    rng = np.random.default_rng([q, K])
-    for lead in ((), (2,), (3, 5)):
-        sym = rng.integers(0, q, size=(*lead, K), dtype=np.uint8)
-        got, want = gf.pack(sym), pack_by_loop(sym, gf.m)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
