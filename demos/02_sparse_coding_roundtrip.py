@@ -14,7 +14,7 @@ from srlnc import (
     DecoderState,
     decode_payloads,
     encode_payload,
-    sample_coding_vector,
+    sample_coding_matrix,
 )
 
 rng = np.random.default_rng(12)
@@ -34,7 +34,7 @@ slot = 0
 print("\nreception log:")
 while state.defect > 0:
     slot += 1
-    vec = sample_coding_vector(params, rng)
+    vec = sample_coding_matrix(params, 1, rng)[0]
     payload = encode_payload(gf, sources, vec)
     innovative = state.absorb(vec)
     tag = "innovative" if innovative else "redundant "
@@ -56,7 +56,7 @@ def slots_to_decode(p_value, runs=2000):
         st = DecoderState(K, q)
         n = 0
         while st.defect > 0 and n < 64:
-            st.absorb(sample_coding_vector(pars, r))
+            st.absorb(sample_coding_matrix(pars, 1, r)[0])
             n += 1
         counts.append(n)
     return np.mean(counts)

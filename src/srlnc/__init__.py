@@ -27,7 +27,6 @@ from .coding import (
     decode_payloads,
     encode_payload,
     sample_coding_matrix,
-    sample_coding_vector,
 )
 from .rank import (
     RankTables,
@@ -61,7 +60,7 @@ __all__ = [
     "ConfigError", "NotDecodableError", "NumericalIntegrityError",
     "GF", "get_field",
     "CodeParams", "DecoderState", "decode_payloads", "encode_payload",
-    "sample_coding_matrix", "sample_coding_vector",
+    "sample_coding_matrix",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
     "exact_full_rank_prob", "exact_innovation_prob", "full_rank_prob", "rho",
     "ChainState", "ChannelParams", "TransitionMatrix", "build_chain",

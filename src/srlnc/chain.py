@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coding import CodeParams
-from .errors import ConfigError, NumericalIntegrityError
+from .errors import ConfigError, NumericalIntegrityError, count, probability
 from .rank import RankTables, _binom_row
 
 log = logging.getLogger(__name__)
@@ -80,10 +79,8 @@ class ChannelParams:
     eps_k: float
 
     def __post_init__(self) -> None:
-        for name, v in (("eps_b", self.eps_b), ("eps_e", self.eps_e),
-                        ("eps_k", self.eps_k)):
-            if not isinstance(v, (int, float)) or math.isnan(v) or not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v!r} must be a probability in [0, 1]")
+        for name in ("eps_b", "eps_e", "eps_k"):
+            object.__setattr__(self, name, probability(getattr(self, name), name))
         if self.eps_b > self.eps_e:
             raise ConfigError(
                 f"eps_b={self.eps_b} exceeds eps_e={self.eps_e}: the model assumes "
@@ -108,9 +105,8 @@ def n_states(K: int) -> int:
 
 def label_of(state: ChainState, K: int) -> int:
     """Integer label of a reachable state; raises on unreachable ones."""
-    d_b, d_e = state.bob_defect, state.eve_defect
-    if not (0 <= d_b <= K and 0 <= d_e <= K):
-        raise ConfigError(f"defects ({d_b}, {d_e}) outside 0..{K}")
+    d_b = count(state.bob_defect, "bob_defect", high=K)
+    d_e = count(state.eve_defect, "eve_defect", high=K)
     if state.ack_received:
         if d_b != 0:
             raise ConfigError(
@@ -123,8 +119,7 @@ def label_of(state: ChainState, K: int) -> int:
 
 def state_of(label: int, K: int) -> ChainState:
     """Inverse of label_of."""
-    if not (0 <= label < n_states(K)):
-        raise ConfigError(f"label {label!r} outside 0..{n_states(K) - 1}")
+    label = count(label, "label", high=n_states(K) - 1)
     if label <= K:
         return ChainState(0, label, True)
     return ChainState(label // (K + 1) - 1, label % (K + 1), False)
@@ -170,6 +165,7 @@ class TransitionMatrix:
 
     def distribution(self, n_hat: int) -> np.ndarray:
         """Read-only distribution after n_hat slots from the initial state."""
+        n_hat = count(n_hat, "n_hat")  # before the memo, which 2.0 would hit
         dist = self._dists.get(n_hat)
         if dist is None:
             dist = _propagate(self, n_hat)
@@ -331,9 +327,8 @@ def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
 
 
 def _propagate(P: TransitionMatrix, n_hat: int) -> np.ndarray:
-    """Distribution after n_hat slots, starting from the initial state."""
-    if not isinstance(n_hat, int) or n_hat < 0:
-        raise ConfigError(f"n_hat={n_hat!r} must be a nonnegative integer")
+    """Distribution after n_hat slots, starting from the initial state; n_hat
+    comes checked from ``TransitionMatrix.distribution``."""
     S = P.n_states
     dist = np.zeros(S)
     dist[initial_label(P.K)] = 1.0
@@ -377,9 +372,7 @@ def delivery_probability(code: CodeParams, chan: ChannelParams,
     rank.  Needs at least K receptions, so a budget below K yields 0.
     """
     _check_tables(code, tables)
-    N = code.n_hat if n_hat is None else n_hat
-    if not isinstance(N, int) or N < 0:
-        raise ConfigError(f"n_hat={N!r} must be a nonnegative integer")
+    N = code.n_hat if n_hat is None else count(n_hat, "n_hat")
     K = code.K
     if N < K:
         log.warning("transmission budget %d is below K=%d; delivery is 0", N, K)

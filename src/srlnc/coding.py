@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotDecodableError
+from .errors import ConfigError, NotDecodableError, count, probability
 from .gf import GF, get_field
 
 
@@ -38,30 +38,23 @@ class CodeParams:
     n_hat: int
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
-            raise ConfigError(f"K must be a positive integer, got {self.K!r}")
-        get_field(self.q)  # validates q
-        lo = 1.0 / self.q
-        if not (lo <= self.p < 1.0):
+        K = count(self.K, "K", low=1)
+        q = get_field(self.q).q
+        p = probability(self.p, "p")
+        lo = 1.0 / q
+        if not (lo <= p < 1.0):
             raise ConfigError(
-                f"p={self.p} outside [{lo}, 1): below 1/q the coefficients are "
+                f"p={p} outside [{lo}, 1): below 1/q the coefficients are "
                 "no longer sparse-biased, and p=1 would send only zero vectors"
             )
-        if not isinstance(self.n_hat, int) or self.n_hat <= self.K:
-            raise ConfigError(
-                f"n_hat={self.n_hat!r} must be an integer above K={self.K}"
-            )
+        n_hat = count(self.n_hat, "n_hat", low=K + 1)
+        # stored normalised, so no numpy scalar reaches the float arithmetic
+        for name, value in (("K", K), ("q", q), ("p", p), ("n_hat", n_hat)):
+            object.__setattr__(self, name, value)
 
     @property
     def field(self) -> GF:
         return get_field(self.q)
-
-
-def sample_coding_vector(params: CodeParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one length-K coding vector from the biased coefficient law: one
-    row of :func:`sample_coding_matrix`, with the same values and stream use
-    (a uniform block, then an integer block that at q = 2 draws nothing)."""
-    return sample_coding_matrix(params, 1, rng)[0]
 
 
 def sample_coding_matrix(
@@ -110,11 +103,9 @@ class DecoderState:
     """
 
     def __init__(self, K: int, q: int):
-        if not isinstance(K, int) or K < 1:
-            raise ConfigError(f"K must be a positive integer, got {K!r}")
-        self.K = K
+        self.K = count(K, "K", low=1)
         self.field = get_field(q)
-        self.q = q
+        self.q = self.field.q
         self._rows: dict[int, np.ndarray] = {}  # pivot index -> uint8 row
         self.originals: list[np.ndarray] = []
 

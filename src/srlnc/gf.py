@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, count
 
 #: Reduction polynomial per extension degree, bit i = coefficient of
 #: x^i.  Degree 4 is x^4+x+1 and degree 8 is x^8+x^4+x^3+x+1; the others are
@@ -59,11 +59,10 @@ class GF:
     """
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 2 or q & (q - 1):
+        q = count(q, "field order", low=2, high=256)
+        if q & (q - 1):
             raise ConfigError(f"field order must be a power of two, got {q!r}")
         m = q.bit_length() - 1
-        if m > 8:
-            raise ConfigError(f"field order {q} above 256 is not supported")
         self.q = q
         self.m = m
         self.poly = DEFAULT_POLYNOMIALS[m]
@@ -205,7 +204,9 @@ class GF:
         return piv[:, :N]
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that an equal value of another type (2.0, True) is checked by
+# GF rather than handed the cached field.
+@functools.lru_cache(maxsize=None, typed=True)
 def get_field(q: int) -> GF:
     """Shared field instance for the given order."""
     return GF(q)

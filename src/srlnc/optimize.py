@@ -37,7 +37,7 @@ import bisect
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .chain import (
     intercept_probability,
 )
 from .coding import CodeParams
-from .errors import ConfigError, NumericalIntegrityError
+from .errors import ConfigError, NumericalIntegrityError, count, probability
 from .rank import RankTables, _fill_full_rank, _model, _SparseRankModel
 from .sim import SimConfig, estimate
 
@@ -85,8 +85,8 @@ class ImConfig:
     mode: str = DEFAULT_MODE
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.d_hat <= 1.0:
-            raise ConfigError(f"d_hat={self.d_hat!r} must be in [0, 1]")
+        for name in ("d_hat", "p_max"):
+            object.__setattr__(self, name, probability(getattr(self, name), name))
         if not self.p_min < self.p_max < 1.0:
             raise ConfigError(
                 f"p_max={self.p_max!r} must lie in (1/q, 1) = "
@@ -155,29 +155,40 @@ def _predicted_delivery(ps: list[float], ds: list[float], x: float) -> float:
     return total
 
 
-def _predicted_walk(cfg: ImConfig, known: dict[float, float],
-                    lo: float, hi: float) -> list[float]:
-    """The midpoints the bisection visits from the bracket [lo, hi] if
-    delivery follows the interpolant of the known (p, delivery) points,
-    computed as the walk computes them, up to the walk's own stops (the
-    tolerance exit or the 1e-13 bracket).  The first one is the walk's next
-    midpoint whatever the prediction."""
-    ps = sorted(known)
-    ds = [known[p] for p in ps]
+def _bisect(cfg: ImConfig, delivery: Callable[[float, float, float], float],
+            lo: float, hi: float) -> tuple[list[float], float, float]:
+    """The bisection on delivery >= d_hat from the bracket [lo, hi]: the
+    midpoints it visits and its final bracket.
+
+    ``delivery(mid, lo, hi)`` is delivery at the midpoint of [lo, hi].  The
+    walk stops at the tolerance exit (lo is then the midpoint), at a
+    bracket below 1e-13, or after _MAX_ITER steps.
+    """
     mids = []
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         mids.append(mid)
-        d_mid = _predicted_delivery(ps, ds, mid)
+        d_mid = delivery(mid, lo, hi)
         if d_mid >= cfg.d_hat:
+            lo = mid
             if d_mid - cfg.d_hat <= cfg.tol:
                 break
-            lo = mid
         else:
             hi = mid
         if hi - lo < 1e-13:
             break
-    return mids
+    return mids, lo, hi
+
+
+def _predicted_path(cfg: ImConfig, known: dict[float, float],
+                    lo: float, hi: float) -> list[float]:
+    """The midpoints the bisection visits from the bracket [lo, hi] if
+    delivery follows the interpolant of the known (p, delivery) points.  The
+    first one is the walk's next midpoint whatever the prediction."""
+    ps = sorted(known)
+    ds = [known[p] for p in ps]
+    return _bisect(cfg, lambda mid, lo, hi: _predicted_delivery(ps, ds, mid),
+                   lo, hi)[0]
 
 
 def _model_intercept(cfg: ImConfig, p: float) -> float:
@@ -240,9 +251,6 @@ def solve_im(cfg: ImConfig) -> ImSolution:
             iterations=0, bracket_width=0.0,
         ))
 
-    lo, hi = float(grid[0]), cfg.p_max  # delivery(lo) >= d_hat > delivery(hi)
-    best_p, best_d = lo, d_lo
-    iterations = 0
     # Every (p, delivery) read so far, and the rank models of the predicted
     # path, filled by one kernel call.  Delivery is read only where the walk
     # goes; a midpoint off the path starts the next prediction.
@@ -250,28 +258,24 @@ def solve_im(cfg: ImConfig) -> ImSolution:
     ahead: dict[float, _SparseRankModel] = {}
     calls = filled = 0
     weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+
+    def delivery(mid: float, lo: float, hi: float) -> float:
+        nonlocal ahead, calls, filled
         if mid not in ahead:
-            mids = _predicted_walk(cfg, known, lo, hi)
-            ahead = dict(zip(mids, _filled_models(cfg, mids, shared=False)))
+            path = _predicted_path(cfg, known, lo, hi)
+            ahead = dict(zip(path, _filled_models(cfg, path, shared=False)))
             calls += 1
-            filled += len(mids)
-        d_mid = known[mid] = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
-        iterations += 1
-        if d_mid >= cfg.d_hat:
-            lo, best_p, best_d = mid, mid, d_mid
-            if d_mid - cfg.d_hat <= cfg.tol:
-                break
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
+            filled += len(path)
+        known[mid] = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
+        return known[mid]
+
+    # delivery(lo) >= d_hat > delivery(hi), and lo stays a point read
+    mids, lo, hi = _bisect(cfg, delivery, float(grid[0]), cfg.p_max)
     return _solved(cfg, ImSolution(
-        p_star=best_p, delivery=best_d,
-        intercept=_model_intercept(cfg, best_p),
+        p_star=lo, delivery=known[lo],
+        intercept=_model_intercept(cfg, lo),
         intercept_classic=i_classic, status="interior-root",
-        iterations=iterations, bracket_width=hi - lo,
+        iterations=len(mids), bracket_width=hi - lo,
     ), calls, filled)
 
 
@@ -319,13 +323,14 @@ def intercept_gain(
     """
     points: list[GainPoint] = []
     for n_hat in n_hats:
+        n_hat = count(n_hat, "n_hat")
         point_cfg = dataclasses.replace(
-            cfg, code=dataclasses.replace(cfg.code, n_hat=int(n_hat))
+            cfg, code=dataclasses.replace(cfg.code, n_hat=n_hat)
         )
         sol = solve_im(point_cfg)
         if sol.status == "infeasible":
             points.append(GainPoint(
-                n_hat=int(n_hat), p_star=None, status=sol.status,
+                n_hat=n_hat, p_star=None, status=sol.status,
                 intercept_classic=None, intercept_opt=None,
                 gain=None, ci_low=None, ci_high=None,
             ))
@@ -335,7 +340,7 @@ def intercept_gain(
             code = dataclasses.replace(point_cfg.code, p=p)
             sim_cfg = SimConfig(
                 code=code, chan=cfg.chan, trials=trials,
-                base_seed=_leg_seed(base_seed, int(n_hat), leg),
+                base_seed=_leg_seed(base_seed, n_hat, leg),
             )
             legs[leg] = estimate(sim_cfg, workers=workers)
         i_classic = legs["classic"].intercept_hat
@@ -346,7 +351,7 @@ def intercept_gain(
             + i_opt * (1.0 - i_opt) / trials
         ))
         points.append(GainPoint(
-            n_hat=int(n_hat), p_star=sol.p_star, status=sol.status,
+            n_hat=n_hat, p_star=sol.p_star, status=sol.status,
             intercept_classic=i_classic, intercept_opt=i_opt,
             gain=gain, ci_low=gain - halfwidth, ci_high=gain + halfwidth,
         ))

@@ -58,11 +58,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import operator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, count, probability
 from .gf import get_field
 
 log = logging.getLogger(__name__)
@@ -111,18 +110,13 @@ def classic_innovation_prob(t: int, K: int, q: int) -> float:
     return 1.0 - float(q) ** (t - K)
 
 
-def _count(value: object, name: str) -> int:
-    """A count argument as a Python int (numpy integers too), else ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _validate_pq(p: float, q: int) -> None:
-    get_field(q)
+def _sparsity(p: float, q: int) -> tuple[float, int]:
+    """(p, q) as a Python float and int, else ConfigError: q a field order
+    and p in [1/q, 1)."""
+    q, p = get_field(q).q, probability(p, "p")
     if not (1.0 / q <= p < 1.0):
         raise ConfigError(f"p={p} outside [1/q, 1) for q={q}")
+    return p, q
 
 
 def _power(base: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -191,7 +185,7 @@ class _SparseRankModel:
     """
 
     def __init__(self, q: int, p: float):
-        _validate_pq(p, q)
+        p, q = _sparsity(p, q)
         self.q = q
         self.p = p
         self.classic = p == 1.0 / q
@@ -216,27 +210,19 @@ class _SparseRankModel:
     def rho(self, c: int, r: int) -> float:
         """P(a fixed nonzero combination of c sparse columns of height r
         sums to zero)."""
-        c, r = _count(c, "c"), _count(r, "r")
-        if c < 0 or r < 0:
-            raise ConfigError("rho needs nonnegative arguments")
+        c, r = count(c, "c"), count(r, "r")
         # numpy's pow, as in the pi kernel: Python's differs in the last bit
         return float(_power(np.array(self._per_rows(c)[c]), np.array([r]))[0])
 
     def pi(self, ell: int, r: int) -> float:
         """Signed correction term of order ell for columns of height r."""
-        ell, r = _count(ell, "ell"), _count(r, "r")
-        if ell < 1 or r < 0:
-            raise ConfigError(f"pi needs integers ell >= 1 and r >= 0, got {ell}, {r}")
+        ell, r = count(ell, "ell", low=1), count(r, "r")
         return float(self._pi_column(ell, r)[ell - 1])
 
     def full_rank_probs(self, c: int, r_max: int) -> np.ndarray:
         """Read-only array of full_rank_prob(r, c) for r = c .. r_max."""
-        c, r_max = _count(c, "c"), _count(r_max, "r")
-        if not 0 <= c <= r_max:
-            raise ConfigError(
-                f"full-rank probabilities need integers r >= c >= 0, "
-                f"got r={r_max}, c={c}"
-            )
+        c = count(c, "c")
+        r_max = count(r_max, "r", low=c)
         _fill_full_rank([self], c, r_max)
         if self._overflowed.get(c) is False:
             self._overflowed[c] = True
@@ -306,7 +292,9 @@ def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
         m._full_rank[c] = col
 
 
-@functools.lru_cache(maxsize=256)
+# typed, as get_field: an equal value of another type gets its own model,
+# built through the checks, rather than the cached one.
+@functools.lru_cache(maxsize=256, typed=True)
 def _model(q: int, p: float) -> _SparseRankModel:
     return _SparseRankModel(q, p)
 
@@ -340,13 +328,10 @@ class RankTables:
     """
 
     def __init__(self, K: int, q: int, p: float):
-        K = _count(K, "K")
-        if K < 1:
-            raise ConfigError(f"K must be a positive integer, got {K!r}")
-        self.K = K
-        self.q = q
-        self.p = p
+        self.K = count(K, "K", low=1)
         self._mdl = _model(q, p)
+        self.q = self._mdl.q
+        self.p = self._mdl.p
         self.classic = self._mdl.classic
 
     @functools.cached_property
@@ -364,10 +349,7 @@ class RankTables:
 
     def innovation_probability(self, t: int) -> float:
         """W[t] for 0 <= t <= K-1."""
-        t = _count(t, "t")
-        if not 0 <= t < self.K:
-            raise ConfigError(f"t={t!r} outside 0..{self.K - 1}")
-        return self.W[t]
+        return self.W[count(t, "t", high=self.K - 1)]
 
     def full_rank_prob(self, r: int, c: int) -> float:
         return self._mdl.full_rank_prob(r, c)
@@ -407,10 +389,9 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     The matrices are ranked in batches by ``GF.prefix_pivots`` and counted
     by their number of nonzero entries, which fixes their weight.
     """
-    _validate_pq(p, q)
-    r, c = _count(r, "r"), _count(c, "c")
-    if c < 0 or r < c:
-        raise ConfigError(f"enumeration needs r >= c >= 0, got {r}, {c}")
+    p, q = _sparsity(p, q)
+    c = count(c, "c")
+    r = count(r, "r", low=c)
     if c == 0:
         return 1.0
     cells = r * c
@@ -448,9 +429,8 @@ def exact_innovation_prob(t: int, K: int, p: float, q: int,
     height K: the chance that vector t+1 is innovative given the first t
     were mutually independent.
     """
-    t, K = _count(t, "t"), _count(K, "K")
-    if not 0 <= t < K:
-        raise ConfigError(f"t={t!r} outside 0..{K - 1}")
+    K = count(K, "K")
+    t = count(t, "t", high=K - 1)
     # The denominator is positive for every p < 1: any full-rank matrix
     # carries positive weight under the coefficient law.
     denom = exact_full_rank_prob(K, t, p, q, limit)

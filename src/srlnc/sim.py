@@ -53,7 +53,7 @@ import numpy as np
 # sample_coding_matrix draws what one trial's coefficient block holds; it is
 # not called here, but bench/spans.py wraps it under this module's name.
 from .coding import CodeParams, coefficient_law, sample_coding_matrix  # noqa: F401
-from .errors import ConfigError
+from .errors import count
 from .chain import ChannelParams
 
 _MASK64 = (1 << 64) - 1
@@ -81,12 +81,10 @@ class SimConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError(f"trials={self.trials!r} must be a positive integer")
-        if not isinstance(self.base_seed, int) or not 0 <= self.base_seed <= _MASK64:
-            raise ConfigError(
-                f"base_seed={self.base_seed!r} must fit in an unsigned 64-bit integer"
-            )
+        object.__setattr__(self, "trials", count(self.trials, "trials", low=1))
+        # seeds and trial indices fit in an unsigned 64-bit integer
+        object.__setattr__(self, "base_seed",
+                           count(self.base_seed, "base_seed", high=_MASK64))
 
 
 @dataclass(frozen=True)
@@ -244,10 +242,7 @@ def _outcomes(cfg: SimConfig, start: int, stop: int):
 def run_trial(cfg: SimConfig, trial_index: int) -> TrialOutcome:
     """Play one protocol round end to end, deterministically in
     (base_seed, trial_index)."""
-    if not isinstance(trial_index, int) or not 0 <= trial_index <= _MASK64:
-        raise ConfigError(
-            f"trial_index={trial_index!r} must fit in an unsigned 64-bit integer"
-        )
+    trial_index = count(trial_index, "trial_index", high=_MASK64)
     slots, bob, eve, n_bob, n_eve = _outcomes(cfg, trial_index, trial_index + 1)
     return TrialOutcome(int(slots[0]), bool(bob[0]), bool(eve[0]),
                         int(n_bob[0]), int(n_eve[0]))

@@ -14,7 +14,6 @@ from srlnc import (
     encode_payload,
     get_field,
     sample_coding_matrix,
-    sample_coding_vector,
 )
 
 
@@ -72,13 +71,6 @@ def test_nonzero_values_are_uniform_over_the_field():
         assert abs(counts[value] / n - expect) <= 3 * sigma, value
 
 
-def test_vector_and_matrix_sampling_agree():
-    params = CodeParams(K=6, q=16, p=0.5, n_hat=12)
-    one = sample_coding_vector(params, np.random.default_rng(11))
-    row = sample_coding_matrix(params, 1, np.random.default_rng(11))[0]
-    assert np.array_equal(one, row)
-
-
 def _two_draw_matrix(params, n, rng):
     # the sampler as first written: the integer block is drawn at every q
     zero_mask = rng.random((n, params.K)) < params.p
@@ -96,11 +88,6 @@ def test_samplers_match_the_two_draw_law_and_stream(q):
         want = _two_draw_matrix(params, n, want_rng)
         got = sample_coding_matrix(params, n, rng)
         assert got.dtype == np.uint8 and np.array_equal(got, want)
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-        want = _two_draw_matrix(params, 1, want_rng)[0]
-        got = sample_coding_vector(params, rng)
-        assert got.dtype == np.uint8 and got.shape == (7,)
-        assert np.array_equal(got, want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -163,7 +150,7 @@ def test_basis_matrix_is_reduced():
     state = DecoderState(6, 16)
     params = CodeParams(K=6, q=16, p=0.5, n_hat=12)
     while state.rank < 4:
-        state.absorb(sample_coding_vector(params, rng))
+        state.absorb(sample_coding_matrix(params, 1, rng)[0])
     basis = state.basis_matrix()
     assert basis.shape == (4, 6)
     # reduced echelon: each pivot column holds a single 1
@@ -202,7 +189,7 @@ def test_payload_roundtrip(K, q, p, payload_bytes):
     state = DecoderState(K, q)
     payloads = []
     while state.defect:
-        vec = sample_coding_vector(params, rng)
+        vec = sample_coding_matrix(params, 1, rng)[0]
         coded = encode_payload(gf, sources, vec)
         if state.absorb(vec):
             payloads.append(coded)
@@ -241,7 +228,7 @@ def test_rank_never_decreases_and_steps_by_at_most_one(K, q, seed):
     state = DecoderState(K, q)
     prev = 0
     for _ in range(3 * K):
-        grew = state.absorb(sample_coding_vector(params, rng))
+        grew = state.absorb(sample_coding_matrix(params, 1, rng)[0])
         assert state.rank - prev == (1 if grew else 0)
         assert 0 <= state.rank <= K
         prev = state.rank

@@ -1,0 +1,148 @@
+"""Every count and probability argument, checked by one rule.
+
+A count is anything ``operator.index`` accepts except bool, and comes back
+as a Python int; a probability is a real number in [0, 1], not bool and not
+NaN, and comes back as a Python float.  Each row below is one call site: the
+same bad values are refused everywhere, and a numpy scalar gives what the
+Python-typed call gives, down to the type of every stored number.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from srlnc import (
+    GF,
+    ChainState,
+    ChannelParams,
+    CodeParams,
+    ConfigError,
+    DecoderState,
+    ImConfig,
+    RankTables,
+    SimConfig,
+    build_chain,
+    chain_delivery_probability,
+    delivery_probability,
+    exact_full_rank_prob,
+    exact_innovation_prob,
+    get_field,
+    intercept_gain,
+    intercept_probability,
+    label_of,
+    run_trial,
+    state_of,
+)
+
+_CODE = CodeParams(K=4, q=2, p=0.6, n_hat=8)
+_CHAN = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=0.5)
+_TABLES = RankTables(4, 2, 0.6)
+_CHAIN = build_chain(_CODE, _CHAN, _TABLES)
+_SIM = SimConfig(_CODE, _CHAN, trials=10, base_seed=5)
+
+
+def _sim(**kw):
+    return dataclasses.astuple(dataclasses.replace(_SIM, **kw))[2:]
+
+
+def _im(**kw):
+    cfg = ImConfig(CodeParams(K=4, q=2, p=0.5, n_hat=8), _CHAN, **kw)
+    return cfg.d_hat, cfg.p_max
+
+
+def _gain(n_hat):
+    cfg = ImConfig(CodeParams(K=4, q=2, p=0.5, n_hat=8), _CHAN, d_hat=0.5)
+    return [dataclasses.astuple(g) for g in intercept_gain(cfg, [n_hat], trials=20)]
+
+
+# (call site, good value, call); the call returns what the test compares
+COUNTS = [
+    ("CodeParams.K", 4, lambda v: dataclasses.astuple(CodeParams(K=v, q=2, p=0.6, n_hat=8))),
+    ("CodeParams.q", 16, lambda v: dataclasses.astuple(CodeParams(K=4, q=v, p=0.6, n_hat=8))),
+    ("CodeParams.n_hat", 8, lambda v: dataclasses.astuple(CodeParams(K=4, q=2, p=0.6, n_hat=v))),
+    ("GF", 16, lambda v: (GF(v).q, GF(v).m)),
+    ("get_field", 16, lambda v: (get_field(v).q, get_field(v).m)),
+    ("DecoderState.K", 4, lambda v: (DecoderState(v, 2).K, DecoderState(v, 2).defect)),
+    ("DecoderState.q", 16, lambda v: DecoderState(4, v).q),
+    ("SimConfig.trials", 7, lambda v: _sim(trials=v)),
+    ("SimConfig.base_seed", 7, lambda v: _sim(base_seed=v)),
+    ("run_trial", 3, lambda v: dataclasses.astuple(run_trial(_SIM, v))),
+    ("intercept_probability", 6, lambda v: intercept_probability(_CHAIN, v)),
+    ("chain_delivery_probability", 6, lambda v: chain_delivery_probability(_CHAIN, v)),
+    ("delivery_probability", 10,
+     lambda v: delivery_probability(_CODE, _CHAN, _TABLES, n_hat=v)),
+    ("label_of bob_defect", 2, lambda v: label_of(ChainState(v, 1), 4)),
+    ("label_of eve_defect", 1, lambda v: label_of(ChainState(2, v), 4)),
+    ("intercept_gain n_hats", 10, _gain),
+    ("state_of", 17, lambda v: dataclasses.astuple(state_of(v, 4))),
+    ("RankTables.K", 4, lambda v: (RankTables(v, 2, 0.6).K, RankTables(v, 2, 0.6).W)),
+    ("RankTables.q", 16, lambda v: (RankTables(4, v, 0.6).q, RankTables(4, v, 0.6).W)),
+    ("rho c", 2, lambda v: _TABLES.rho(v, 5)),
+    ("rho r", 5, lambda v: _TABLES.rho(2, v)),
+    ("pi ell", 2, lambda v: _TABLES.pi(v, 5)),
+    ("pi r", 5, lambda v: _TABLES.pi(2, v)),
+    ("full_rank_probs c", 4, lambda v: _TABLES.full_rank_probs(v, 8).tolist()),
+    ("full_rank_probs r_max", 8, lambda v: _TABLES.full_rank_probs(4, v).tolist()),
+    ("innovation_probability", 2, lambda v: _TABLES.innovation_probability(v)),
+    ("exact_full_rank_prob r", 3, lambda v: exact_full_rank_prob(v, 2, 0.6, 2)),
+    ("exact_full_rank_prob c", 2, lambda v: exact_full_rank_prob(3, v, 0.6, 2)),
+    ("exact_innovation_prob t", 1, lambda v: exact_innovation_prob(v, 3, 0.6, 2)),
+    ("exact_innovation_prob K", 3, lambda v: exact_innovation_prob(1, v, 0.6, 2)),
+]
+
+PROBABILITIES = [
+    ("CodeParams.p", 0.6, lambda v: dataclasses.astuple(CodeParams(K=4, q=2, p=v, n_hat=8))),
+    ("ChannelParams.eps_b", 0.1, lambda v: dataclasses.astuple(ChannelParams(v, 0.3, 1.0))),
+    ("ChannelParams.eps_e", 0.3, lambda v: dataclasses.astuple(ChannelParams(0.1, v, 1.0))),
+    ("ChannelParams.eps_k", 0.5, lambda v: dataclasses.astuple(ChannelParams(0.1, 0.3, v))),
+    ("ImConfig.d_hat", 0.9, lambda v: _im(d_hat=v)),
+    ("ImConfig.p_max", 0.9, lambda v: _im(p_max=v)),
+    ("RankTables.p", 0.6, lambda v: (RankTables(4, 2, v).p, RankTables(4, 2, v).W)),
+]
+
+BAD = [True, 2.0, "3", math.nan]
+
+
+def _types(x):
+    """x with every number replaced by its type, through tuples and lists."""
+    if isinstance(x, (tuple, list)):
+        return [_types(v) for v in x]
+    return type(x)
+
+
+def _same(got, want):
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+@pytest.mark.parametrize("site,good,call", COUNTS + PROBABILITIES,
+                         ids=[row[0] for row in COUNTS + PROBABILITIES])
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+def test_bad_values_are_refused_everywhere(site, good, call, bad):
+    with pytest.raises(ConfigError):
+        call(bad)
+
+
+@pytest.mark.parametrize("site,good,call", COUNTS, ids=[row[0] for row in COUNTS])
+@pytest.mark.parametrize("wrap", [np.int64, np.int32])
+def test_numpy_counts_give_the_python_result(site, good, call, wrap):
+    _same(call(wrap(good)), call(good))
+
+
+@pytest.mark.parametrize("site,good,call", PROBABILITIES,
+                         ids=[row[0] for row in PROBABILITIES])
+@pytest.mark.parametrize("wrap", [np.float32, np.float64])
+def test_numpy_probabilities_give_the_python_result(site, good, call, wrap):
+    _same(call(wrap(good)), call(float(wrap(good))))
+
+
+def test_integer_probabilities_are_stored_as_floats():
+    chan = ChannelParams(eps_b=0, eps_e=0, eps_k=1)
+    assert _types(dataclasses.astuple(chan)) == [float] * 3
+
+
+def test_a_float_budget_is_refused_not_truncated():
+    with pytest.raises(ConfigError):
+        _gain(10.5)

@@ -348,7 +348,7 @@ def test_a_wrong_prediction_never_changes_a_result(kernel_calls, q, wrong):
     # mirrored about the floor (so every predicted step goes the other way
     # wherever the interpolant is right), or returns NaN (every step goes
     # left), or the path stops after the walk's next midpoint.
-    real_delivery, real_walk = optimize._predicted_delivery, optimize._predicted_walk
+    real_delivery, real_path = optimize._predicted_delivery, optimize._predicted_path
     statuses, mispredicted = set(), 0
     for K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max in _MISPREDICTED:
         cfg = _im(K=K, q=q, eps_b=eps_b, eps_e=eps_e, eps_k=eps_k,
@@ -362,8 +362,8 @@ def test_a_wrong_prediction_never_changes_a_result(kernel_calls, q, wrong):
                 mp.setattr(optimize, "_predicted_delivery",
                            lambda ps, ds, x: float("nan"))
             else:
-                mp.setattr(optimize, "_predicted_walk",
-                           lambda *args: real_walk(*args)[:1])
+                mp.setattr(optimize, "_predicted_path",
+                           lambda *args: real_path(*args)[:1])
             kernel_calls.clear()
             got = _solve_or_audit_failure(solve_im, cfg)
         assert got == want, (K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max)
