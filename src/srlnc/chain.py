@@ -107,6 +107,10 @@ def label_of(state: ChainState, K: int) -> int:
     """Integer label of a reachable state; raises on unreachable ones."""
     d_b = count(state.bob_defect, "bob_defect", high=K)
     d_e = count(state.eve_defect, "eve_defect", high=K)
+    if not isinstance(state.ack_received, (bool, np.bool_)):
+        raise ConfigError(
+            f"ack_received={state.ack_received!r} must be a bool"
+        )
     if state.ack_received:
         if d_b != 0:
             raise ConfigError(

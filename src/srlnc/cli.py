@@ -84,19 +84,41 @@ _CONFIG_KEYS = {
     name: kind for name, (kind, _, _) in _PARAMS.items() if name != "out"
 }
 
+# add_argument keywords of every flag, by name: the parameters, which start
+# as None so that _apply_config can tell an absent flag, then the rest.
+_FLAGS = {
+    name: dict(default=None, help=help_text,
+               **(dict(choices=kind) if isinstance(kind, tuple)
+                  else dict(type=kind)))
+    for name, (kind, _, help_text) in _PARAMS.items()
+} | {
+    "figure": dict(required=True, choices=FIGURES),
+    "config": dict(default=None,
+                   help="INI file with parameter defaults (flags win)"),
+    "with_oracle": dict(action="store_true",
+                        help="add an exact enumeration column (small K only)"),
+    "dump_matrix": dict(default=None, metavar="PATH", help="also write the "
+                        "transition matrix as (row, col, prob)"),
+}
+
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        kind, _, help_text = _PARAMS[name]
-        typed = dict(choices=kind) if isinstance(kind, tuple) else dict(type=kind)
-        sub.add_argument(_flag(name), dest=name, default=None, help=help_text,
-                         **typed)
-    sub.add_argument("--config", default=None,
-                     help="INI file with parameter defaults (flags win)")
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser.  Its flags are added when argparse selects
+    it, so a call builds the flags of the one subcommand it runs."""
+
+    def __init__(self, *, flags: tuple[str, ...], **kwargs):
+        super().__init__(**kwargs)
+        self._unbuilt = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags, self._unbuilt = self._unbuilt, ()
+        for name in flags:
+            self.add_argument(_flag(name), **_FLAGS[name])
+        return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,31 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulation, and sparsity optimization.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("rank", help="innovation/full-rank probability tables")
-    _add_common(s, "K", "q", "p", "Nhat", "out", "format")
-    s.add_argument("--with-oracle", action="store_true",
-                   help="add an exact enumeration column (small K only)")
-
-    s = subs.add_parser("chain", help="analytical intercept and delivery")
-    _add_common(s, "K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k",
-                "mode", "out", "format")
-    s.add_argument("--dump-matrix", default=None, metavar="PATH",
-                   help="also write the transition matrix as (row, col, prob)")
-
-    s = subs.add_parser("simulate", help="Monte Carlo protocol simulation")
-    _add_common(s, "K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k",
-                "trials", "seed", "threads", "out", "format")
-
-    s = subs.add_parser("optimize", help="solve the sparsity optimization")
-    _add_common(s, "K", "q", "Nhat", "eps_b", "eps_e", "eps_k", "Dhat",
-                "p_max", "tol", "mode", "out", "format")
-
-    s = subs.add_parser("sweep", help="reproduce one figure panel")
-    s.add_argument("--figure", required=True, choices=FIGURES)
-    _add_common(s, "K", "q", "eps_b", "eps_k", "Dhat", "p_max", "trials",
-                "seed", "threads", "mode", "out", "format")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_SubcommandParser)
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        subs.add_parser(name, help=help_text, flags=flags)
     return parser
 
 
@@ -436,12 +437,27 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+# Every subcommand: name -> (help, its flags in --help order, handler).
 _COMMANDS = {
-    "rank": _cmd_rank,
-    "chain": _cmd_chain,
-    "simulate": _cmd_simulate,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
+    "rank": ("innovation/full-rank probability tables",
+             ("K", "q", "p", "Nhat", "out", "format", "config", "with_oracle"),
+             _cmd_rank),
+    "chain": ("analytical intercept and delivery",
+              ("K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k", "mode", "out",
+               "format", "config", "dump_matrix"),
+              _cmd_chain),
+    "simulate": ("Monte Carlo protocol simulation",
+                 ("K", "q", "p", "Nhat", "eps_b", "eps_e", "eps_k", "trials",
+                  "seed", "threads", "out", "format", "config"),
+                 _cmd_simulate),
+    "optimize": ("solve the sparsity optimization",
+                 ("K", "q", "Nhat", "eps_b", "eps_e", "eps_k", "Dhat",
+                  "p_max", "tol", "mode", "out", "format", "config"),
+                 _cmd_optimize),
+    "sweep": ("reproduce one figure panel",
+              ("figure", "K", "q", "eps_b", "eps_k", "Dhat", "p_max", "trials",
+               "seed", "threads", "mode", "out", "format", "config"),
+              _cmd_sweep),
 }
 
 
@@ -451,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return _COMMANDS[args.command](args, argv)
+        return _COMMANDS[args.command][2](args, argv)
     except ConfigError as exc:
         print(f"srlnc: configuration error: {exc}", file=sys.stderr)
         return 2

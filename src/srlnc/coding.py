@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotDecodableError, count, probability
+from .errors import ConfigError, NotDecodableError, count, sparsity
 from .gf import GF, get_field
 
 
@@ -40,13 +40,7 @@ class CodeParams:
     def __post_init__(self):
         K = count(self.K, "K", low=1)
         q = get_field(self.q).q
-        p = probability(self.p, "p")
-        lo = 1.0 / q
-        if not (lo <= p < 1.0):
-            raise ConfigError(
-                f"p={p} outside [{lo}, 1): below 1/q the coefficients are "
-                "no longer sparse-biased, and p=1 would send only zero vectors"
-            )
+        p = sparsity(self.p, q)
         n_hat = count(self.n_hat, "n_hat", low=K + 1)
         # stored normalised, so no numpy scalar reaches the float arithmetic
         for name, value in (("K", K), ("q", q), ("p", p), ("n_hat", n_hat)):

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of each kind
-of scalar argument: a count or a probability."""
+of scalar argument: a count, a probability, a sparsity or a positive real."""
 
+import math
 import numbers
 import operator
 
@@ -33,14 +34,39 @@ def count(value: object, name: str, low: int = 0, high: int | None = None) -> in
     return int(n)
 
 
-def probability(value: object, name: str) -> float:
-    """A probability argument as a Python float in [0, 1], else ConfigError.
-
-    Any real number is one (numpy scalars too), except bool and NaN.  The
-    float matters: NumPy keeps ``1.0 - np.float32(x)`` in float32.
-    """
+def _real(value: object) -> float:
+    """value as a Python float if it is a real number (numpy scalars too)
+    other than bool, else NaN, which every range check below refuses.  The
+    float matters: NumPy keeps ``1.0 - np.float32(x)`` in float32."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        x = float(value)
-        if 0.0 <= x <= 1.0:
-            return x
-    raise ConfigError(f"{name}={value!r} must be a probability in [0, 1]")
+        return float(value)
+    return math.nan
+
+
+def probability(value: object, name: str) -> float:
+    """A probability argument as a Python float in [0, 1], else ConfigError."""
+    x = _real(value)
+    if not 0.0 <= x <= 1.0:
+        raise ConfigError(f"{name}={value!r} must be a probability in [0, 1]")
+    return x
+
+
+def sparsity(value: object, q: int) -> float:
+    """A coefficient zero-probability p as a Python float in [1/q, 1), else
+    ConfigError; q is a field order already checked."""
+    p = probability(value, "p")
+    if not 1.0 / q <= p < 1.0:
+        raise ConfigError(
+            f"p={p} outside [1/q, 1) = [{1.0 / q}, 1) for q={q}: below 1/q "
+            "the coefficients are no longer sparse-biased, and p=1 would send "
+            "only zero vectors"
+        )
+    return p
+
+
+def positive(value: object, name: str) -> float:
+    """A finite real argument above 0 as a Python float, else ConfigError."""
+    x = _real(value)
+    if not 0.0 < x < math.inf:
+        raise ConfigError(f"{name}={value!r} must be a positive real number")
+    return x

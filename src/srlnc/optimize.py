@@ -54,7 +54,9 @@ from .chain import (
     intercept_probability,
 )
 from .coding import CodeParams
-from .errors import ConfigError, NumericalIntegrityError, count, probability
+from .errors import (
+    ConfigError, NumericalIntegrityError, count, positive, probability,
+)
 from .rank import RankTables, _fill_full_rank, _model, _SparseRankModel
 from .sim import SimConfig, estimate
 
@@ -92,8 +94,7 @@ class ImConfig:
                 f"p_max={self.p_max!r} must lie in (1/q, 1) = "
                 f"({self.p_min}, 1) for q={self.code.q}"
             )
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol={self.tol!r} must be positive")
+        object.__setattr__(self, "tol", positive(self.tol, "tol"))
         if self.mode not in TRANSITION_MODES:
             raise ConfigError(
                 f"mode must be one of {TRANSITION_MODES}, got {self.mode!r}"

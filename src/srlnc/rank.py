@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, count, probability
+from .errors import ConfigError, count, sparsity
 from .gf import get_field
 
 log = logging.getLogger(__name__)
@@ -108,15 +108,6 @@ def classic_innovation_prob(t: int, K: int, q: int) -> float:
     """Exact classic probability that a fresh uniform vector escapes a
     t-dimensional subspace of GF(q)^K: 1 - q^(t-K)."""
     return 1.0 - float(q) ** (t - K)
-
-
-def _sparsity(p: float, q: int) -> tuple[float, int]:
-    """(p, q) as a Python float and int, else ConfigError: q a field order
-    and p in [1/q, 1)."""
-    q, p = get_field(q).q, probability(p, "p")
-    if not (1.0 / q <= p < 1.0):
-        raise ConfigError(f"p={p} outside [1/q, 1) for q={q}")
-    return p, q
 
 
 def _power(base: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -185,7 +176,8 @@ class _SparseRankModel:
     """
 
     def __init__(self, q: int, p: float):
-        p, q = _sparsity(p, q)
+        q = get_field(q).q
+        p = sparsity(p, q)
         self.q = q
         self.p = p
         self.classic = p == 1.0 / q
@@ -389,7 +381,8 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     The matrices are ranked in batches by ``GF.prefix_pivots`` and counted
     by their number of nonzero entries, which fixes their weight.
     """
-    p, q = _sparsity(p, q)
+    q = get_field(q).q
+    p = sparsity(p, q)
     c = count(c, "c")
     r = count(r, "r", low=c)
     if c == 0:

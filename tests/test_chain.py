@@ -58,25 +58,25 @@ def test_label_bijection_and_special_labels():
         seen = set()
         for d_b in range(K + 1):
             for d_e in range(K + 1):
-                lbl = label_of(ChainState(d_b, d_e, 0), K)
-                assert state_of(lbl, K) == ChainState(d_b, d_e, 0)
+                lbl = label_of(ChainState(d_b, d_e, False), K)
+                assert state_of(lbl, K) == ChainState(d_b, d_e, False)
                 seen.add(lbl)
         for d_e in range(K + 1):
-            lbl = label_of(ChainState(0, d_e, 1), K)
-            assert state_of(lbl, K) == ChainState(0, d_e, 1)
+            lbl = label_of(ChainState(0, d_e, True), K)
+            assert state_of(lbl, K) == ChainState(0, d_e, True)
             seen.add(lbl)
         assert len(seen) == n_states(K) == (K + 1) * (K + 2)
         assert initial_label(K) == (K + 1) ** 2 + K
-        assert label_of(ChainState(K, K, 0), K) == (K + 1) ** 2 + K
-        assert label_of(ChainState(0, 0, 1), K) == 0
+        assert label_of(ChainState(K, K, False), K) == (K + 1) ** 2 + K
+        assert label_of(ChainState(0, 0, True), K) == 0
         assert set(intercept_labels(K)) == {tau * (K + 1) for tau in range(K + 2)}
 
 
 def test_unreachable_states_and_labels_rejected():
     with pytest.raises(ConfigError):
-        label_of(ChainState(2, 1, 1), 4)  # ACK received implies d_B = 0
+        label_of(ChainState(2, 1, True), 4)  # ACK received implies d_B = 0
     with pytest.raises(ConfigError):
-        label_of(ChainState(5, 0, 0), 4)  # defect beyond K
+        label_of(ChainState(5, 0, False), 4)  # defect beyond K
     with pytest.raises(ConfigError):
         state_of(-1, 4)
     with pytest.raises(ConfigError):

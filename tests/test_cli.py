@@ -378,7 +378,8 @@ def test_numerical_integrity_failures_exit_3(capsys, monkeypatch):
     def boom(args, argv):
         raise NumericalIntegrityError("synthetic failure")
 
-    monkeypatch.setitem(cli._COMMANDS, "rank", boom)
+    help_text, flags, _ = cli._COMMANDS["rank"]
+    monkeypatch.setitem(cli._COMMANDS, "rank", (help_text, flags, boom))
     rc, _, err = _run(capsys, ["rank", "--K", "3", "--p", "0.6"])
     assert rc == 3
     assert "synthetic failure" in err

@@ -49,7 +49,7 @@ def _sim(**kw):
 
 def _im(**kw):
     cfg = ImConfig(CodeParams(K=4, q=2, p=0.5, n_hat=8), _CHAN, **kw)
-    return cfg.d_hat, cfg.p_max
+    return cfg.d_hat, cfg.p_max, cfg.tol
 
 
 def _gain(n_hat):
@@ -146,3 +146,50 @@ def test_integer_probabilities_are_stored_as_floats():
 def test_a_float_budget_is_refused_not_truncated():
     with pytest.raises(ConfigError):
         _gain(10.5)
+
+
+# tol is a positive real, not a probability: 2.0 is a valid tolerance
+@pytest.mark.parametrize("bad", [True, "3", math.nan, math.inf, 0.0, -1e-6, None],
+                         ids=repr)
+def test_tol_is_a_positive_real(bad):
+    with pytest.raises(ConfigError):
+        _im(tol=bad)
+
+
+@pytest.mark.parametrize("value", [np.float32(1e-6), np.float64(1e-6), 2.0, 1])
+def test_tol_is_stored_as_a_python_float(value):
+    cfg = ImConfig(CodeParams(K=4, q=2, p=0.5, n_hat=8), _CHAN, tol=value)
+    _same(cfg.tol, float(value))
+
+
+@pytest.mark.parametrize("bad", ["no", 1, 0.0, None], ids=repr)
+def test_ack_received_must_be_a_bool(bad):
+    with pytest.raises(ConfigError):
+        label_of(ChainState(0, 1, bad), 4)
+
+
+def test_numpy_bools_give_the_python_labels():
+    for flag in (True, False):
+        assert label_of(ChainState(0, 1, np.bool_(flag)), 4) == label_of(
+            ChainState(0, 1, flag), 4)
+
+
+# The sparsity range [1/q, 1) is one check, with one message, at every site.
+@pytest.mark.parametrize("p", [0.4, 1.0])
+def test_sparsity_range_is_one_check(p):
+    calls = [
+        lambda: CodeParams(K=4, q=2, p=p, n_hat=8),
+        lambda: RankTables(4, 2, p),
+        lambda: exact_innovation_prob(1, 3, p, 2),
+        lambda: exact_full_rank_prob(3, 2, p, 2),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ConfigError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {
+        f"p={p} outside [1/q, 1) = [0.5, 1) for q=2: below 1/q the "
+        "coefficients are no longer sparse-biased, and p=1 would send only "
+        "zero vectors"
+    }
