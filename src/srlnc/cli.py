@@ -13,7 +13,10 @@ seed, mode, version), then a header row, then one row per grid point.
 ``--seed`` is taken by ``simulate`` and ``sweep``, the only subcommands that
 draw random numbers, and ``--mode`` by ``chain``, ``optimize`` and ``sweep``,
 the ones that build a chain; elsewhere the metadata records the fixed value
-(seed 0, mode paper-exact).
+(seed 0, mode paper-exact).  ``optimize`` builds the chain only to print the
+intercepts at p* and at 1/q; the solve itself reads delivery alone.  On
+``sweep``, ``--mode`` changes the figure-1 panels only: the figure-2 gain
+curves are simulated.
 ``--format json`` emits the same content as ``{"meta": ..., "records": ...}``.
 ``--out FILE`` redirects to a file.  Numbers are rendered with repr so files
 are byte-stable across runs; re-running the command recorded in the metadata
@@ -313,13 +316,20 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     code = CodeParams(K=args.K, q=args.q, p=1.0 / args.q, n_hat=args.Nhat)
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
     cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat, p_max=args.p_max,
-                   tol=args.tol, mode=args.mode)
+                   tol=args.tol)
     sol = solve_im(cfg)
+
+    def intercept(p: float) -> float:
+        at = CodeParams(K=args.K, q=args.q, p=p, n_hat=args.Nhat)
+        P = build_chain(at, chan, RankTables(args.K, args.q, p), args.mode)
+        return intercept_probability(P, args.Nhat)
+
+    classic = intercept(code.p)  # priced first: its chain warns before p*'s
     record = {
         "K": args.K, "q": args.q, "N_hat": args.Nhat, "D_hat": args.Dhat,
         "p_star": sol.p_star, "status": sol.status, "delivery": sol.delivery,
-        "intercept": sol.intercept,
-        "intercept_classic": sol.intercept_classic,
+        "intercept": None if sol.p_star is None else intercept(sol.p_star),
+        "intercept_classic": classic,
         "iterations": sol.iterations, "mode": args.mode,
     }
     columns = ["K", "q", "N_hat", "D_hat", "p_star", "status", "delivery",
@@ -414,7 +424,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                 chan = ChannelParams(eps_b_panel, eps_e_panel, eps_k)
                 code = CodeParams(K=K, q=q, p=1.0 / q, n_hat=2 * K)
                 cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat,
-                               p_max=args.p_max, mode=args.mode)
+                               p_max=args.p_max)
                 points = intercept_gain(
                     cfg, _fig2_nhat_grid(K, q), trials=trials,
                     base_seed=args.seed, workers=args.threads,

@@ -62,6 +62,7 @@ def sample_coding_matrix(
     block draws nothing (numpy's ``integers(1, 2)`` leaves the generator
     untouched), so it is skipped.
     """
+    n = count(n, "n")
     u = rng.random((n, params.K))
     values = None
     if params.q > 2:

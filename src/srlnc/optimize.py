@@ -6,9 +6,10 @@ delivery probability at or above a floor d_hat.  Over the operating range
 (feedback mostly jammed), the intercept probability falls with p while
 delivery also falls with p, so the optimum sits where the delivery constraint
 becomes active: the solver is a bisection on delivery(p) - d_hat, not a
-generic optimizer.  The intercept values at the solution and at the classic
-endpoint p = 1/q are reported alongside so the monotonicity assumption can be
-audited for any parameter set.
+generic optimizer.  The solver returns p* and the delivery there; the
+intercept is the objective priced once the search is over, by the chain of
+``srlnc.chain`` at p* and at the classic endpoint p = 1/q, and the search
+never reads it.  ``srlnc optimize`` prints both.
 
 Delivery comes from the rank kernel of ``srlnc.rank``, which evaluates many
 sparsities in one call, and a pi value does not depend on the batch it is
@@ -41,24 +42,18 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-# delivery_probability is the one-p form of the batched delivery below; it
-# stays importable here, beside the names the solver calls, for bench/spans.py.
-from .chain import (
-    ChannelParams,
-    DEFAULT_MODE,
-    TRANSITION_MODES,
-    _delivery,
-    _reception_weights,
-    build_chain,
-    delivery_probability,
-    intercept_probability,
-)
+from .chain import ChannelParams, _delivery, _reception_weights
 from .coding import CodeParams
 from .errors import (
     ConfigError, NumericalIntegrityError, count, positive, probability,
 )
-from .rank import RankTables, _fill_full_rank, _model, _SparseRankModel
+from .rank import _fill_full_rank, _model, _SparseRankModel
 from .sim import SimConfig, estimate
+
+# The solver calls none of these four.  bench/spans.py wraps them in this
+# module's namespace, so they stay importable here until its patch points go.
+from .chain import build_chain, delivery_probability, intercept_probability
+from .rank import RankTables
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +70,8 @@ class ImConfig:
 
     code.p is ignored (p is the decision variable); code supplies K, q and
     the transmission budget.  The search runs over [1/q, p_max].  Delivery
-    and intercept come from the one pi recursion of ``srlnc.rank``; mode
-    picks the chain's transition law.
+    comes from the pi recursion of ``srlnc.rank``, and no chain is built, so
+    there is no transition law to pick.
     """
 
     code: CodeParams
@@ -84,7 +79,6 @@ class ImConfig:
     d_hat: float = 0.99
     p_max: float = 0.95
     tol: float = 1e-6
-    mode: str = DEFAULT_MODE
 
     def __post_init__(self) -> None:
         for name in ("d_hat", "p_max"):
@@ -95,10 +89,6 @@ class ImConfig:
                 f"({self.p_min}, 1) for q={self.code.q}"
             )
         object.__setattr__(self, "tol", positive(self.tol, "tol"))
-        if self.mode not in TRANSITION_MODES:
-            raise ConfigError(
-                f"mode must be one of {TRANSITION_MODES}, got {self.mode!r}"
-            )
 
     @property
     def p_min(self) -> float:
@@ -107,18 +97,14 @@ class ImConfig:
 
 @dataclass(frozen=True)
 class ImSolution:
-    """Result of one solve.
-
-    delivery/intercept are evaluated at p_star (None when infeasible);
-    intercept_classic is the model intercept at p = 1/q for the same budget,
-    kept for auditing the gain the optimizer claims.  bracket_width is the
-    final bisection bracket (0 for saturated solutions).
+    """Result of one solve: p_star and the delivery there (both None when
+    infeasible), and bracket_width, the final bisection bracket (0 unless the
+    root is interior).  The intercept is the chain's to price, at p_star and
+    at p = 1/q; ``srlnc optimize`` prints both.
     """
 
     p_star: float | None
     delivery: float | None
-    intercept: float | None
-    intercept_classic: float
     status: str
     iterations: int
     bracket_width: float
@@ -192,12 +178,6 @@ def _predicted_path(cfg: ImConfig, known: dict[float, float],
                    lo, hi)[0]
 
 
-def _model_intercept(cfg: ImConfig, p: float) -> float:
-    code = dataclasses.replace(cfg.code, p=p)
-    P = build_chain(code, cfg.chan, RankTables(code.K, code.q, p), cfg.mode)
-    return intercept_probability(P, code.n_hat)
-
-
 def _solved(cfg: ImConfig, sol: ImSolution, calls: int = 0,
             filled: int = 0) -> ImSolution:
     """sol, after one DEBUG line on what the bisection cost."""
@@ -212,7 +192,8 @@ def solve_im(cfg: ImConfig) -> ImSolution:
 
     Delivery is checked to be nonincreasing on a 50-point grid first; a
     violation aborts with a numerical-integrity error rather than returning a
-    root of a function that is not actually monotone.
+    root of a function that is not actually monotone.  Only rank models are
+    evaluated: the solve builds no chain.
     """
     # The grid starts a hair above p_min: at exactly 1/q delivery switches to
     # the closed-form classic branch, which sits below the approximation's
@@ -231,8 +212,6 @@ def solve_im(cfg: ImConfig) -> ImSolution:
             "p_max"
         )
 
-    i_classic = _model_intercept(cfg, cfg.p_min)
-
     d_lo, d_hi = vals[0], vals[-1]
     if d_lo < cfg.d_hat:
         log.warning(
@@ -240,15 +219,12 @@ def solve_im(cfg: ImConfig) -> ImSolution:
             cfg.p_min, d_lo, cfg.d_hat,
         )
         return _solved(cfg, ImSolution(
-            p_star=None, delivery=None, intercept=None,
-            intercept_classic=i_classic, status="infeasible",
+            p_star=None, delivery=None, status="infeasible",
             iterations=0, bracket_width=0.0,
         ))
     if d_hi >= cfg.d_hat:
         return _solved(cfg, ImSolution(
-            p_star=cfg.p_max, delivery=d_hi,
-            intercept=_model_intercept(cfg, cfg.p_max),
-            intercept_classic=i_classic, status="saturated-at-pmax",
+            p_star=cfg.p_max, delivery=d_hi, status="saturated-at-pmax",
             iterations=0, bracket_width=0.0,
         ))
 
@@ -273,9 +249,7 @@ def solve_im(cfg: ImConfig) -> ImSolution:
     # delivery(lo) >= d_hat > delivery(hi), and lo stays a point read
     mids, lo, hi = _bisect(cfg, delivery, float(grid[0]), cfg.p_max)
     return _solved(cfg, ImSolution(
-        p_star=lo, delivery=known[lo],
-        intercept=_model_intercept(cfg, lo),
-        intercept_classic=i_classic, status="interior-root",
+        p_star=lo, delivery=known[lo], status="interior-root",
         iterations=len(mids), bracket_width=hi - lo,
     ), calls, filled)
 

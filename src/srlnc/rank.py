@@ -67,14 +67,21 @@ from .gf import get_field
 log = logging.getLogger(__name__)
 
 def _binom(n: int, k: int) -> float:
-    """Binomial coefficient as a float; log-gamma above 60 to dodge overflow."""
+    """Binomial coefficient as a float, by log-gamma above 60.  C(n, n/2)
+    leaves the float range from n = 1030 on: ConfigError there."""
     if k < 0 or k > n:
         return 0.0
     if n <= 60:
         return float(math.comb(n, k))
-    return math.exp(
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
+    try:
+        return math.exp(
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        )
+    except OverflowError:
+        raise ConfigError(
+            f"C({n}, {k}) overflows a float: row counts and transmission "
+            "budgets above 1029 are out of range"
+        ) from None
 
 
 @functools.lru_cache(maxsize=1024)

@@ -391,8 +391,7 @@ def solve_im_sequential(cfg):
     """
     import dataclasses
 
-    from srlnc import (NumericalIntegrityError, RankTables, build_chain,
-                       delivery_probability, intercept_probability)
+    from srlnc import NumericalIntegrityError, RankTables, delivery_probability
     from srlnc.optimize import ImSolution
 
     K, q = cfg.code.K, cfg.code.q
@@ -400,11 +399,6 @@ def solve_im_sequential(cfg):
     def delivery_at(p):
         code = dataclasses.replace(cfg.code, p=p)
         return delivery_probability(code, cfg.chan, RankTables(K, q, p))
-
-    def intercept_at(p):
-        code = dataclasses.replace(cfg.code, p=p)
-        P = build_chain(code, cfg.chan, RankTables(K, q, p), cfg.mode)
-        return intercept_probability(P, code.n_hat)
 
     grid = np.linspace(cfg.p_min, cfg.p_max, 50)
     grid[0] = cfg.p_min + 1e-9 * (cfg.p_max - cfg.p_min)
@@ -418,13 +412,11 @@ def solve_im_sequential(cfg):
             "a monotone constraint, try a finer evaluation grid or narrower "
             "p_max"
         )
-    i_classic = intercept_at(cfg.p_min)
     d_lo, d_hi = vals[0], vals[-1]
     if d_lo < cfg.d_hat:
-        return ImSolution(None, None, None, i_classic, "infeasible", 0, 0.0)
+        return ImSolution(None, None, "infeasible", 0, 0.0)
     if d_hi >= cfg.d_hat:
-        return ImSolution(cfg.p_max, d_hi, intercept_at(cfg.p_max), i_classic,
-                          "saturated-at-pmax", 0, 0.0)
+        return ImSolution(cfg.p_max, d_hi, "saturated-at-pmax", 0, 0.0)
     lo, hi = float(grid[0]), cfg.p_max
     best_p, best_d = lo, d_lo
     iterations = 0
@@ -440,5 +432,4 @@ def solve_im_sequential(cfg):
             hi = mid
         if hi - lo < 1e-13:
             break
-    return ImSolution(best_p, best_d, intercept_at(best_p), i_classic,
-                      "interior-root", iterations, hi - lo)
+    return ImSolution(best_p, best_d, "interior-root", iterations, hi - lo)

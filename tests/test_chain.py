@@ -415,8 +415,9 @@ def test_modes_differ_exactly_by_the_acknowledgment_swap():
 def test_unknown_mode_rejected():
     code = CodeParams(K=3, q=2, p=0.6, n_hat=12)
     chan = ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0)
-    with pytest.raises(ConfigError):
-        build_chain(code, chan, RankTables(3, 2, 0.6), "other")
+    for mode in ("other", "exact"):
+        with pytest.raises(ConfigError):
+            build_chain(code, chan, RankTables(3, 2, 0.6), mode)
 
 
 def test_mismatched_tables_rejected():

@@ -238,6 +238,94 @@ def test_optimize_golden_bytes(capsys):
     assert out == _GOLDEN_OPTIMIZE
 
 
+def _run_process(argv):
+    """One srlnc call in a fresh interpreter: exit code, stdout and stderr.
+    Logged warnings reach stderr through logging's last-resort handler, as
+    they do for the installed command, and not through pytest's capture."""
+    src = os.path.dirname(os.path.dirname(srlnc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from srlnc.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_OPTIMIZE_HEADER = ("K,q,N_hat,D_hat,p_star,status,delivery,intercept,"
+                    "intercept_classic,iterations,mode\n")
+_CLAMP_WARNINGS = """\
+innovation table not monotone at K=20 q=2 p=0.99 (worst increase 1); approximation outside its range
+74 bracket term(s) clamped to 0 while building the chain at K=20 p=0.99; the innovation table is outside its comfort zone
+"""
+_SATURATED_ARGS = ["--K", "20", "--Nhat", "40", "--eps-b", "0.01",
+                   "--eps-e", "0.26", "--eps-k", "0.5", "--p-max", "0.99",
+                   "--Dhat", "0.0"]
+
+# Every exit path of optimize other than the interior root above, recorded
+# before the solver stopped computing intercepts: the infeasible row (exit
+# 4), the saturated rows whose chain at p* = 0.99 warns in both modes, and
+# the JSON form.  stderr is pinned too.
+_GOLDEN_OPTIMIZE_PATHS = [
+    (["--K", "5", "--Nhat", "17", "--eps-b", "0.05", "--eps-e", "0.2",
+      "--Dhat", "1.0"], 4,
+     "# command = srlnc optimize --K 5 --Nhat 17 --eps-b 0.05 --eps-e 0.2 "
+     "--Dhat 1.0\n# seed = 0\n# mode = paper-exact\n# version = 0.1.0\n"
+     + _OPTIMIZE_HEADER
+     + "5,2,17,1.0,,infeasible,,,0.9948044973722054,0,paper-exact\n",
+     "constraint infeasible: delivery(0.5000) = 0.999458 < d_hat = 1.000000\n"),
+    (_SATURATED_ARGS, 0,
+     "# command = srlnc optimize " + " ".join(_SATURATED_ARGS)
+     + "\n# seed = 0\n# mode = paper-exact\n# version = 0.1.0\n"
+     + _OPTIMIZE_HEADER
+     + "20,2,40,0.0,0.99,saturated-at-pmax,5.645689042046663e-12,"
+       "5.283903493049152e-44,0.10063773165916295,0,paper-exact\n",
+     _CLAMP_WARNINGS),
+    (_SATURATED_ARGS + ["--mode", "consistent"], 0,
+     "# command = srlnc optimize " + " ".join(_SATURATED_ARGS)
+     + " --mode consistent\n# seed = 0\n# mode = consistent\n"
+       "# version = 0.1.0\n"
+     + _OPTIMIZE_HEADER
+     + "20,2,40,0.0,0.99,saturated-at-pmax,5.645689042046663e-12,"
+       "5.72698752058671e-44,0.08454499146626394,0,consistent\n",
+     _CLAMP_WARNINGS),
+    (["--K", "20", "--q", "16", "--Nhat", "61", "--eps-b", "0.05",
+      "--eps-e", "0.2", "--format", "json"], 0,
+     """\
+{
+  "meta": {
+    "command": "srlnc optimize --K 20 --q 16 --Nhat 61 --eps-b 0.05 --eps-e 0.2 --format json",
+    "seed": 0,
+    "mode": "paper-exact",
+    "version": "0.1.0"
+  },
+  "records": [
+    {
+      "K": 20,
+      "q": 16,
+      "N_hat": 61,
+      "D_hat": 0.99,
+      "p_star": 0.8767503739135816,
+      "status": "interior-root",
+      "delivery": 0.9900000498158624,
+      "intercept": 0.9999999999973507,
+      "intercept_classic": 1.0,
+      "iterations": 16,
+      "mode": "paper-exact"
+    }
+  ]
+}
+""", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", _GOLDEN_OPTIMIZE_PATHS,
+                         ids=["infeasible", "saturated-warns-paper-exact",
+                              "saturated-warns-consistent", "json"])
+def test_optimize_exit_paths_golden_bytes(argv, code, out, err):
+    assert _run_process(["optimize", *argv]) == (code, out, err)
+
+
 def test_simulate_golden_bytes(capsys):
     rc, out, err = _run(capsys, ["simulate", "--K", "4", "--q", "2",
                                  "--p", "0.7", "--Nhat", "10", "--eps-b", "0.05",
@@ -372,6 +460,21 @@ def test_configuration_errors_exit_2(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)
     assert rc == 2
     assert needle in err
+
+
+# C(n, n/2) leaves the float range at n = 1030: a budget that large is a
+# configuration error, not a traceback, and 1029 still runs.
+@pytest.mark.parametrize("argv", [
+    ["chain", "--K", "20", "--p", "0.7", "--eps-b", "0.05", "--eps-e", "0.2"],
+    ["optimize", "--K", "20", "--eps-b", "0.05", "--eps-e", "0.2"],
+], ids=["chain", "optimize"])
+def test_a_budget_above_1029_exits_2(capsys, argv):
+    rc, out, err = _run(capsys, argv + ["--Nhat", "1029"])
+    assert rc == 0 and err == ""
+    rc, out, err = _run(capsys, argv + ["--Nhat", "1030"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("srlnc: configuration error: C(1030, ")
+    assert "above 1029 are out of range" in err
 
 
 def test_numerical_integrity_failures_exit_3(capsys, monkeypatch):

@@ -33,6 +33,7 @@ from srlnc import (
     intercept_probability,
     label_of,
     run_trial,
+    sample_coding_matrix,
     state_of,
 )
 
@@ -90,6 +91,8 @@ COUNTS = [
     ("exact_full_rank_prob c", 2, lambda v: exact_full_rank_prob(3, v, 0.6, 2)),
     ("exact_innovation_prob t", 1, lambda v: exact_innovation_prob(v, 3, 0.6, 2)),
     ("exact_innovation_prob K", 3, lambda v: exact_innovation_prob(1, v, 0.6, 2)),
+    ("sample_coding_matrix n", 3,
+     lambda v: sample_coding_matrix(_CODE, v, np.random.default_rng(9)).tolist()),
 ]
 
 PROBABILITIES = [
@@ -102,7 +105,7 @@ PROBABILITIES = [
     ("RankTables.p", 0.6, lambda v: (RankTables(4, 2, v).p, RankTables(4, 2, v).W)),
 ]
 
-BAD = [True, 2.0, "3", math.nan]
+BAD = [True, 2.0, -1, "3", math.nan]
 
 
 def _types(x):

@@ -5,7 +5,10 @@ import warnings
 
 import pytest
 
-from srlnc.chain import ChannelParams, delivery_probability
+from srlnc import chain
+from srlnc.chain import (
+    ChannelParams, build_chain, delivery_probability, intercept_probability,
+)
 from srlnc.coding import CodeParams
 from srlnc.errors import ConfigError, NumericalIntegrityError
 from srlnc import optimize, rank
@@ -23,6 +26,14 @@ def _im(K=5, q=2, eps_b=0.05, eps_e=0.2, eps_k=1.0, n_hat=17, **kw):
     )
 
 
+def _intercept(cfg, p, mode="paper-exact"):
+    """The chain's intercept at sparsity p for cfg's budget and channel, as
+    srlnc optimize prices it."""
+    code = dataclasses.replace(cfg.code, p=p)
+    P = build_chain(code, cfg.chan, RankTables(code.K, code.q, p), mode)
+    return intercept_probability(P, code.n_hat)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _im(d_hat=1.5)
@@ -34,26 +45,47 @@ def test_config_validation():
         _im(p_max=1.0)
     with pytest.raises(ConfigError):
         _im(tol=0.0)
-    with pytest.raises(ConfigError):
-        _im(mode="exact")
+
+
+def test_the_solver_reads_no_transition_law_and_prices_no_intercept():
+    assert [f.name for f in dataclasses.fields(ImConfig)] == [
+        "code", "chan", "d_hat", "p_max", "tol"]
+    assert [f.name for f in dataclasses.fields(ImSolution)] == [
+        "p_star", "delivery", "status", "iterations", "bracket_width"]
+
+
+@pytest.mark.parametrize("d_hat,status", [
+    (0.99, "interior-root"), (0.0, "saturated-at-pmax"),
+    (1.0, "infeasible")])
+def test_solve_and_gain_curve_build_no_chain(monkeypatch, d_hat, status):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver built or propagated a chain")
+
+    for module in (chain, optimize):
+        monkeypatch.setattr(module, "build_chain", refuse)
+        monkeypatch.setattr(module, "intercept_probability", refuse)
+    cfg = _im(d_hat=d_hat)
+    assert solve_im(cfg).status == status
+    (point,) = intercept_gain(cfg, [17], trials=20, base_seed=3)
+    assert point.status == status
 
 
 def test_zero_floor_saturates_at_pmax():
-    sol = solve_im(_im(d_hat=0.0))
+    cfg = _im(d_hat=0.0)
+    sol = solve_im(cfg)
     assert sol.status == "saturated-at-pmax"
     assert sol.p_star == 0.95
     assert sol.iterations == 0
     assert sol.bracket_width == 0.0
-    assert sol.intercept is not None and 0.0 <= sol.intercept <= 1.0
-    assert sol.intercept_classic >= sol.intercept
+    intercept = _intercept(cfg, sol.p_star)
+    assert 0.0 <= intercept <= _intercept(cfg, cfg.p_min)
 
 
 def test_certain_delivery_over_a_lossy_link_is_infeasible():
     sol = solve_im(_im(d_hat=1.0, eps_b=0.05, eps_e=0.2))
     assert sol.status == "infeasible"
-    assert sol.p_star is None and sol.delivery is None and sol.intercept is None
-    # the classic-endpoint audit value is still reported
-    assert 0.0 < sol.intercept_classic <= 1.0
+    assert sol.p_star is None and sol.delivery is None
+    assert sol.iterations == 0 and sol.bracket_width == 0.0
 
 
 def test_reference_case_agrees_with_dense_grid():
@@ -86,7 +118,7 @@ def test_interior_root_postconditions(kw):
     d_right = delivery_probability(
         right, cfg.chan, RankTables(cfg.code.K, cfg.code.q, sol.p_star + 0.01))
     assert d_right < cfg.d_hat
-    assert sol.intercept_classic >= sol.intercept
+    assert _intercept(cfg, cfg.p_min) >= _intercept(cfg, sol.p_star)
 
 
 def test_monotonicity_audit_rejects_a_rising_constraint(monkeypatch):
@@ -141,10 +173,14 @@ def test_solution_shape():
     assert sol.status in ("interior-root", "saturated-at-pmax", "infeasible")
 
 
-# Every number solve_im returns, as float.hex, with the status and the
-# iteration count, recorded before the pi recursion ran one order at a time.
-# Each bisection step reads pi from a new kernel call, so a change in the last
-# bit of any pi value moves p_star, the iteration count or the final bracket here.
+# Every number srlnc optimize prints, as float.hex, with the status and the
+# iteration count, recorded before the pi recursion ran one order at a time:
+# (p_star, delivery, intercept at p_star, intercept at 1/q, bracket_width,
+# status, iterations).  Each bisection step reads pi from a new kernel call,
+# so a change in the last bit of any pi value moves p_star, the iteration
+# count or the final bracket here.  The two intercepts were recorded when
+# solve_im still returned them; they are the chain's, under the key's mode,
+# at the pinned p_star and at 1/q.
 # Keys: (q, n_hat, mode, eps_k) at K=20 on the figure-2a channel
 # (eps_b=0.05, eps_e=0.2, D_hat=0.99, p_max=0.95); the rows at eps_k=1 are
 # the 30 budgets of the benchmark's optimize-fig2 workload.
@@ -184,25 +220,34 @@ _SOLVE_PINS = {
 
 
 def _fig2a_point(q, n_hat, mode, eps_k):
+    """The solver's config at a pinned key; the mode is the chain's only."""
     return _im(K=20, q=q, eps_b=0.05, eps_e=0.2, eps_k=eps_k, n_hat=n_hat,
-               d_hat=0.99, p_max=0.95, mode=mode)
+               d_hat=0.99, p_max=0.95)
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _hex_fields(sol):
+    """(p_star, delivery, bracket_width, status, iterations), floats as hex."""
+    return (_hex(sol.p_star), _hex(sol.delivery), _hex(sol.bracket_width),
+            sol.status, sol.iterations)
 
 
 # The ids name the pi recursion's reading (row-count) the pins were recorded
 # under.
-def _hex_fields(sol):
-    def hex_or_none(x):
-        return None if x is None else float(x).hex()
-
-    return (hex_or_none(sol.p_star), hex_or_none(sol.delivery),
-            hex_or_none(sol.intercept), hex_or_none(sol.intercept_classic),
-            hex_or_none(sol.bracket_width), sol.status, sol.iterations)
-
-
 @pytest.mark.parametrize("key", list(_SOLVE_PINS),
                          ids=lambda k: "{}-{}-row-count-{}-{}".format(*k))
 def test_solver_path_is_pinned_bit_for_bit(key):
-    assert _hex_fields(solve_im(_fig2a_point(*key))) == _SOLVE_PINS[key]
+    p_star, delivery, i_opt, i_classic, width, status, iterations = _SOLVE_PINS[key]
+    cfg = _fig2a_point(*key)
+    assert _hex_fields(solve_im(cfg)) == (p_star, delivery, width, status,
+                                          iterations)
+    mode = key[2]
+    if p_star is not None:
+        assert _hex(_intercept(cfg, float.fromhex(p_star), mode)) == i_opt
+    assert _hex(_intercept(cfg, cfg.p_min, mode)) == i_classic
 
 
 # (eps_b, eps_e, eps_k) of the grid the batched solver is held to the
@@ -252,7 +297,7 @@ def test_batched_solve_equals_the_one_p_at_a_time_solve(kernel_calls, K, q):
                     got = _solve_or_audit_failure(solve_im, cfg)
                     assert got == want, (chan, n_hat, d_hat, p_max)
                     if isinstance(got, tuple):
-                        budget = -(-got[6] // 3) + 1
+                        budget = -(-got[4] // 3) + 1
                         assert len(kernel_calls) <= budget, (chan, n_hat, d_hat, p_max)
 
 
@@ -367,11 +412,11 @@ def test_a_wrong_prediction_never_changes_a_result(kernel_calls, q, wrong):
             kernel_calls.clear()
             got = _solve_or_audit_failure(solve_im, cfg)
         assert got == want, (K, eps_b, eps_e, eps_k, n_hat, d_hat, p_max)
-        statuses.add(got[5] if isinstance(got, tuple) else "audit failure")
-        if isinstance(got, tuple) and got[5] == "interior-root":
+        statuses.add(got[3] if isinstance(got, tuple) else "audit failure")
+        if isinstance(got, tuple) and got[3] == "interior-root":
             mispredicted += len(kernel_calls) > 1
             if wrong == "one-point-path":
-                assert len(kernel_calls) == got[6]
+                assert len(kernel_calls) == got[4]
     assert statuses == {"interior-root", "saturated-at-pmax", "audit failure"}
     assert mispredicted  # the broken predictor did cost kernel calls
 
