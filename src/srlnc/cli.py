@@ -9,7 +9,7 @@ Subcommands:
 * ``sweep``: reproduce a whole figure panel (grids of the above).
 
 Output is CSV on stdout by default: ``#``-prefixed metadata lines (command,
-seed, mode, version), then a header row, then one row per grid point.
+seed, mode, version), the record keys as header, then one row per grid point.
 ``--seed`` is taken by ``simulate`` and ``sweep``, the only subcommands that
 draw random numbers, and ``--mode`` by ``chain``, ``optimize`` and ``sweep``,
 the ones that build a chain; elsewhere the metadata records the fixed value
@@ -82,11 +82,6 @@ _PARAMS = {
     "tol": (float, 1e-6, "delivery tolerance of the bisection"),
 }
 
-# Config-file keys and their type, or tuple of choices, as for the flags.
-_CONFIG_KEYS = {
-    name: kind for name, (kind, _, _) in _PARAMS.items() if name != "out"
-}
-
 # add_argument keywords of every flag, by name: the parameters, which start
 # as None so that _apply_config can tell an absent flag, then the rest.
 _FLAGS = {
@@ -149,11 +144,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ConfigError(f"config file not found: {args.config}")
         for section in ini.sections():
             for key, raw in ini.items(section):
-                if key not in _CONFIG_KEYS:
+                if key not in _PARAMS or key == "out":
                     raise ConfigError(
                         f"unknown key {key!r} in config file {args.config}"
                     )
-                kind = _CONFIG_KEYS[key]
+                kind = _PARAMS[key][0]
                 if isinstance(kind, tuple):
                     if raw not in kind:
                         raise ConfigError(
@@ -194,22 +189,22 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _emit(records: list[dict], columns: list[str], meta: dict,
-          out: str | None, fmt: str) -> None:
+def _emit(records: list[dict], meta: dict, out: str | None, fmt: str,
+          columns: list[str] | None = None) -> None:
+    """Write JSON, or CSV headed by the records' keys or by columns."""
     if fmt == "json":
         text = json.dumps({"meta": meta, "records": records}, indent=2) + "\n"
     else:
+        columns = columns or list(records[0])
         lines = [f"# {k} = {v}" for k, v in meta.items()]
         lines.append(",".join(columns))
         for rec in records:
-            lines.append(",".join(_fmt(rec.get(c)) for c in columns))
+            lines.append(",".join(_fmt(rec[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -227,42 +222,33 @@ def _meta(args: argparse.Namespace, argv: list[str]) -> dict:
     }
 
 
-def _nhat_default(args: argparse.Namespace) -> int:
-    return args.Nhat if args.Nhat is not None else 2 * args.K
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p")
-    n_hat = _nhat_default(args)
+    n_hat = args.Nhat if args.Nhat is not None else 2 * args.K
     tables = RankTables(args.K, args.q, args.p)
+    # W first, then the full-rank column, so their warnings keep this order
+    rows = [("innovation", t, w) for t, w in enumerate(tables.W)]
+    if n_hat >= args.K:
+        rows += [("full_rank", r, v) for r, v in enumerate(
+            tables.full_rank_probs(args.K, n_hat).tolist(), start=args.K)]
+    oracles = {"innovation": exact_innovation_prob,
+               "full_rank": exact_full_rank_prob}
     records = []
-    for t in range(args.K):
-        rec = {"K": args.K, "q": args.q, "p": args.p, "kind": "innovation",
-               "index": t, "value": tables.W[t], "oracle": None}
+    for kind, index, value in rows:
+        rec = {"K": args.K, "q": args.q, "p": args.p, "kind": kind,
+               "index": index, "value": value, "oracle": None}
         if args.with_oracle:
             try:
-                rec["oracle"] = exact_innovation_prob(t, args.K, args.p, args.q)
+                rec["oracle"] = oracles[kind](index, args.K, args.p, args.q)
             except ConfigError:
                 pass  # enumeration too large; leave the cell empty
         records.append(rec)
-    full_rank = (tables.full_rank_probs(args.K, n_hat).tolist()
-                 if n_hat >= args.K else [])
-    for r, value in enumerate(full_rank, start=args.K):
-        rec = {"K": args.K, "q": args.q, "p": args.p, "kind": "full_rank",
-               "index": r, "value": value, "oracle": None}
-        if args.with_oracle:
-            try:
-                rec["oracle"] = exact_full_rank_prob(r, args.K, args.p, args.q)
-            except ConfigError:
-                pass
-        records.append(rec)
-    columns = ["K", "q", "p", "kind", "index", "value"]
-    if args.with_oracle:
-        columns.append("oracle")
-    _emit(records, columns, _meta(args, argv), args.out, args.format)
+    # JSON records always carry oracle; the CSV column only with the flag
+    columns = [c for c in records[0] if args.with_oracle or c != "oracle"]
+    _emit(records, _meta(args, argv), args.out, args.format, columns)
     return 0
 
 
@@ -280,13 +266,10 @@ def _cmd_chain(args: argparse.Namespace, argv: list[str]) -> int:
         "K": args.K, "q": args.q, "eps_B": args.eps_b, "eps_E": args.eps_e,
         "eps_K": args.eps_k, "mode": args.mode,
     }
-    columns = ["p", "N_hat", "I", "D", "I_chain_delivery", "K", "q",
-               "eps_B", "eps_E", "eps_K", "mode"]
-    _emit([record], columns, _meta(args, argv), args.out, args.format)
+    _emit([record], _meta(args, argv), args.out, args.format)
     if args.dump_matrix:
         rows = [{"row": i, "col": j, "prob": v} for i, j, v in P.triplets()]
-        _emit(rows, ["row", "col", "prob"], _meta(args, argv),
-              args.dump_matrix, "csv")
+        _emit(rows, _meta(args, argv), args.dump_matrix, "csv")
     return 0
 
 
@@ -305,9 +288,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "delivery_hat": stats.delivery_hat, "ci": stats.intercept_ci,
         "mean_slots": stats.mean_slots,
     }
-    columns = ["p", "N_hat", "eps_B", "eps_E", "eps_K", "K", "q", "trials",
-               "intercept_hat", "delivery_hat", "ci", "mean_slots"]
-    _emit([record], columns, _meta(args, argv), args.out, args.format)
+    _emit([record], _meta(args, argv), args.out, args.format)
     return 0
 
 
@@ -332,9 +313,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
         "intercept_classic": classic,
         "iterations": sol.iterations, "mode": args.mode,
     }
-    columns = ["K", "q", "N_hat", "D_hat", "p_star", "status", "delivery",
-               "intercept", "intercept_classic", "iterations", "mode"]
-    _emit([record], columns, _meta(args, argv), args.out, args.format)
+    _emit([record], _meta(args, argv), args.out, args.format)
     return 4 if sol.status == "infeasible" else 0
 
 
@@ -401,10 +380,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                         "delivery_hat": stats.delivery_hat,
                         "mean_slots": stats.mean_slots,
                     })
-        columns = ["figure", "K", "q", "N_hat", "eps_B", "eps_E", "eps_K",
-                   "p", "trials", "intercept_theory", "intercept_hat", "ci",
-                   "delivery_theory", "delivery_hat", "mean_slots"]
-        _emit(records, columns, _meta(args, argv), args.out, args.format)
+        _emit(records, _meta(args, argv), args.out, args.format)
         return 0
 
     eps_b_panel, eps_e_panel = _FIG2_CHANNELS[args.figure]
@@ -440,10 +416,10 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                         "eps_B": eps_b_panel, "eps_E": eps_e_panel,
                         "eps_K": eps_k, "D_hat": args.Dhat, "trials": trials,
                     })
-    columns = ["N_hat", "p_star", "status", "I_classic", "I_opt", "gain",
-               "ci_low", "ci_high", "figure", "K", "q", "eps_B", "eps_E",
-               "eps_K", "D_hat", "trials"]
-    _emit(records, columns, _meta(args, argv), args.out, args.format)
+    if not records:  # the q > 2 grids end at N_hat = 100
+        raise ConfigError(f"figure {args.figure} has no budget above "
+                          f"K={args.K} at q={args.q}")
+    _emit(records, _meta(args, argv), args.out, args.format)
     return 0
 
 

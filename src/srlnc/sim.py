@@ -267,11 +267,13 @@ def estimate(cfg: SimConfig, workers: int | None = None) -> SimStats:
     """Run the whole campaign and aggregate.
 
     workers > 1 fans fixed-size trial blocks out to a process pool; the
-    per-trial seeding makes the result identical to the serial run.
+    per-trial seeding makes the result identical to the serial run.  None
+    runs serially, as 1 does.
     """
+    workers = 1 if workers is None else count(workers, "workers", low=1)
     n = cfg.trials
     spans = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
-    if workers is not None and workers > 1 and len(spans) > 1:
+    if workers > 1 and len(spans) > 1:
         # imported here: multiprocessing is only needed on the pool path
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,6 +1,7 @@
 """Command-line front end, driven in-process through cli.main(argv)."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -23,7 +24,18 @@ from srlnc.rank import RankTables
 
 
 def _run(capsys, argv):
-    rc = cli.main(argv)
+    """One in-process srlnc call: exit code, stdout and stderr.  pytest's
+    logging plugin holds the root logger, so for the call a handler on the
+    srlnc logger prints each warning to stderr with the bare message, as
+    logging's last-resort handler does for the installed command."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    log = logging.getLogger("srlnc")
+    log.addHandler(handler)
+    try:
+        rc = cli.main(argv)
+    finally:
+        log.removeHandler(handler)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -326,6 +338,12 @@ def test_optimize_exit_paths_golden_bytes(argv, code, out, err):
     assert _run_process(["optimize", *argv]) == (code, out, err)
 
 
+def test_in_process_runs_show_warnings(capsys):
+    # _run shows the saturated call's two warnings, as the installed command does
+    _, code, out, err = _GOLDEN_OPTIMIZE_PATHS[1]
+    assert _run(capsys, ["optimize", *_SATURATED_ARGS]) == (code, out, err)
+
+
 def test_simulate_golden_bytes(capsys):
     rc, out, err = _run(capsys, ["simulate", "--K", "4", "--q", "2",
                                  "--p", "0.7", "--Nhat", "10", "--eps-b", "0.05",
@@ -455,6 +473,11 @@ def test_optimize_infeasible_exits_4_but_still_writes_the_row(capsys):
     (["sweep", "--figure", "2a", "--eps-b", "0.1"], "eps_b=0.05 panel"),
     (["rank", "--K", "3", "--p", "0.6", "--config", "/nonexistent.ini"],
      "not found"),
+    (["simulate", "--K", "3", "--p", "0.6", "--Nhat", "6", "--threads", "0"],
+     "workers=0 must be an integer >= 1"),
+    # the q > 2 budget grids of figure 2 end at N_hat = 100
+    (["sweep", "--figure", "2a", "--K", "100", "--q", "16"],
+     "figure 2a has no budget above K=100 at q=16"),
 ])
 def test_configuration_errors_exit_2(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)
@@ -567,19 +590,43 @@ def test_retired_recursion_flag_is_a_usage_error(capsys, argv, flag):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
-def test_json_format_carries_the_same_records(capsys):
-    argv = ["rank", "--K", "3", "--q", "2", "--p", "0.6"]
-    _, csv_out, _ = _run(capsys, argv)
-    rc, json_out, _ = _run(capsys, argv + ["--format", "json"])
-    assert rc == 0
+_RANK = ["rank", "--K", "3", "--q", "2", "--p", "0.6"]
+
+
+# The CSV header is the JSON records' keys in order; rank's records carry
+# oracle (null without --with-oracle), its CSV shows it only with the flag.
+@pytest.mark.parametrize("argv", [
+    ["chain", "--K", "4", "--q", "2", "--p", "0.6", "--Nhat", "10",
+     "--eps-b", "0.05", "--eps-e", "0.3", "--eps-k", "0.9"],
+    ["simulate", "--K", "4", "--p", "0.7", "--Nhat", "10", "--eps-b", "0.05",
+     "--eps-e", "0.3", "--eps-k", "0.5", "--trials", "300", "--seed", "11"],
+    ["optimize", "--K", "5", "--Nhat", "17", "--eps-b", "0.05",
+     "--eps-e", "0.2", "--Dhat", "1.0"],
+    ["sweep", "--figure", "1a", "--K", "3", "--eps-b", "0.05",
+     "--eps-k", "1.0", "--trials", "20", "--seed", "3"],
+    _RANK,
+    _RANK + ["--with-oracle"],
+], ids=["chain", "simulate", "optimize-infeasible", "sweep-1a", "rank",
+        "rank-oracle"])
+def test_json_format_carries_the_same_records(capsys, argv):
+    rc, csv_out, _ = _run(capsys, argv)
+    json_rc, json_out, _ = _run(capsys, argv + ["--format", "json"])
+    assert json_rc == rc
     doc = json.loads(json_out)
-    assert set(doc["meta"]) == {"command", "seed", "mode", "version"}
+    assert list(doc["meta"]) == ["command", "seed", "mode", "version"]
     assert doc["meta"]["version"] == "0.1.0"
-    csv_rows = _rows(csv_out)
-    assert len(doc["records"]) == len(csv_rows)
-    for rec, row in zip(doc["records"], csv_rows):
-        assert repr(rec["value"]) == row["value"]
-        assert str(rec["index"]) == row["index"]
+    lines = csv_out.splitlines()
+    assert lines[1:4] == [f"# {k} = {v}" for k, v in doc["meta"].items()][1:]
+    header, *rows = lines[4:]
+    keys = list(doc["records"][0])
+    if argv == _RANK:
+        assert all(rec["oracle"] is None for rec in doc["records"])
+        keys.remove("oracle")
+    assert header.split(",") == keys
+    assert len(rows) == len(doc["records"])
+    for rec, row in zip(doc["records"], rows):
+        assert list(rec) == list(doc["records"][0])
+        assert row.split(",") == [cli._fmt(rec[k]) for k in keys]
 
 
 def test_sweep_figure1_panel_schema(capsys):

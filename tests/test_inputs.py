@@ -26,6 +26,7 @@ from srlnc import (
     build_chain,
     chain_delivery_probability,
     delivery_probability,
+    estimate,
     exact_full_rank_prob,
     exact_innovation_prob,
     get_field,
@@ -53,9 +54,10 @@ def _im(**kw):
     return cfg.d_hat, cfg.p_max, cfg.tol
 
 
-def _gain(n_hat):
+def _gain(n_hat, workers=None):
     cfg = ImConfig(CodeParams(K=4, q=2, p=0.5, n_hat=8), _CHAN, d_hat=0.5)
-    return [dataclasses.astuple(g) for g in intercept_gain(cfg, [n_hat], trials=20)]
+    return [dataclasses.astuple(g)
+            for g in intercept_gain(cfg, [n_hat], trials=20, workers=workers)]
 
 
 # (call site, good value, call); the call returns what the test compares
@@ -93,6 +95,9 @@ COUNTS = [
     ("exact_innovation_prob K", 3, lambda v: exact_innovation_prob(1, v, 0.6, 2)),
     ("sample_coding_matrix n", 3,
      lambda v: sample_coding_matrix(_CODE, v, np.random.default_rng(9)).tolist()),
+    # 10 trials fill one block, so even 2 workers run serially here
+    ("estimate workers", 2, lambda v: dataclasses.astuple(estimate(_SIM, v))),
+    ("intercept_gain workers", 2, lambda v: _gain(10, workers=v)),
 ]
 
 PROBABILITIES = [
@@ -144,6 +149,14 @@ def test_numpy_probabilities_give_the_python_result(site, good, call, wrap):
 def test_integer_probabilities_are_stored_as_floats():
     chan = ChannelParams(eps_b=0, eps_e=0, eps_k=1)
     assert _types(dataclasses.astuple(chan)) == [float] * 3
+
+
+# a worker count is at least 1 (None runs serially, as 1 does)
+def test_zero_workers_are_refused():
+    with pytest.raises(ConfigError):
+        estimate(_SIM, 0)
+    with pytest.raises(ConfigError):
+        _gain(10, workers=0)
 
 
 def test_a_float_budget_is_refused_not_truncated():
