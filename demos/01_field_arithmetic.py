@@ -1,6 +1,6 @@
 """Finite-field plumbing: tables, inverses, and the one identity to trust.
 
-Every layer above (coding vectors, rank tracking, payload recovery) leans on
+Every layer above (coding vectors, rank tracking, rank probabilities) leans on
 GF(2^m) arithmetic being exactly right, so this demo does the unglamorous
 thing: print the small tables, verify the axioms by brute force, and solve
 one linear equation by hand.

@@ -8,8 +8,8 @@ the eavesdropper's chance of ever reaching full rank.
 
 Layers, bottom up:
 
-* `gf` / `coding`: finite-field tables, the biased coefficient law, online
-  Gaussian elimination, payload encode/decode.
+* `gf` / `coding`: finite-field tables, the biased coefficient law, and
+  online Gaussian elimination, the slot-by-slot rank oracle.
 * `rank`: innovation and full-rank probabilities of sparse matrices, with
   exact classic-RLNC forms at p = 1/q and exhaustive-enumeration oracles.
 * `chain`: the labeled absorbing Markov chain giving the intercept
@@ -19,15 +19,9 @@ Layers, bottom up:
 * `cli`: the `srlnc` command.
 """
 
-from .errors import ConfigError, NotDecodableError, NumericalIntegrityError
+from .errors import ConfigError, NumericalIntegrityError
 from .gf import GF, get_field
-from .coding import (
-    CodeParams,
-    DecoderState,
-    decode_payloads,
-    encode_payload,
-    sample_coding_matrix,
-)
+from .coding import CodeParams, DecoderState, sample_coding_matrix
 from .rank import (
     RankTables,
     classic_full_rank_prob,
@@ -57,10 +51,9 @@ from .optimize import GainPoint, ImConfig, ImSolution, intercept_gain, solve_im
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "NotDecodableError", "NumericalIntegrityError",
+    "ConfigError", "NumericalIntegrityError",
     "GF", "get_field",
-    "CodeParams", "DecoderState", "decode_payloads", "encode_payload",
-    "sample_coding_matrix",
+    "CodeParams", "DecoderState", "sample_coding_matrix",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
     "exact_full_rank_prob", "exact_innovation_prob", "full_rank_prob", "rho",
     "ChainState", "ChannelParams", "TransitionMatrix", "build_chain",

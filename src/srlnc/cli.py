@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import logging
 import shlex
 import sys
 
@@ -55,6 +56,8 @@ from .errors import ConfigError, NumericalIntegrityError
 from .optimize import ImConfig, intercept_gain, solve_im
 from .rank import RankTables, exact_full_rank_prob, exact_innovation_prob
 from .sim import SimConfig, estimate
+
+log = logging.getLogger(__name__)
 
 FIGURES = ("1a", "1b", "2a", "2b", "2c", "2d")
 
@@ -306,11 +309,16 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
         return intercept_probability(P, args.Nhat)
 
     classic = intercept(code.p)  # priced first: its chain warns before p*'s
+    at_star = None if sol.p_star is None else intercept(sol.p_star)
+    if at_star is not None and at_star > classic:
+        log.warning("the chain prices p*=%r above classic coding: intercept "
+                    "%r > intercept_classic %r; p* is the delivery root, which"
+                    " minimises the intercept only where the intercept falls "
+                    "with p", sol.p_star, at_star, classic)
     record = {
         "K": args.K, "q": args.q, "N_hat": args.Nhat, "D_hat": args.Dhat,
         "p_star": sol.p_star, "status": sol.status, "delivery": sol.delivery,
-        "intercept": None if sol.p_star is None else intercept(sol.p_star),
-        "intercept_classic": classic,
+        "intercept": at_star, "intercept_classic": classic,
         "iterations": sol.iterations, "mode": args.mode,
     }
     _emit([record], _meta(args, argv), args.out, args.format)

@@ -8,8 +8,9 @@ with probability ``(1 - p) / (q - 1)``.  ``p = 1/q`` recovers the uniform
 
 Receivers run online Gaussian elimination: ``DecoderState`` keeps a reduced
 echelon basis of the coding vectors absorbed so far and reports whether each
-new vector was innovative.  Payload encoding and decoding are provided for
-round trips and demonstrations; statistical experiments track vectors only.
+new vector was innovative.  Every reported number is a rank event, so only
+vectors are tracked; ``DecoderState`` is the slot-by-slot oracle of the
+simulator's batched ``GF.prefix_pivots``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotDecodableError, count, sparsity
+from .errors import ConfigError, count, sparsity
 from .gf import GF, get_field
 
 
@@ -91,10 +92,7 @@ class DecoderState:
     far: every basis row has a leading 1 at its pivot column and every pivot
     column is zero in all other rows.  Rows are uint8 arrays and elimination
     goes through the field's multiplication table, at q = 2 as well (its 2 x 2
-    table scales by 0 or 1).
-
-    The original (unreduced) vector of each innovative absorption is kept so
-    payloads can be decoded later; dependent vectors leave the state unchanged.
+    table scales by 0 or 1).  Dependent vectors leave the state unchanged.
     """
 
     def __init__(self, K: int, q: int):
@@ -102,7 +100,6 @@ class DecoderState:
         self.field = get_field(q)
         self.q = self.field.q
         self._rows: dict[int, np.ndarray] = {}  # pivot index -> uint8 row
-        self.originals: list[np.ndarray] = []
 
     @property
     def rank(self) -> int:
@@ -119,19 +116,12 @@ class DecoderState:
         vector is validated for length, integer type and element range; the
         state is left untouched for dependent vectors.
         """
-        v = _symbols(vector, self.q)
-        if v.shape != (self.K,):
-            raise ConfigError(f"expected a length-{self.K} vector, got shape {v.shape}")
+        w = _symbols(vector, self.q)
+        if w.shape != (self.K,):
+            raise ConfigError(f"expected a length-{self.K} vector, got shape {w.shape}")
         if self.rank == self.K:
             return False
-        grew = self._absorb_row(v.copy())
-        if grew:
-            self.originals.append(v)
-        return grew
-
-    def _absorb_row(self, w: np.ndarray) -> bool:
-        gf = self.field
-        rows = self._rows
+        gf, rows = self.field, self._rows
         for piv, row in rows.items():
             c = int(w[piv])
             if c:
@@ -158,79 +148,15 @@ class DecoderState:
         return out
 
 
-def _symbols(values, bound: int, what: str = "field elements") -> np.ndarray:
+def _symbols(values, bound: int) -> np.ndarray:
     """Outside input as a new uint8 array, refusing anything that is not an
     integer in ``0 .. bound - 1`` (a float is refused, not truncated)."""
     try:
         a = np.asarray(values)
     except ValueError as exc:  # ragged nesting
-        raise ConfigError(f"{what} must form a regular array") from exc
+        raise ConfigError("field elements must form a regular array") from exc
     if a.dtype.kind not in "biu":
-        raise ConfigError(f"{what} must be integers, got {a.dtype} values")
+        raise ConfigError(f"field elements must be integers, got {a.dtype} values")
     if a.size and not (a.min() >= 0 and a.max() < bound):
-        raise ConfigError(f"values outside 0..{bound - 1}; not {what}")
+        raise ConfigError(f"values outside 0..{bound - 1}; not field elements")
     return a.astype(np.uint8)
-
-
-def _payload_blocks(gf: GF, blocks) -> np.ndarray:
-    """Payload blocks as one uint8 array, a row per block.
-
-    Blocks must share one length, and their entries must be field symbols
-    (values below q).  The exception is q = 2, where payload bytes may be
-    arbitrary: coefficients are 0/1 and every combination is a plain XOR,
-    which is GF(2)-linear bit by bit.
-    """
-    if gf.q == 2:
-        rows = [_symbols(b, 256, "bytes") for b in blocks]
-    else:
-        rows = [_symbols(b, gf.q) for b in blocks]
-    if any(r.ndim != 1 or r.shape != rows[0].shape for r in rows):
-        raise ConfigError("payload blocks must share one length")
-    return np.stack(rows)
-
-
-def _combine(gf: GF, blocks: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Sum of the validated payload blocks scaled by field coefficients."""
-    acc = np.zeros(blocks.shape[1], dtype=np.uint8)
-    for g, b in zip(coefficients, blocks):
-        g = int(g)
-        if g == 0:
-            continue
-        acc ^= b if gf.q == 2 else gf.mul_table[g, b]
-    return acc
-
-
-def encode_payload(gf: GF, sources, coding_vector: np.ndarray) -> np.ndarray:
-    """Combine K equal-length source payload blocks with one coding vector
-    (block rules as in ``_payload_blocks``)."""
-    v = _symbols(coding_vector, gf.q)
-    if v.shape != (len(sources),):
-        raise ConfigError("one coefficient per source block is required")
-    return _combine(gf, _payload_blocks(gf, sources), v)
-
-
-def decode_payloads(state: DecoderState, payloads) -> list[np.ndarray]:
-    """Recover the K source blocks from a full-rank decoder state.
-
-    ``payloads`` must line up with ``state.originals``: one payload block per
-    innovative absorption, in absorption order, under the block rules of
-    ``_payload_blocks``.  Raises NotDecodableError while the defect is
-    positive.
-    """
-    if state.defect != 0:
-        raise NotDecodableError(
-            f"defect is {state.defect}; {state.defect} more innovative "
-            "packets are needed before payloads can be recovered"
-        )
-    if len(payloads) != state.K:
-        raise ConfigError(f"expected {state.K} payload blocks, got {len(payloads)}")
-    blocks = _payload_blocks(state.field, payloads)
-    K = state.K
-    # The originals G are independent, so the reduced basis of the rows
-    # [G | I] is [I | G^-1], and source i is row i of G^-1 applied to the
-    # payloads.
-    inverse = DecoderState(2 * K, state.q)
-    for g, e in zip(state.originals, np.eye(K, dtype=np.uint8)):
-        inverse.absorb(np.concatenate([g, e]))
-    return [_combine(state.field, blocks, row)
-            for row in inverse.basis_matrix()[:, K:]]

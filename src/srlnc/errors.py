@@ -14,10 +14,6 @@ class NumericalIntegrityError(RuntimeError):
     """A computed probability table failed a structural sanity check."""
 
 
-class NotDecodableError(RuntimeError):
-    """Payload recovery was attempted before the decoder reached full rank."""
-
-
 def count(value: object, name: str, low: int = 0, high: int | None = None) -> int:
     """A count argument as a Python int in ``low .. high``, else ConfigError.
 

@@ -294,8 +294,11 @@ def intercept_gain(
 
     For each transmission budget, solve the constrained problem, then
     estimate both intercept probabilities by simulation with independent,
-    deterministically derived seeds per (budget, leg).
+    deterministically derived seeds per (budget, leg).  ``workers`` is
+    checked before any solve, even where no budget is feasible.
     """
+    if workers is not None:
+        workers = count(workers, "workers", low=1)
     points: list[GainPoint] = []
     for n_hat in n_hats:
         n_hat = count(n_hat, "n_hat")

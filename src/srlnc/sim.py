@@ -24,9 +24,9 @@ that receiver's reception mask, so an erased slot is a zero row, and Bob's
 and Eve's streams of the chunk run together.  Elimination only ever adds
 earlier rows to later ones, so every prefix keeps its span and the rank
 after slot t is the number of pivot rows among the first t.  The kernel is
-deliberately independent of coding.DecoderState (which carries payload
-bookkeeping); ``test_packed_binary_tracker_matches_the_decoder`` checks its
-pivot flags and prefix ranks against ``DecoderState.absorb`` slot by slot.
+deliberately independent of coding.DecoderState, its one-vector oracle:
+``test_packed_binary_tracker_matches_the_decoder`` checks its pivot flags
+and prefix ranks against ``DecoderState.absorb`` slot by slot.
 
 Determinism: trial i draws from numpy's ``default_rng([base_seed, base_seed
 XOR i])`` stream, so estimates are reproducible bit for bit no matter how

@@ -277,7 +277,13 @@ _SATURATED_ARGS = ["--K", "20", "--Nhat", "40", "--eps-b", "0.01",
 # Every exit path of optimize other than the interior root above, recorded
 # before the solver stopped computing intercepts: the infeasible row (exit
 # 4), the saturated rows whose chain at p* = 0.99 warns in both modes, and
-# the JSON form.  stderr is pinned too.
+# the JSON form.  stderr is pinned too.  The last row is an interior root
+# priced above classic coding: with working feedback (eps_K = 0) a sparser
+# code delays Bob's ACK and Eve listens for longer.  Its stdout is the row
+# printed before optimize warned about it.
+_ABOVE_CLASSIC_ARGS = ["--K", "20", "--q", "2", "--Nhat", "40", "--eps-b",
+                       "0.05", "--eps-e", "0.2", "--eps-k", "0", "--Dhat",
+                       "0.95"]
 _GOLDEN_OPTIMIZE_PATHS = [
     (["--K", "5", "--Nhat", "17", "--eps-b", "0.05", "--eps-e", "0.2",
       "--Dhat", "1.0"], 4,
@@ -328,12 +334,23 @@ _GOLDEN_OPTIMIZE_PATHS = [
   ]
 }
 """, ""),
+    (_ABOVE_CLASSIC_ARGS, 0,
+     "# command = srlnc optimize " + " ".join(_ABOVE_CLASSIC_ARGS)
+     + "\n# seed = 0\n# mode = paper-exact\n# version = 0.1.0\n"
+     + _OPTIMIZE_HEADER
+     + "20,2,40,0.95,0.8528662682550927,interior-root,0.9500004032856374,"
+       "0.20640964308666165,0.18101076019395018,19,paper-exact\n",
+     "the chain prices p*=0.8528662682550927 above classic coding: "
+     "intercept 0.20640964308666165 > intercept_classic 0.18101076019395018;"
+     " p* is the delivery root, which minimises the intercept only where the"
+     " intercept falls with p\n"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,out,err", _GOLDEN_OPTIMIZE_PATHS,
                          ids=["infeasible", "saturated-warns-paper-exact",
-                              "saturated-warns-consistent", "json"])
+                              "saturated-warns-consistent", "json",
+                              "interior-warns-above-classic"])
 def test_optimize_exit_paths_golden_bytes(argv, code, out, err):
     assert _run_process(["optimize", *argv]) == (code, out, err)
 
@@ -478,10 +495,14 @@ def test_optimize_infeasible_exits_4_but_still_writes_the_row(capsys):
     # the q > 2 budget grids of figure 2 end at N_hat = 100
     (["sweep", "--figure", "2a", "--K", "100", "--q", "16"],
      "figure 2a has no budget above K=100 at q=16"),
+    # D_hat = 1 leaves every budget infeasible, so no simulation would start
+    (["sweep", "--figure", "2a", "--K", "5", "--q", "2", "--eps-k", "1.0",
+      "--Dhat", "1.0", "--threads", "0", "--trials", "10"],
+     "workers=0 must be an integer >= 1"),
 ])
 def test_configuration_errors_exit_2(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)
-    assert rc == 2
+    assert (rc, out) == (2, "")
     assert needle in err
 
 

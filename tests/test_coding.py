@@ -1,4 +1,4 @@
-"""Coding-vector law, online elimination, and payload roundtrips."""
+"""Coding-vector law and online elimination."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,6 @@ from srlnc import (
     CodeParams,
     ConfigError,
     DecoderState,
-    NotDecodableError,
-    decode_payloads,
-    encode_payload,
-    get_field,
     sample_coding_matrix,
 )
 
@@ -129,20 +125,7 @@ def test_outside_input_must_be_in_range_integers(bad):
     with pytest.raises(ConfigError):
         state.absorb(bad)
     assert state.rank == 0
-    gf = get_field(2)
-    with pytest.raises(ConfigError):
-        encode_payload(gf, [[1, 2], [3, 4]], bad)
-    with pytest.raises(ConfigError):
-        encode_payload(gf, [[1, 2], bad], [1, 1])
     assert state.absorb([15, 0]) and state.absorb([0, 1])
-    with pytest.raises(ConfigError):
-        decode_payloads(state, [[1, 2], bad])
-    with pytest.raises(ConfigError):
-        encode_payload(gf, [[1, 2]], 1)  # not a vector
-    # q = 2 payload blocks carry whole bytes, other fields their symbols
-    assert list(encode_payload(gf, [[255, 2], [0, 4]], [1, 1])) == [255, 6]
-    with pytest.raises(ConfigError, match="not field elements"):
-        encode_payload(get_field(16), [[15, 2], [16, 4]], [1, 1])
 
 
 def test_basis_matrix_is_reduced():
@@ -158,66 +141,6 @@ def test_basis_matrix_is_reduced():
         piv = int(np.nonzero(row)[0][0])
         assert row[piv] == 1
         assert int(np.count_nonzero(basis[:, piv])) == 1
-
-
-def test_encode_payload_gf2_is_xor():
-    gf = get_field(2)
-    sources = [np.array([0xAA, 0x01]), np.array([0x0F, 0xF0]), np.array([0x55, 0x55])]
-    out = encode_payload(gf, sources, np.array([1, 1, 0], dtype=np.uint8))
-    assert np.array_equal(out, sources[0] ^ sources[1])
-    unit = encode_payload(gf, sources, np.array([0, 0, 1], dtype=np.uint8))
-    assert np.array_equal(unit, sources[2])
-
-
-def test_encode_payload_rejects_mismatched_blocks():
-    gf = get_field(2)
-    with pytest.raises(ConfigError):
-        encode_payload(gf, [np.array([1, 2]), np.array([3])],
-                       np.array([1, 1], dtype=np.uint8))
-    with pytest.raises(ConfigError):
-        encode_payload(gf, [np.array([1, 2])], np.array([1, 1], dtype=np.uint8))
-
-
-@pytest.mark.parametrize("K,q,p,payload_bytes", [(4, 2, 0.5, 32), (8, 16, 0.7, 16)])
-def test_payload_roundtrip(K, q, p, payload_bytes):
-    rng = np.random.default_rng(100 + K)
-    params = CodeParams(K=K, q=q, p=p, n_hat=10 * K)
-    gf = get_field(q)
-    high = 256 if q == 2 else q
-    sources = [rng.integers(0, high, size=payload_bytes).astype(np.uint8)
-               for _ in range(K)]
-    state = DecoderState(K, q)
-    payloads = []
-    while state.defect:
-        vec = sample_coding_matrix(params, 1, rng)[0]
-        coded = encode_payload(gf, sources, vec)
-        if state.absorb(vec):
-            payloads.append(coded)
-    recovered = decode_payloads(state, payloads)
-    for got, want in zip(recovered, sources):
-        assert np.array_equal(got, want)
-
-
-def test_decode_refuses_below_full_rank():
-    state = DecoderState(3, 2)
-    state.absorb(np.array([1, 0, 0], dtype=np.uint8))
-    state.absorb(np.array([0, 1, 0], dtype=np.uint8))
-    with pytest.raises(NotDecodableError):
-        decode_payloads(state, [np.zeros(4, dtype=np.uint8)] * 3)
-
-
-@pytest.mark.parametrize("first", [1, 3])
-def test_decode_validates_payload_blocks(first):
-    # first = 1 decodes without a multiplication, first = 3 scales row 0
-    state = DecoderState(2, 16)
-    state.absorb(np.array([first, 0], dtype=np.uint8))
-    state.absorb(np.array([0, 1], dtype=np.uint8))
-    ok = np.array([1, 2, 3], dtype=np.uint8)
-    with pytest.raises(ConfigError, match="one length"):
-        decode_payloads(state, [ok, np.array([4, 5], dtype=np.uint8)])
-    with pytest.raises(ConfigError, match="not field elements"):
-        decode_payloads(state, [np.array([1, 200, 3], dtype=np.uint8), ok])
-    assert len(decode_payloads(state, [ok, ok])) == 2
 
 
 @settings(max_examples=40, deadline=None)

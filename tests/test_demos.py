@@ -13,7 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("demo", [
     "01_field_arithmetic.py",
-    "02_sparse_coding_roundtrip.py",
+    "02_sparse_coding_rank.py",
     "03_rank_probabilities.py",
     "04_intercept_chain.py",
     "05_feedback_jamming_sim.py",

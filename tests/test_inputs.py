@@ -60,6 +60,16 @@ def _gain(n_hat, workers=None):
             for g in intercept_gain(cfg, [n_hat], trials=20, workers=workers)]
 
 
+def _infeasible_gain(workers):
+    # D_hat = 1 leaves every budget infeasible, so no simulation starts and
+    # only the check at the top of intercept_gain sees the worker count
+    cfg = ImConfig(CodeParams(K=5, q=2, p=0.5, n_hat=10),
+                   ChannelParams(0.05, 0.2, 1.0), d_hat=1.0)
+    points = intercept_gain(cfg, range(6, 21), trials=10, workers=workers)
+    assert {g.status for g in points} == {"infeasible"}
+    return [dataclasses.astuple(g) for g in points]
+
+
 # (call site, good value, call); the call returns what the test compares
 COUNTS = [
     ("CodeParams.K", 4, lambda v: dataclasses.astuple(CodeParams(K=v, q=2, p=0.6, n_hat=8))),
@@ -98,6 +108,7 @@ COUNTS = [
     # 10 trials fill one block, so even 2 workers run serially here
     ("estimate workers", 2, lambda v: dataclasses.astuple(estimate(_SIM, v))),
     ("intercept_gain workers", 2, lambda v: _gain(10, workers=v)),
+    ("intercept_gain workers, no feasible budget", 2, _infeasible_gain),
 ]
 
 PROBABILITIES = [
@@ -157,6 +168,8 @@ def test_zero_workers_are_refused():
         estimate(_SIM, 0)
     with pytest.raises(ConfigError):
         _gain(10, workers=0)
+    with pytest.raises(ConfigError):
+        _infeasible_gain(0)
 
 
 def test_a_float_budget_is_refused_not_truncated():
