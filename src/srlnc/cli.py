@@ -23,9 +23,10 @@ are byte-stable across runs; re-running the command recorded in the metadata
 reproduces the file exactly.
 
 Parameters can also come from an INI-style config file (``--config``): keys
-in any section match the long flag names with underscores (``eps_b = 0.05``);
-explicit flags win over file values.  A file value for ``format`` or ``mode``
-must be one of the flag's choices.
+in any section, ``[DEFAULT]`` included, match the long flag names with
+underscores (``eps_b = 0.05``); explicit flags win over file values.  A
+file value for ``format`` or ``mode`` must be one of the flag's choices, and
+a file configparser cannot read exits 2.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 integrity failure, 4 infeasible optimization (the row is still written, with
@@ -107,19 +108,11 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """One subcommand's parser.  Its flags are added when argparse selects
-    it, so a call builds the flags of the one subcommand it runs."""
-
-    def __init__(self, *, flags: tuple[str, ...], **kwargs):
-        super().__init__(**kwargs)
-        self._unbuilt = flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        flags, self._unbuilt = self._unbuilt, ()
-        for name in flags:
-            self.add_argument(_flag(name), **_FLAGS[name])
-        return super().parse_known_args(args, namespace)
+def _add_flags(parser: argparse.ArgumentParser,
+               command: str) -> argparse.ArgumentParser:
+    for name in _COMMANDS[command][1]:
+        parser.add_argument(_flag(name), **_FLAGS[name])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,11 +122,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulation, and sparsity optimization.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_SubcommandParser)
-    for name, (help_text, flags, _) in _COMMANDS.items():
-        subs.add_parser(name, help=help_text, flags=flags)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_flags(subs.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with argv[0]'s subcommand parser alone when it takes the whole
+    call, else with the whole parser, which prints argparse's own errors."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_flags(argparse.ArgumentParser(prog=f"srlnc {argv[0]}"),
+                            argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -142,30 +147,36 @@ def _apply_config(args: argparse.Namespace) -> None:
     if getattr(args, "config", None):
         ini = configparser.ConfigParser()
         ini.optionxform = str  # keys like K and Dhat are case-sensitive
-        read = ini.read(args.config)
+        try:
+            read = ini.read(args.config)
+            # [DEFAULT] first, then each section with the defaults merged in
+            items = [item for section in ini.values()
+                     for item in section.items()]
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {args.config}: "
+                              + " ".join(str(exc).split())) from exc
         if not read:
             raise ConfigError(f"config file not found: {args.config}")
-        for section in ini.sections():
-            for key, raw in ini.items(section):
-                if key not in _PARAMS or key == "out":
+        for key, raw in items:
+            if key not in _PARAMS or key == "out":
+                raise ConfigError(
+                    f"unknown key {key!r} in config file {args.config}"
+                )
+            kind = _PARAMS[key][0]
+            if isinstance(kind, tuple):
+                if raw not in kind:
                     raise ConfigError(
-                        f"unknown key {key!r} in config file {args.config}"
+                        f"bad value for {key!r} in {args.config}: {raw!r}; "
+                        f"choose from {', '.join(kind)}"
                     )
-                kind = _PARAMS[key][0]
-                if isinstance(kind, tuple):
-                    if raw not in kind:
-                        raise ConfigError(
-                            f"bad value for {key!r} in {args.config}: {raw!r}; "
-                            f"choose from {', '.join(kind)}"
-                        )
-                    from_file[key] = raw
-                    continue
-                try:
-                    from_file[key] = kind(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"bad value for {key!r} in {args.config}: {raw!r}"
-                    ) from exc
+                from_file[key] = raw
+                continue
+            try:
+                from_file[key] = kind(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for {key!r} in {args.config}: {raw!r}"
+                ) from exc
     # sweep reads None as "cover the whole preset family" for these, so the
     # hard defaults must not stand in for an absent flag there; explicit
     # config-file values still apply.
@@ -457,8 +468,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         _apply_config(args)
         return _COMMANDS[args.command][2](args, argv)

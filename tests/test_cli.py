@@ -571,6 +571,41 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
         assert key in err
 
 
+@pytest.mark.parametrize("text,needle", [
+    (b"K = 3\n", "no section headers"),
+    (b"[run]\nK = 3\nK = 4\n", "option 'K' in section 'run' already exists"),
+    (b"[run]\nK = 3\n[run]\np = 0.6\n", "section 'run' already exists"),
+    (b"[run]\nK = %(x)s\n", "interpolation key 'x'"),
+    (b"\xff\xfe[run]\nK = 3\n", "can't decode byte 0xff"),
+], ids=["no-section-header", "duplicate-key", "duplicate-section",
+        "bad-interpolation", "undecodable"])
+def test_config_file_that_cannot_be_parsed_exits_2(capsys, tmp_path, text,
+                                                   needle):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text)
+    rc, out, err = _run(capsys, ["rank", "--config", str(ini), "--p", "0.6"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"srlnc: configuration error: malformed config "
+                          f"file {ini}: ")
+    assert needle in err and err.count("\n") == 1
+
+
+def test_config_file_default_section_is_read_like_any_other(capsys, tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nK = 3\np = 0.6\n")
+    rc, out, err = _run(capsys, ["rank", "--config", str(ini)])
+    assert (rc, err) == (0, "")
+    assert _rows(out)[0]["K"] == "3" and _rows(out)[0]["p"] == "0.6"
+
+    # an unknown key there is refused, with or without another section
+    for text in ("[DEFAULT]\nbudget = 9\n", "[DEFAULT]\nbudget = 9\n[run]\n"):
+        ini.write_text(text)
+        rc, out, err = _run(capsys, ["rank", "--config", str(ini), "--K", "3",
+                                     "--p", "0.6"])
+        assert (rc, out) == (2, "")
+        assert "unknown key 'budget'" in err
+
+
 @pytest.mark.parametrize("argv,key,value,choices", [
     (["rank", "--K", "3", "--p", "0.6"], "format", "xml", "csv, json"),
     (["chain", "--K", "3", "--p", "0.6", "--Nhat", "8"], "mode", "exact",

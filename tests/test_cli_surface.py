@@ -1,12 +1,15 @@
 """The CLI's help, usage-error and version output, pinned byte for byte.
 
-Each subcommand's arguments are added only when argparse selects it, so
-these cases fix what that must not change: the top-level help and usage
-line, every subcommand's help, and argparse's own errors.  COLUMNS is set
-so argparse wraps at 80 columns whatever the terminal.
+A call that starts with a subcommand is parsed by that subcommand's parser
+alone, and every other call, or one that leaves arguments over, by the
+whole parser.  These cases fix what that must not change: the top-level
+help and usage line, every subcommand's help, argparse's own errors, and
+what the two parse paths make of the same arguments.  COLUMNS is set so
+argparse wraps at 80 columns whatever the terminal.
 """
 
 import argparse
+import contextlib
 
 import pytest
 
@@ -210,18 +213,109 @@ def test_help_usage_and_version_output(capsys, monkeypatch, argv, code, out, err
 
 
 def test_only_the_selected_subcommand_gets_its_arguments(capsys, monkeypatch):
-    added = []
+    parsers, added = [], []
+    init = argparse.ArgumentParser.__init__
     add_argument = argparse.ArgumentParser.add_argument
 
-    def counting(self, *args, **kwargs):
+    def recording_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_add(self, *args, **kwargs):
         added.append((self.prog, args[0]))
         return add_argument(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add)
     assert cli.main(["chain", "--K", "3", "--p", "0.6", "--Nhat", "6"]) == 0
     capsys.readouterr()
-    # building every subcommand's flags takes 67 calls
-    assert len(added) < 67
-    for name in ("rank", "simulate", "optimize", "sweep"):
-        assert [flag for prog, flag in added if prog == f"srlnc {name}"] == ["-h"]
-    assert ("srlnc chain", "--dump-matrix") in added
+    assert [parser.prog for parser in parsers] == ["srlnc chain"]
+    assert added == [("srlnc chain", flag) for flag in (
+        "-h", "--K", "--q", "--p", "--Nhat", "--eps-b", "--eps-e", "--eps-k",
+        "--mode", "--out", "--format", "--config", "--dump-matrix")]
+
+
+_C = ["--K", "3", "--p", "0.6", "--Nhat", "6"]
+
+# (argv, accepted): each is parsed by cli._parse and by the whole parser
+_BOTH_PATHS = [
+    (["rank", "--K", "3", "--p", "0.6", "--with-oracle"], True),
+    (["chain", *_C, "--mode", "consistent", "--dump-matrix", "m.csv"], True),
+    (["simulate", *_C, "--trials", "50", "--seed", "4", "--threads", "2"],
+     True),
+    (["optimize", "--K", "3", "--Nhat", "6", "--Dhat", "0.9"], True),
+    (["sweep", "--figure", "2a", "--K", "5", "--format", "json"], True),
+    (["chain"], True),
+    # abbreviations: --Nh for --Nhat, and optimize's --p for --p-max
+    (["chain", "--Nh", "6", "--eps-b", "0.1"], True),
+    (["optimize", "--p", "0.9"], True),
+    (["chain", "--K=3", "--eps-k=0.5", "--format=json"], True),
+    (["chain", "--K", "2", "--K", "3"], True),
+    (["chain", "--config", "run.ini", "--K", "3"], True),
+    (["chain", "--eps-b", "-0.5"], True),
+    (["chain", "--eps", "0.1"], False),
+    (["chain", "--K", "x"], False),
+    (["chain", "--K"], False),
+    (["sweep"], False),
+    (["sweep", "--figure", "9z"], False),
+    (["chain", "-h"], False),
+    (["sweep", "--help", "--bogus"], False),
+    # arguments left over after a valid call
+    (["chain", *_C, "extra"], False),
+    (["chain", "--bogus", "1"], False),
+    (["chain", *_C, "--"], False),
+    (["chain", "--", *_C], False),
+    (["chain", "--version"], False),
+    (["rank", "--K", "3", "--version"], False),
+    (["chain", *_C, "chain"], False),
+    # no subcommand first
+    ([], False),
+    (["bogus"], False),
+    (["--K", "3", "chain"], False),
+    (["--version", "chain"], False),
+    (["-h", "rank"], False),
+]
+
+
+def _outcome(capsys, parse, argv):
+    """The namespace as a dict, or the exit code, with stdout and stderr."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,accepted", _BOTH_PATHS,
+                         ids=[" ".join(row[0]) or "no-args"
+                              for row in _BOTH_PATHS])
+def test_both_parse_paths_agree(capsys, monkeypatch, argv, accepted):
+    monkeypatch.setenv("COLUMNS", "80")
+    fast = _outcome(capsys, cli._parse, argv)
+    whole = _outcome(capsys, lambda a: cli._build_parser().parse_args(a), argv)
+    assert fast == whole
+    assert isinstance(fast[0], dict) == accepted
+
+
+def test_each_subcommand_parser_has_the_whole_parsers_help(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = {}
+    add_flags = cli._add_flags
+
+    def recording(parser, command):
+        built.setdefault(command, []).append(parser)
+        return add_flags(parser, command)
+
+    monkeypatch.setattr(cli, "_add_flags", recording)
+    cli._build_parser()
+    for command in cli._COMMANDS:
+        with contextlib.suppress(SystemExit):
+            cli._parse([command, "--help"])
+    capsys.readouterr()
+    assert list(built) == list(cli._COMMANDS)
+    for command, (subparser, standalone) in built.items():
+        assert standalone is not subparser
+        assert standalone.prog == subparser.prog == f"srlnc {command}"
+        assert standalone.format_help() == subparser.format_help()
