@@ -10,7 +10,6 @@ feedback channel does to the metrics.
 from srlnc import (
     ChannelParams,
     CodeParams,
-    RankTables,
     build_chain,
     delivery_probability,
     initial_label,
@@ -22,10 +21,9 @@ from srlnc import (
 
 K, q, p = 4, 2, 0.7
 code = CodeParams(K=K, q=q, p=p, n_hat=16)
-tables = RankTables(K, q, p)
 
 chan = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=1.0)
-P = build_chain(code, chan, tables, "paper-exact")
+P = build_chain(code, chan, "paper-exact")
 
 print(f"chain for K={K}: {n_states(K)} states "
       f"(= (K+1)(K+2)), start at label {initial_label(K)}, "
@@ -46,14 +44,13 @@ print("\nintercept and delivery vs transmission budget (eps_K = 1, jammed):")
 print("  N_hat   I (intercept)   D (delivery)")
 for n_hat in (4, 6, 8, 12, 16):
     I = intercept_probability(P, n_hat)
-    D = delivery_probability(code, chan, tables, n_hat)
+    D = delivery_probability(code, chan, n_hat)
     print(f"  {n_hat:4d}    {I:.4f}          {D:.4f}")
 
 print("\nthe same point with working feedback, three jamming levels:")
 print("  eps_K   I at N_hat=16")
 for eps_k in (0.0, 0.5, 1.0):
-    Pk = build_chain(code, ChannelParams(0.05, 0.3, eps_k), tables,
-                     "paper-exact")
+    Pk = build_chain(code, ChannelParams(0.05, 0.3, eps_k), "paper-exact")
     print(f"  {eps_k:.2f}    {intercept_probability(Pk, 16):.4f}")
 print("jamming the ACK keeps the source talking after Bob is done, and")
 print("every extra slot is another chance for Eve; that is the whole attack.")

@@ -17,7 +17,6 @@ import argparse
 from srlnc import (
     ChannelParams,
     CodeParams,
-    RankTables,
     SimConfig,
     build_chain,
     delivery_probability,
@@ -31,7 +30,6 @@ args = parser.parse_args()
 
 K, q, p, n_hat = 10, 2, 0.7, 20
 code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-tables = RankTables(K, q, p)
 print(f"K={K}, q={q}, p={p}, budget={n_hat}, eps_B=0.05, eps_E=0.3, "
       f"{args.trials} trials per row (seed 17)\n")
 
@@ -40,9 +38,9 @@ for eps_k in (0.0, 0.5, 0.85, 1.0):
     chan = ChannelParams(0.05, 0.3, eps_k)
     stats = estimate(SimConfig(code=code, chan=chan, trials=args.trials,
                                base_seed=17))
-    P = build_chain(code, chan, tables, "paper-exact")
+    P = build_chain(code, chan, "paper-exact")
     i_theory = intercept_probability(P, n_hat)
-    d_theory = delivery_probability(code, chan, tables)
+    d_theory = delivery_probability(code, chan)
     print(f"{eps_k:4.2f}   {stats.intercept_hat:.4f} (+-{stats.intercept_ci:.4f})"
           f"   {i_theory:.4f}    {stats.delivery_hat:.4f}   {d_theory:.4f}"
           f"     {stats.mean_slots:5.2f}")

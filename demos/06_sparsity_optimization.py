@@ -13,7 +13,6 @@ import dataclasses
 from srlnc import (
     ChannelParams,
     CodeParams,
-    RankTables,
     build_chain,
     delivery_probability,
     intercept_probability,
@@ -31,7 +30,7 @@ sol = solve_im(cfg)
 def intercept(p):
     """The chain's intercept probability at sparsity p."""
     code = dataclasses.replace(cfg.code, p=p)
-    P = build_chain(code, cfg.chan, RankTables(5, 2, p))
+    P = build_chain(code, cfg.chan)
     return intercept_probability(P, code.n_hat)
 
 
@@ -46,8 +45,7 @@ print(f"  iterations        {sol.iterations}")
 
 # audit: nudging p past the solution must break the floor
 code_right = dataclasses.replace(cfg.code, p=sol.p_star + 0.01)
-d_right = delivery_probability(code_right, cfg.chan,
-                               RankTables(5, 2, sol.p_star + 0.01))
+d_right = delivery_probability(code_right, cfg.chan)
 print(f"  delivery(p_star + 0.01) = {d_right:.6f} < 0.99 "
       f"-> the root is the right one")
 

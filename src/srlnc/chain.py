@@ -25,10 +25,11 @@ probability), and one slot of propagation scatters ``dist[src] * prob`` onto
 ``dst`` with ``np.bincount``.
 
 The per-slot probabilities approximate the coupled rank evolution using the
-innovation table W of `RankTables`:  a receiver at defect d advances with
-probability ``W[K-d]`` given reception, and joint advances are bounded by the
-harder of the two conditions.  The approximation can overshoot; see
-``intercept_probability`` for the consequences.
+innovation table W of ``RankTables(K, q, p)`` at the chain's code point:  a
+receiver at defect d advances with probability ``W[K-d]`` given reception,
+and joint advances are bounded by the harder of the two conditions.  The
+approximation can overshoot; see ``intercept_probability`` for the
+consequences.
 
 Two transition modes exist because the source material for the rows with
 ``bob_defect == 0`` and ``eve_defect >= 1`` admits two readings of which
@@ -49,7 +50,7 @@ import numpy as np
 
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count, probability
-from .rank import RankTables, _binom_row
+from .rank import RankTables, _binom_row, _model, _SparseRankModel
 
 log = logging.getLogger(__name__)
 
@@ -239,31 +240,22 @@ def _layout(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return off, has, src, dst
 
 
-def _check_tables(code: CodeParams, tables: RankTables) -> None:
-    if not tables.matches(code.K, code.q, code.p):
-        raise ConfigError(
-            f"rank tables built for (K={tables.K}, q={tables.q}, p={tables.p}) "
-            f"do not match code params (K={code.K}, q={code.q}, p={code.p})"
-        )
-
-
-def build_chain(code: CodeParams, chan: ChannelParams, tables: RankTables,
+def build_chain(code: CodeParams, chan: ChannelParams,
                 mode: str = DEFAULT_MODE) -> TransitionMatrix:
     """Populate the transition matrix for one parameter set.
 
-    tables must have been built for the same (K, q, p) as code; the
-    innovation probabilities W are the only rank inputs the chain uses.
-    Each class of pending states, a slice of the grid G[d_b, d_e], is filled
-    at once with the float operations and row-sum order of the row-by-row
+    The innovation probabilities W of ``RankTables(code.K, code.q, code.p)``
+    are the only rank inputs the chain uses.  Each class of pending states,
+    a slice of the grid G[d_b, d_e], is filled at once with the float
+    operations and row-sum order of the row-by-row
     ``tests/oracles.build_chain_reference``, which it equals bit for bit.
     """
     if mode not in TRANSITION_MODES:
         raise ConfigError(f"mode must be one of {TRANSITION_MODES}, got {mode!r}")
-    _check_tables(code, tables)
     K = code.K
     eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
     # Wd[d] = W[K - d] for a receiver at defect d; the pad at d = 0 is unused.
-    Wd = np.array([*tables.W, 0.0])[::-1]
+    Wd = np.array([*RankTables(K, code.q, code.p).W, 0.0])[::-1]
     d = np.arange(K + 1)
     d_b, d_e, w_b, w_e = d[:, None], d[None, :], Wd[:, None], Wd[None, :]
 
@@ -368,20 +360,21 @@ def chain_delivery_probability(P: TransitionMatrix, n_hat: int) -> float:
 
 
 def delivery_probability(code: CodeParams, chan: ChannelParams,
-                         tables: RankTables, n_hat: int | None = None) -> float:
+                         n_hat: int | None = None) -> float:
     """Probability that Bob decodes within the transmission budget.
 
     Sums over the number n of slots Bob actually receives: binomial weight
     times the probability that n sparse coded packets already carry full
-    rank.  Needs at least K receptions, so a budget below K yields 0.
+    rank, read from the rank model of (code.q, code.p).  Needs at least K
+    receptions, so a budget below K yields 0.
     """
-    _check_tables(code, tables)
     N = code.n_hat if n_hat is None else count(n_hat, "n_hat")
     K = code.K
     if N < K:
         log.warning("transmission budget %d is below K=%d; delivery is 0", N, K)
         return 0.0
-    return _delivery(_reception_weights(K, N, chan.eps_b), tables, K, N)
+    return _delivery(_reception_weights(K, N, chan.eps_b),
+                     _model(code.q, code.p), K, N)
 
 
 def _reception_weights(K: int, N: int, eps_b: float) -> np.ndarray:
@@ -390,7 +383,8 @@ def _reception_weights(K: int, N: int, eps_b: float) -> np.ndarray:
     return _binom_row(N)[K:] * (1.0 - eps_b) ** n * eps_b ** (N - n)
 
 
-def _delivery(weights: np.ndarray, rank, K: int, N: int) -> float:
+def _delivery(weights: np.ndarray, model: _SparseRankModel, K: int,
+              N: int) -> float:
     """Bob's delivery: reception weights against R(n, K), n = K .. N, of
-    ``rank`` (RankTables or a rank model), clamped to 1 against rounding."""
-    return min(1.0, float(weights @ rank.full_rank_probs(K, N)))
+    ``model``, clamped to 1 against rounding."""
+    return min(1.0, float(weights @ model.full_rank_probs(K, N)))

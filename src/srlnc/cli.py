@@ -17,6 +17,7 @@ the ones that build a chain; elsewhere the metadata records the fixed value
 intercepts at p* and at 1/q; the solve itself reads delivery alone.  On
 ``sweep``, ``--mode`` changes the figure-1 panels only: the figure-2 gain
 curves are simulated.
+Flags are spelled in full: ``--p`` is not read as ``--p-max``.
 ``--format json`` emits the same content as ``{"meta": ..., "records": ...}``.
 ``--out FILE`` redirects to a file.  Numbers are rendered with repr so files
 are byte-stable across runs; re-running the command recorded in the metadata
@@ -120,11 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="srlnc",
         description="Sparse network-coded broadcast: interception analysis, "
                     "simulation, and sparsity optimization.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _add_flags(subs.add_parser(name, help=help_text), name)
+        _add_flags(subs.add_parser(name, help=help_text, allow_abbrev=False),
+                   name)
     return parser
 
 
@@ -132,8 +135,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse with argv[0]'s subcommand parser alone when it takes the whole
     call, else with the whole parser, which prints argparse's own errors."""
     if argv and argv[0] in _COMMANDS:
-        parser = _add_flags(argparse.ArgumentParser(prog=f"srlnc {argv[0]}"),
-                            argv[0])
+        parser = _add_flags(argparse.ArgumentParser(
+            prog=f"srlnc {argv[0]}", allow_abbrev=False), argv[0])
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
@@ -270,12 +273,11 @@ def _cmd_chain(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p", "Nhat")
     code = CodeParams(K=args.K, q=args.q, p=args.p, n_hat=args.Nhat)
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
-    tables = RankTables(args.K, args.q, args.p)
-    P = build_chain(code, chan, tables, args.mode)
+    P = build_chain(code, chan, args.mode)
     record = {
         "p": args.p, "N_hat": args.Nhat,
         "I": intercept_probability(P, args.Nhat),
-        "D": delivery_probability(code, chan, tables),
+        "D": delivery_probability(code, chan),
         "I_chain_delivery": chain_delivery_probability(P, args.Nhat),
         "K": args.K, "q": args.q, "eps_B": args.eps_b, "eps_E": args.eps_e,
         "eps_K": args.eps_k, "mode": args.mode,
@@ -316,7 +318,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
 
     def intercept(p: float) -> float:
         at = CodeParams(K=args.K, q=args.q, p=p, n_hat=args.Nhat)
-        P = build_chain(at, chan, RankTables(args.K, args.q, p), args.mode)
+        P = build_chain(at, chan, args.mode)
         return intercept_probability(P, args.Nhat)
 
     classic = intercept(code.p)  # priced first: its chain warns before p*'s
@@ -376,13 +378,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             eps_e = round(eps_b + 0.25, 6)
             for p in _fig1_p_grid(q):
                 code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-                tables = RankTables(K, q, p)
                 # Delivery reads eps_b only, so one evaluation serves every eps_k.
                 delivery = delivery_probability(
-                    code, ChannelParams(eps_b, eps_e, eps_ks[0]), tables)
+                    code, ChannelParams(eps_b, eps_e, eps_ks[0]))
                 for eps_k in eps_ks:
                     chan_k = ChannelParams(eps_b, eps_e, eps_k)
-                    P = build_chain(code, chan_k, tables, args.mode)
+                    P = build_chain(code, chan_k, args.mode)
                     stats = estimate(
                         SimConfig(code=code, chan=chan_k, trials=trials,
                                   base_seed=args.seed),

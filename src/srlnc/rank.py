@@ -315,8 +315,7 @@ class RankTables:
     docstring, through the rank model that all tables of one (q, p) share.
     The model builds the innovation table ``W[t]``, t = 0 .. K-1, from pi at
     the one column r = K on first use and keeps it per K, so callers that
-    only need full-rank probabilities (the delivery constraint) never pay
-    for it.  Instances are cheap and safe to share between threads: the
+    only need full-rank probabilities never pay for it.  Instances are cheap and safe to share between threads: the
     shared model only ever replaces its values by larger complete ones.
 
     W[t] is the probability that, given t mutually independent sparse columns
@@ -362,9 +361,6 @@ class RankTables:
 
     def pi(self, ell: int, r: int) -> float:
         return self._mdl.pi(ell, r)
-
-    def matches(self, K: int, q: int, p: float) -> bool:
-        return self.K == K and self.q == q and self.p == p
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -292,7 +292,7 @@ def grid_search_pstar(K: int, q: int, n_hat: int, eps_b: float, eps_k: float,
     fool it) and returns None when no grid point is feasible.  This is the
     dumb-but-sure counterpart of the bisection solver.
     """
-    from srlnc import ChannelParams, CodeParams, RankTables, delivery_probability
+    from srlnc import ChannelParams, CodeParams, delivery_probability
 
     chan = ChannelParams(eps_b=eps_b, eps_e=min(1.0, eps_b + 0.2), eps_k=eps_k)
     p_min = 1.0 / q
@@ -303,7 +303,7 @@ def grid_search_pstar(K: int, q: int, n_hat: int, eps_b: float, eps_k: float,
         if not (p_min <= p < 1.0):
             continue
         code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-        d = delivery_probability(code, chan, RankTables(K, q, p))
+        d = delivery_probability(code, chan)
         if d >= d_hat:
             best = p
     return best
@@ -383,22 +383,19 @@ def solve_im_sequential(cfg):
     """The constrained-sparsity solve one sparsity at a time.
 
     The audit grid and every bisection midpoint are separate
-    `delivery_probability` calls on their own `RankTables`, in the order a
-    plain bisection visits them, and the result is built the way
-    `srlnc.solve_im` builds it.  The batched solver must return the same
+    `delivery_probability` calls, in the order a plain bisection visits
+    them, and the result is built the way `srlnc.solve_im` builds it.  The batched solver must return the same
     `ImSolution`, field by field and bit for bit, and raise the same audit
     failure.
     """
     import dataclasses
 
-    from srlnc import NumericalIntegrityError, RankTables, delivery_probability
+    from srlnc import NumericalIntegrityError, delivery_probability
     from srlnc.optimize import ImSolution
-
-    K, q = cfg.code.K, cfg.code.q
 
     def delivery_at(p):
         code = dataclasses.replace(cfg.code, p=p)
-        return delivery_probability(code, cfg.chan, RankTables(K, q, p))
+        return delivery_probability(code, cfg.chan)
 
     grid = np.linspace(cfg.p_min, cfg.p_max, 50)
     grid[0] = cfg.p_min + 1e-9 * (cfg.p_max - cfg.p_min)

@@ -68,8 +68,7 @@ def test_criterion_1_figure_1a_mse():
     theory, sim = [], []
     for p in grid:
         code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-        tables = RankTables(K, q, p)
-        P = build_chain(code, chan, tables, "paper-exact")
+        P = build_chain(code, chan, "paper-exact")
         theory.append(intercept_probability(P, n_hat))
         sim.append(_sim_intercept(K, q, p, 0.01, 0.26, 1.0, n_hat, trials, 7))
     mse = sum((t - s) ** 2 for t, s in zip(theory, sim)) / len(grid)
@@ -115,11 +114,10 @@ def test_criterion_3_theory_is_an_upper_bound():
                 chan = ChannelParams(eps_b, eps_e, eps_k)
                 for p in grid:
                     code = CodeParams(K=K, q=q, p=p, n_hat=n_hat)
-                    tables = RankTables(K, q, p)
                     i_cons = intercept_probability(
-                        build_chain(code, chan, tables, "consistent"), n_hat)
+                        build_chain(code, chan, "consistent"), n_hat)
                     i_exact = intercept_probability(
-                        build_chain(code, chan, tables, "paper-exact"), n_hat)
+                        build_chain(code, chan, "paper-exact"), n_hat)
                     s = _sim_intercept(K, q, p, eps_b, eps_e, eps_k,
                                        n_hat, trials, 33000 + seed)
                     seed += 1
@@ -227,7 +225,7 @@ def test_criterion_7_enumeration_oracle_suite():
             for eps_k in (0.8, 1.0):
                 code = CodeParams(K=K, q=2, p=0.6, n_hat=4)
                 chan = ChannelParams(0.1, 0.3, eps_k)
-                P = build_chain(code, chan, RankTables(K, 2, 0.6), mode)
+                P = build_chain(code, chan, mode)
                 for n in range(5):
                     diff = abs(intercept_probability(P, n)
                                - chain_intercept_by_paths(P, n))
@@ -255,7 +253,7 @@ def test_criterion_8_structural_invariants():
     chan = ChannelParams(0.05, 0.3, 0.9)
     for K, q, p in battery:
         code = CodeParams(K=K, q=q, p=p, n_hat=2 * K)
-        P = build_chain(code, chan, RankTables(K, q, p), "paper-exact")
+        P = build_chain(code, chan, "paper-exact")
         trips = list(P.triplets())
         S = len({i for i, _, _ in trips})
         assert S == n_states(K) == (K + 1) * (K + 2)
@@ -271,7 +269,7 @@ def test_criterion_8_structural_invariants():
 
     # intercept nondecreasing in the budget
     code = CodeParams(K=5, q=2, p=0.6, n_hat=20)
-    P = build_chain(code, chan, RankTables(5, 2, 0.6), "paper-exact")
+    P = build_chain(code, chan, "paper-exact")
     curve = [intercept_probability(P, n) for n in range(21)]
     assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
 

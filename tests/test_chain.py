@@ -1,6 +1,7 @@
 """Absorbing-chain structure, hand-checked entries, and both metrics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from srlnc.chain import TRANSITION_MODES
 def _chain(K, q, p, eps_b, eps_e, eps_k, mode="paper-exact", n_hat=None):
     code = CodeParams(K=K, q=q, p=p, n_hat=n_hat if n_hat else 4 * K)
     chan = ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k)
-    return build_chain(code, chan, RankTables(K, q, p), mode)
+    return build_chain(code, chan, mode)
 
 
 def test_channel_params_validation():
@@ -134,10 +135,11 @@ def test_structural_invariants_hold_for_random_parameters(
         assert row == [(i, 1.0)]
 
 
-def _assert_matches_reference(code, chan, tables, mode):
+def _assert_matches_reference(code, chan, mode):
     """build_chain equals the row-by-row reference bit for bit."""
-    P = build_chain(code, chan, tables, mode)
-    src, dst, prob, clamps = build_chain_reference(code, chan, tables, mode)
+    P = build_chain(code, chan, mode)
+    src, dst, prob, clamps = build_chain_reference(
+        code, chan, RankTables(code.K, code.q, code.p), mode)
     for got, want in ((P.src, src), (P.dst, dst), (P.prob, prob)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -152,23 +154,21 @@ def test_builder_matches_the_row_by_row_reference(K, q):
     # p = 1/q takes the classic innovation table; (1, 1) is the blackout
     # channel, where every receiving row self-loops.
     for p in (1.0 / q, 0.6, 0.9):
-        tables = RankTables(K, q, p)
         code = CodeParams(K=K, q=q, p=p, n_hat=2 * K)
         for mode in TRANSITION_MODES:
             for eps_b, eps_e in ((0.05, 0.3), (0.0, 0.4), (1.0, 1.0)):
                 for eps_k in (0.0, 0.5, 1.0):
                     chan = ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k)
-                    _assert_matches_reference(code, chan, tables, mode)
+                    _assert_matches_reference(code, chan, mode)
 
 
 @pytest.mark.parametrize("K, q", [(20, 2), (12, 256)])
 def test_builder_matches_the_reference_where_brackets_clamp(K, q):
-    tables = RankTables(K, q, 0.99)
     code = CodeParams(K=K, q=q, p=0.99, n_hat=2 * K)
     for mode in TRANSITION_MODES:
         for eps_k in (0.0, 0.5, 1.0):
             chan = ChannelParams(eps_b=0.0, eps_e=0.4, eps_k=eps_k)
-            P = _assert_matches_reference(code, chan, tables, mode)
+            P = _assert_matches_reference(code, chan, mode)
             assert P.clamp_count > 0
 
 
@@ -188,8 +188,7 @@ def test_builder_matches_the_reference_for_random_parameters(
     eps_e = min(1.0, eps_b + extra * (1.0 - eps_b))
     _assert_matches_reference(
         CodeParams(K=K, q=q, p=p, n_hat=2 * K),
-        ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k),
-        RankTables(K, q, p), mode)
+        ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k), mode)
 
 
 # clamp_count and its warning, as recorded from the row-by-row builder.
@@ -212,16 +211,15 @@ def test_clamp_count_and_its_warning(K, q, p, eps, want, caplog):
             "zone"] if want else [])
 
 
-def _chain_with_W(K, W, eps_b, eps_e, eps_k):
+def _chain_with_W(monkeypatch, K, W, eps_b, eps_e, eps_k):
     """A chain built from an injected innovation table."""
-    tables = RankTables(K, 2, 0.6)
-    tables.__dict__["W"] = W  # where the cached property keeps its value
+    monkeypatch.setattr("srlnc.chain.RankTables",
+                        lambda K, q, p: SimpleNamespace(W=W))
     return build_chain(CodeParams(K=K, q=2, p=0.6, n_hat=2 * K),
-                       ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k),
-                       tables)
+                       ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k))
 
 
-def test_build_rejects_a_transition_outside_the_unit_interval():
+def test_build_rejects_a_transition_outside_the_unit_interval(monkeypatch):
     # W = 1.5: the first row hit is Bob done, Eve one short, where Eve's
     # "stays" entry (1 - eps_k)(1 - advance) = 0.5 * (1 - 1.5) < 0.
     K = 3
@@ -229,18 +227,18 @@ def test_build_rejects_a_transition_outside_the_unit_interval():
     with pytest.raises(NumericalIntegrityError,
                        match=rf"transition to {label - K - 2} has probability "
                              r"-0.25 outside \[0, 1\]") as err:
-        _chain_with_W(K, (1.5,) * K, 0.0, 0.0, 0.5)
+        _chain_with_W(monkeypatch, K, (1.5,) * K, 0.0, 0.0, 0.5)
     assert f"row {label} ({state_of(label, K)})" in str(err.value)
 
 
-def test_build_rejects_non_self_transitions_summing_above_one():
+def test_build_rejects_non_self_transitions_summing_above_one(monkeypatch):
     # W = 1.5 with eps_e = 0.5 keeps every entry <= 1, but with Bob one
     # short and Eve done the two ACK branches carry 0.75 each.
     K = 3
     label = label_of(ChainState(1, 0), K)
     with pytest.raises(NumericalIntegrityError,
                        match="non-self transitions sum to 1.5 > 1") as err:
-        _chain_with_W(K, (1.5,) * K, 0.0, 0.5, 0.5)
+        _chain_with_W(monkeypatch, K, (1.5,) * K, 0.0, 0.5, 0.5)
     assert f"row {label} ({state_of(label, K)})" in str(err.value)
 
 
@@ -344,7 +342,7 @@ def test_intercept_monotone_in_budget():
 def test_fully_jammed_feedback_never_reaches_ack_states():
     code = CodeParams(K=4, q=2, p=0.7, n_hat=16)
     chan = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=1.0)
-    P = build_chain(code, chan, RankTables(4, 2, 0.7))
+    P = build_chain(code, chan)
     for n in range(16 + 1):
         dist = P.distribution(n)
         assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9), n
@@ -379,9 +377,8 @@ def test_distribution_matches_dense_propagation(q, p, mode, eps_k):
 def test_modes_coincide_when_feedback_is_fully_jammed():
     code = CodeParams(K=4, q=2, p=0.7, n_hat=16)
     chan = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=1.0)
-    tables = RankTables(4, 2, 0.7)
-    a = build_chain(code, chan, tables, "paper-exact").triplets()
-    b = build_chain(code, chan, tables, "consistent").triplets()
+    a = build_chain(code, chan, "paper-exact").triplets()
+    b = build_chain(code, chan, "consistent").triplets()
     assert a == b
 
 
@@ -393,12 +390,11 @@ def test_modes_differ_exactly_by_the_acknowledgment_swap():
     K = 5
     code = CodeParams(K=K, q=2, p=0.6, n_hat=20)
     chan = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=0.5)
-    tables = RankTables(K, 2, 0.6)
     rows_pe: dict[int, dict[int, float]] = {}
     rows_co: dict[int, dict[int, float]] = {}
-    for i, j, w in build_chain(code, chan, tables, "paper-exact").triplets():
+    for i, j, w in build_chain(code, chan, "paper-exact").triplets():
         rows_pe.setdefault(i, {})[j] = w
-    for i, j, w in build_chain(code, chan, tables, "consistent").triplets():
+    for i, j, w in build_chain(code, chan, "consistent").triplets():
         rows_co.setdefault(i, {})[j] = w
     assert rows_pe.keys() == rows_co.keys()
     for i in rows_pe:
@@ -417,40 +413,29 @@ def test_unknown_mode_rejected():
     chan = ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0)
     for mode in ("other", "exact"):
         with pytest.raises(ConfigError):
-            build_chain(code, chan, RankTables(3, 2, 0.6), mode)
-
-
-def test_mismatched_tables_rejected():
-    code = CodeParams(K=3, q=2, p=0.6, n_hat=12)
-    chan = ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0)
-    with pytest.raises(ConfigError):
-        build_chain(code, chan, RankTables(3, 2, 0.7), "paper-exact")
-    with pytest.raises(ConfigError):
-        delivery_probability(code, chan, RankTables(4, 2, 0.6))
+            build_chain(code, chan, mode)
 
 
 def test_delivery_trivial_and_hand_cases():
     # all of Bob's packets erased
     code = CodeParams(K=3, q=2, p=0.6, n_hat=12)
     assert delivery_probability(
-        code, ChannelParams(eps_b=1.0, eps_e=1.0, eps_k=1.0),
-        RankTables(3, 2, 0.6)) == 0.0
+        code, ChannelParams(eps_b=1.0, eps_e=1.0, eps_k=1.0)) == 0.0
     # K=1, two slots, lossless: P(a 2x1 classic matrix is nonzero) = 3/4
     one = CodeParams(K=1, q=2, p=0.5, n_hat=2)
     assert delivery_probability(
-        one, ChannelParams(eps_b=0.0, eps_e=0.0, eps_k=1.0),
-        RankTables(1, 2, 0.5)) == pytest.approx(0.75, abs=1e-12)
+        one, ChannelParams(eps_b=0.0, eps_e=0.0, eps_k=1.0)
+    ) == pytest.approx(0.75, abs=1e-12)
     # budget below K is an empty sum
     assert delivery_probability(
-        code, ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0),
-        RankTables(3, 2, 0.6), n_hat=2) == 0.0
+        code, ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0), n_hat=2) == 0.0
 
 
 def test_delivery_matches_monte_carlo():
     # classic endpoint so the analytical side is exact; 3 sigma on the sim
     code = CodeParams(K=20, q=2, p=0.5, n_hat=40)
     chan = ChannelParams(eps_b=0.01, eps_e=0.26, eps_k=1.0)
-    want = delivery_probability(code, chan, RankTables(20, 2, 0.5))
+    want = delivery_probability(code, chan)
     stats = estimate(SimConfig(code=code, chan=chan, trials=5000, base_seed=17))
     sigma = max(stats.delivery_ci / 1.96, 1e-4)
     assert abs(stats.delivery_hat - want) <= 3 * sigma
@@ -459,7 +444,7 @@ def test_delivery_matches_monte_carlo():
 def test_chain_delivery_examples():
     code = CodeParams(K=4, q=2, p=0.7, n_hat=200)
     chan = ChannelParams(eps_b=0.0, eps_e=0.3, eps_k=1.0)
-    P = build_chain(code, chan, RankTables(4, 2, 0.7), "paper-exact")
+    P = build_chain(code, chan, "paper-exact")
     assert chain_delivery_probability(P, 0) == 0.0
     # huge budget, lossless Bob channel: both receivers finish almost surely,
     # so even the narrow label window of this formula fills up
@@ -472,23 +457,22 @@ def test_chain_delivery_against_the_binomial_form():
     # completion.  Within 0.05 of the binomial form when Eve's channel is
     # as good as Bob's; exact when the feedback never fails.
     code5 = CodeParams(K=5, q=2, p=0.5, n_hat=10)
-    tables5 = RankTables(5, 2, 0.5)
     sym = ChannelParams(eps_b=0.05, eps_e=0.05, eps_k=1.0)
-    direct = delivery_probability(code5, sym, tables5)
-    P5 = build_chain(code5, sym, tables5, "paper-exact")
+    direct = delivery_probability(code5, sym)
+    P5 = build_chain(code5, sym, "paper-exact")
     assert chain_delivery_probability(P5, 10) == pytest.approx(direct, abs=0.05)
 
     instant_ack = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=0.0)
-    Pi = build_chain(code5, instant_ack, tables5, "paper-exact")
+    Pi = build_chain(code5, instant_ack, "paper-exact")
     assert chain_delivery_probability(Pi, 10) == pytest.approx(
-        delivery_probability(code5, instant_ack, tables5), abs=1e-9)
+        delivery_probability(code5, instant_ack), abs=1e-9)
 
     # and the documented blind spot: with the ACK channel fully jammed and
     # Eve much worse off than Bob, the window misses Bob-done states, so
     # the chain figure sits far below the binomial one
     lopsided = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=1.0)
-    Pl = build_chain(code5, lopsided, tables5, "paper-exact")
-    assert (delivery_probability(code5, lopsided, tables5)
+    Pl = build_chain(code5, lopsided, "paper-exact")
+    assert (delivery_probability(code5, lopsided)
             - chain_delivery_probability(Pl, 10)) > 0.2
 
 
@@ -508,8 +492,7 @@ def test_intercept_monotone_in_p_on_the_restricted_grid():
                 vals = []
                 for p in grid:
                     code = CodeParams(K=20, q=q, p=p, n_hat=40)
-                    P = build_chain(code, chan, RankTables(20, q, p),
-                                    "paper-exact")
+                    P = build_chain(code, chan, "paper-exact")
                     vals.append(intercept_probability(P, 40))
                 for a, b in zip(vals, vals[1:]):
                     assert b <= a + 2.5e-3, (q, eps_b, eps_k, vals)
@@ -522,6 +505,6 @@ def test_intercept_seam_step_is_the_known_exception():
     vals = []
     for p in (0.5, 0.55):
         code = CodeParams(K=20, q=2, p=p, n_hat=40)
-        P = build_chain(code, chan, RankTables(20, 2, p), "paper-exact")
+        P = build_chain(code, chan, "paper-exact")
         vals.append(intercept_probability(P, 40))
     assert vals[1] > vals[0] + 0.01

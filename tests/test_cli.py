@@ -20,7 +20,6 @@ from srlnc.chain import (
 )
 from srlnc.coding import CodeParams
 from srlnc.errors import NumericalIntegrityError
-from srlnc.rank import RankTables
 
 
 def _run(capsys, argv):
@@ -402,10 +401,9 @@ def test_chain_row_matches_the_library(capsys, tmp_path):
 
     code = CodeParams(K=4, q=2, p=0.6, n_hat=10)
     chan = ChannelParams(0.05, 0.3, 0.9)
-    tables = RankTables(4, 2, 0.6)
-    P = build_chain(code, chan, tables, "paper-exact")
+    P = build_chain(code, chan, "paper-exact")
     assert float(row["I"]) == intercept_probability(P, 10)
-    assert float(row["D"]) == delivery_probability(code, chan, tables)
+    assert float(row["D"]) == delivery_probability(code, chan)
     assert float(row["I_chain_delivery"]) == chain_delivery_probability(P, 10)
 
     dumped = _rows(dump.read_text())
@@ -646,7 +644,19 @@ def test_retired_recursion_flag_is_a_usage_error(capsys, argv, flag):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
-_RANK = ["rank", "--K", "3", "--q", "2", "--p", "0.6"]
+def test_an_abbreviated_flag_is_a_usage_error(capsys):
+    # optimize has no --p; argparse's prefix matching used to read it as
+    # --p-max and solve with p_max = 0.6
+    with pytest.raises(SystemExit) as exc:
+        _run(capsys, ["optimize", "--K", "20", "--Nhat", "40", "--eps-b",
+                      "0.05", "--eps-e", "0.2", "--p", "0.6"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --p 0.6" in captured.err
+
+
+_RANK =["rank", "--K", "3", "--q", "2", "--p", "0.6"]
 
 
 # The CSV header is the JSON records' keys in order; rank's records carry
@@ -697,11 +707,9 @@ def test_sweep_figure1_panel_schema(capsys):
     probe = rows[3]
     code = CodeParams(K=4, q=2, p=float(probe["p"]), n_hat=8)
     chan = ChannelParams(0.05, 0.3, 1.0)
-    tables = RankTables(4, 2, float(probe["p"]))
-    P = build_chain(code, chan, tables, "paper-exact")
+    P = build_chain(code, chan, "paper-exact")
     assert float(probe["intercept_theory"]) == intercept_probability(P, 8)
-    assert float(probe["delivery_theory"]) == delivery_probability(
-        code, chan, tables)
+    assert float(probe["delivery_theory"]) == delivery_probability(code, chan)
     for r in rows:
         assert 0.0 <= float(r["intercept_hat"]) <= 1.0
         assert r["trials"] == "50"

@@ -246,9 +246,9 @@ _BOTH_PATHS = [
     (["optimize", "--K", "3", "--Nhat", "6", "--Dhat", "0.9"], True),
     (["sweep", "--figure", "2a", "--K", "5", "--format", "json"], True),
     (["chain"], True),
-    # abbreviations: --Nh for --Nhat, and optimize's --p for --p-max
-    (["chain", "--Nh", "6", "--eps-b", "0.1"], True),
-    (["optimize", "--p", "0.9"], True),
+    # abbreviations are refused: --Nh is not --Nhat, optimize's --p not --p-max
+    (["chain", "--Nh", "6", "--eps-b", "0.1"], False),
+    (["optimize", "--p", "0.9"], False),
     (["chain", "--K=3", "--eps-k=0.5", "--format=json"], True),
     (["chain", "--K", "2", "--K", "3"], True),
     (["chain", "--config", "run.ini", "--K", "3"], True),

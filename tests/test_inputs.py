@@ -41,7 +41,7 @@ from srlnc import (
 _CODE = CodeParams(K=4, q=2, p=0.6, n_hat=8)
 _CHAN = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=0.5)
 _TABLES = RankTables(4, 2, 0.6)
-_CHAIN = build_chain(_CODE, _CHAN, _TABLES)
+_CHAIN = build_chain(_CODE, _CHAN)
 _SIM = SimConfig(_CODE, _CHAN, trials=10, base_seed=5)
 
 
@@ -85,7 +85,7 @@ COUNTS = [
     ("intercept_probability", 6, lambda v: intercept_probability(_CHAIN, v)),
     ("chain_delivery_probability", 6, lambda v: chain_delivery_probability(_CHAIN, v)),
     ("delivery_probability", 10,
-     lambda v: delivery_probability(_CODE, _CHAN, _TABLES, n_hat=v)),
+     lambda v: delivery_probability(_CODE, _CHAN, n_hat=v)),
     ("label_of bob_defect", 2, lambda v: label_of(ChainState(v, 1), 4)),
     ("label_of eve_defect", 1, lambda v: label_of(ChainState(2, v), 4)),
     ("intercept_gain n_hats", 10, _gain),

@@ -13,7 +13,6 @@ from srlnc.coding import CodeParams
 from srlnc.errors import ConfigError, NumericalIntegrityError
 from srlnc import optimize, rank
 from srlnc.optimize import GainPoint, ImConfig, ImSolution, intercept_gain, solve_im
-from srlnc.rank import RankTables
 
 from oracles import grid_search_pstar, solve_im_sequential
 
@@ -30,7 +29,7 @@ def _intercept(cfg, p, mode="paper-exact"):
     """The chain's intercept at sparsity p for cfg's budget and channel, as
     srlnc optimize prices it."""
     code = dataclasses.replace(cfg.code, p=p)
-    P = build_chain(code, cfg.chan, RankTables(code.K, code.q, p), mode)
+    P = build_chain(code, cfg.chan, mode)
     return intercept_probability(P, code.n_hat)
 
 
@@ -111,12 +110,11 @@ def test_interior_root_postconditions(kw):
     # the constraint is met from above, within the solver tolerance
     assert 0.0 <= sol.delivery - cfg.d_hat <= cfg.tol
     code = dataclasses.replace(cfg.code, p=sol.p_star)
-    fresh = delivery_probability(code, cfg.chan, RankTables(cfg.code.K, cfg.code.q, sol.p_star))
-    assert fresh == pytest.approx(sol.delivery, abs=1e-12)
+    # the solver reads the same (q, p) rank model, so the two agree exactly
+    assert delivery_probability(code, cfg.chan) == sol.delivery
     # p_star is maximal: one step to the right already violates the floor
     right = dataclasses.replace(cfg.code, p=sol.p_star + 0.01)
-    d_right = delivery_probability(
-        right, cfg.chan, RankTables(cfg.code.K, cfg.code.q, sol.p_star + 0.01))
+    d_right = delivery_probability(right, cfg.chan)
     assert d_right < cfg.d_hat
     assert _intercept(cfg, cfg.p_min) >= _intercept(cfg, sol.p_star)
 

@@ -300,13 +300,6 @@ def test_overflowing_innovation_exponent_is_clipped_without_numpy_warnings(
                for r in caplog.records)
 
 
-def test_matches_guard():
-    tables = RankTables(5, 2, 0.6)
-    assert tables.matches(5, 2, 0.6)
-    assert not tables.matches(5, 2, 0.7)
-    assert not tables.matches(6, 2, 0.6)
-
-
 # Sparsities the table path is pinned at: both ends of the search range and
 # points between, per field.
 _PINNED_P = {2: (0.5 + 1e-9, 0.55, 0.7, 0.85, 0.9, 0.95),
