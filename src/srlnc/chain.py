@@ -19,10 +19,11 @@ label ``(K+1)^2 + K``, and interception means reaching any state with
 
 Row i has at most six entries, at the fixed destinations ``i - (2K+3)``,
 ``i - (2K+2)``, ``i - (K+2)``, ``i - (K+1)``, ``i - 1`` and ``i``.
-`build_chain` fills those six cells of every row at once, so the matrix is
-kept as three row-major arrays (source label, destination label,
-probability), and one slot of propagation scatters ``dist[src] * prob`` onto
-``dst`` with ``np.bincount``.
+`build_chain` fills those six cells of every row at once, and the matrix is
+kept as that ``(S, 6)`` cell array.  Read by column, label j gathers from
+the sources ``j + a + b(K+1)``, a in {0, 1} and b in {0, 1, 2}, so one slot
+of propagation multiplies a strided view of the distribution by the
+matching cells and sums the six terms.
 
 The per-slot probabilities approximate the coupled rank evolution using the
 innovation table W of ``RankTables(K, q, p)`` at the chain's code point:  a
@@ -47,6 +48,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count, probability
@@ -143,24 +145,23 @@ def intercept_labels(K: int) -> tuple[int, ...]:
 class TransitionMatrix:
     """Sparse row-stochastic transition matrix over the labeled states.
 
-    Stored once, as three parallel arrays: entry k moves probability
-    prob[k] from label src[k] to label dst[k].  Entries run in row-major
-    order (by src, then by dst), every label has at least its self-loop,
-    and explicit zeros are kept, so the arrays are exactly the audit dump of
-    triplets().  clamp_count records how many bracket terms went negative
-    during construction and were clamped to zero; nonzero counts happen only
-    where the innovation table itself misbehaves.  Propagated distributions
-    are memoised per budget (see distribution), so several readings of one
+    Stored once, as the ``(S, 6)`` array ``cells``: cell k of row i is the
+    probability of moving from label i to label ``i - off[k]``, with ``off``
+    from `_layout`, and cells outside the layout hold 0.  triplets() lists
+    the layout's cells in row-major order (by source, then by destination),
+    explicit zeros included, so every label has at least its self-loop.
+    clamp_count records how many bracket terms went negative during
+    construction and were clamped to zero; nonzero counts happen only where
+    the innovation table itself misbehaves.  Propagated distributions are
+    memoised per budget (see distribution), so several readings of one
     budget cost one propagation.
     """
 
-    def __init__(self, K: int, mode: str, src: np.ndarray, dst: np.ndarray,
-                 prob: np.ndarray, clamp_count: int = 0):
+    def __init__(self, K: int, mode: str, cells: np.ndarray,
+                 clamp_count: int = 0):
         self.K = K
         self.mode = mode
-        self.src = src
-        self.dst = dst
-        self.prob = prob
+        self.cells = cells
         self.clamp_count = clamp_count
         self._dists: dict[int, np.ndarray] = {}
 
@@ -180,64 +181,57 @@ class TransitionMatrix:
 
     def _fail(self, i: int, what: str) -> NumericalIntegrityError:
         """Error naming row label i, its state and the row's entries."""
-        here = self.src == i
-        row = dict(zip(self.dst[here].tolist(), self.prob[here].tolist()))
+        off, has = _layout(self.K)
+        k = np.flatnonzero(has[i] | (self.cells[i] != 0.0))
+        row = dict(zip((i - off[k]).tolist(), self.cells[i, k].tolist()))
         return NumericalIntegrityError(
             f"row {i} ({state_of(i, self.K)}): {what}; row = {row}"
         )
 
     def verify(self) -> None:
-        """Structural sanity checks; raises NumericalIntegrityError."""
-        K, S = self.K, n_states(self.K)
-        src, dst, prob = self.src, self.dst, self.prob
-        bad = (src < 0) | (src >= S)
-        if bad.any():
-            raise NumericalIntegrityError(
-                f"row label {int(src[bad][0])} outside 0..{S - 1}"
-            )
-        bad = (dst < 0) | (dst > src)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise self._fail(int(src[k]), f"destination {int(dst[k])} is not "
-                             "lower-triangular or out of range")
-        bad = ~((prob >= -1e-15) & (prob <= 1.0 + 1e-12))  # NaN included
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise self._fail(int(src[k]), f"P[{int(src[k])},{int(dst[k])}] = "
-                             f"{float(prob[k])} outside [0, 1]")
-        totals = np.bincount(src, weights=prob, minlength=S)
-        bad = np.abs(totals - 1.0) > _ROW_SUM_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise self._fail(i, f"probabilities sum to {float(totals[i])!r}, "
-                             f"off by {totals[i] - 1.0:.3e}")
-        # Labels 0..K must be pure self-loops; with the row sums checked,
-        # entries i -> i at exactly 1 leave room for one entry only.
-        bad = (src <= K) & ((dst != src) | (prob != 1.0))
-        if bad.any():
-            raise self._fail(int(src[np.argmax(bad)]), "should be absorbing")
+        """Integrity checks; raises NumericalIntegrityError naming the first
+        faulty row and the first of its faults."""
+        K, cells = self.K, self.cells
+        off, has = _layout(K)
+        totals = cells.sum(axis=1)
+        faults = (  # labels 0..K hold a self-loop of 1 and, by layout, no more
+            (((cells[:, 5] != 1.0) & (np.arange(len(cells)) <= K))[:, None],
+             "should be absorbing"),
+            (~has & (cells != 0.0), "P[{i},{j}] = {v!r} outside the layout"),
+            (~((cells >= 0.0) & (cells <= 1.0)),  # NaN included
+             "P[{i},{j}] = {v!r} outside [0, 1]"),
+            ((np.abs(totals - 1.0) > _ROW_SUM_TOL)[:, None],
+             "probabilities sum to {t!r}, off by {d:.3e}"),
+        )
+        if any(bad.any() for bad, _ in faults):
+            rows = np.logical_or.reduce([bad.any(axis=1) for bad, _ in faults])
+            i = int(np.argmax(rows))
+            bad, what = next((bad, w) for bad, w in faults if bad[i].any())
+            k = int(np.argmax(bad[i]))
+            raise self._fail(i, what.format(
+                i=i, j=i - int(off[k]), v=float(cells[i, k]),
+                t=float(totals[i]), d=totals[i] - 1.0))
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """(row, col, prob) entries in row-major order, for audit dumps."""
-        return list(zip(self.src.tolist(), self.dst.tolist(),
-                        self.prob.tolist()))
+        off, has = _layout(self.K)
+        src, k = np.nonzero(has)
+        return list(zip(src.tolist(), (src - off[k]).tolist(),
+                        self.cells[has].tolist()))
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (off, has, src, dst) for generation size K: cell k of row i
-    is the entry to label i - off[k]; has marks the cells each row has,
-    explicit zeros included; src and dst label them in row-major order."""
+def _layout(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (off, has) for generation size K: cell k of row i is the
+    entry to label i - off[k]; has marks the cells each row has, explicit
+    zeros included."""
     off = np.array([2 * K + 3, 2 * K + 2, K + 2, K + 1, 1, 0])
     has = np.zeros((n_states(K), 6), dtype=bool)
     H = has[K + 1:].reshape(K + 1, K + 1, 6)  # pending labels as [d_b, d_e]
     has[:, 5] = H[:, :, 3] = H[:, 1:, 4] = H[:, 1:, 2] = H[1, :, 1] = True
     H[1, 1:, 0] = True
-    src, col = np.nonzero(has)
-    dst = src - off[col]
-    for a in (off, has, src, dst):
-        a.flags.writeable = False
-    return off, has, src, dst
+    off.flags.writeable = has.flags.writeable = False
+    return off, has
 
 
 def build_chain(code: CodeParams, chan: ChannelParams,
@@ -271,8 +265,7 @@ def build_chain(code: CodeParams, chan: ChannelParams,
     v = np.where(d_e >= d_b, ee * (1.0 - eb) * w_b, np.where(v_neg, 0.0, v_raw))
     diag = (1.0 - eb) * (1.0 - ee) * Wd[np.minimum(d_b, d_e)]
 
-    off, has, src, dst = _layout(K)
-    P = np.zeros(has.shape)
+    P = np.zeros((n_states(K), 6))
     G = P[K + 1:].reshape(K + 1, K + 1, 6)
     # A: d_b >= 2, d_e >= 1.  B: Bob may finish this slot; his ACK then gets
     # through with probability 1 - eps_k, freezing the chain.
@@ -300,39 +293,40 @@ def build_chain(code: CodeParams, chan: ChannelParams,
     rest = 1.0 - total
     P[:, 5] = np.where(rest > 0.0, rest, 0.0)
     clamps = int(np.count_nonzero((h_neg | v_neg)[1:, 1:]))  # A and B
-    out = TransitionMatrix(K, mode, src, dst, P[has], clamp_count=clamps)
-
-    bad = (P[:, :5] < 0.0) | (P[:, :5] > 1.0)
-    over = total > 1.0 + _ROW_SUM_TOL
-    first = np.flatnonzero(bad.any(axis=1) | over)
-    if first.size:
-        r = int(first[0])
-        if bad[r].any():
-            k = int(np.argmax(bad[r]))
-            raise out._fail(r, f"transition to {r - int(off[k])} has "
-                            f"probability {float(P[r, k])!r} outside [0, 1]")
-        raise out._fail(r, f"non-self transitions sum to {float(total[r])!r} > 1")
+    # A non-self total above 1 leaves the self-loop at 0 and fails the row
+    # sum, so verify() catches every broken row before anything is logged.
+    out = TransitionMatrix(K, mode, P, clamp_count=clamps)
+    out.verify()
     if clamps:
         log.warning(
             "%d bracket term(s) clamped to 0 while building the chain at "
             "K=%d p=%g; the innovation table is outside its comfort zone",
             clamps, K, code.p,
         )
-    out.verify()
     return out
 
 
 def _propagate(P: TransitionMatrix, n_hat: int) -> np.ndarray:
     """Distribution after n_hat slots, starting from the initial state; n_hat
     comes checked from ``TransitionMatrix.distribution``."""
-    S = P.n_states
-    dist = np.zeros(S)
-    dist[initial_label(P.K)] = 1.0
+    K, S = P.K, P.n_states
+    reach = 2 * K + 3  # the farthest source lies this far above its label
+    cells = np.zeros((S + reach, 6))
+    cells[:S] = P.cells
+    dist = np.zeros(S + reach)
+    dist[initial_label(K)] = 1.0
+    # Label j's source j + a + b(K+1) reaches it through cell 5 - 2b - a.
+    # Both views run [b, a, j], so each label sums its six terms in ascending
+    # source order; zero padding stands in for sources past the last label.
+    step = dist.itemsize
+    sources = as_strided(dist, (3, 2, S), (step * (K + 1), step, step))
+    weights = np.ascontiguousarray(as_strided(
+        cells.ravel()[5:], (3, 2, S), (step * (6 * K + 4), step * 5, step * 6)))
+    terms = np.empty((6, S))
     for _ in range(n_hat):
-        # Entries are row-major, so each destination accumulates its
-        # sources in ascending label order.
-        dist = np.bincount(P.dst, weights=dist[P.src] * P.prob, minlength=S)
-    return dist
+        np.multiply(sources, weights, out=terms.reshape(3, 2, S))
+        np.add.reduce(terms, axis=0, out=dist[:S])
+    return dist[:S]
 
 
 def intercept_probability(P: TransitionMatrix, n_hat: int) -> float:

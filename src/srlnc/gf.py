@@ -141,11 +141,12 @@ class GF:
         The rows are held word-major, ``(W, S, N + 1)``.  The extra last row
         of each stream is a sentinel, nonzero in every lane, so a stream with
         no pivot in a column picks the sentinel.  Column by column, the
-        earliest row with a nonzero element in the column becomes its pivot
-        and is taken out (zeroed), and the column is cleared from every later
-        row by adding a multiple of the pivot row.  Rows only ever have
-        earlier rows added to them, so every prefix keeps its span, and the
-        rows left standing at the end are zero.
+        earliest row with a nonzero element in the column becomes its pivot,
+        and the column is cleared from that row and every later one by
+        adding a multiple of the pivot row.  The pivot row's own multiplier
+        is 1, so the same update clears the pivot row to zero.  Every other
+        row only has earlier rows added to it, so every prefix keeps its
+        span, and the rows left standing at the end are zero.
 
         At q = 2 every multiplier is 0 or 1: the column test is one shift
         and AND, and the update adds the pivot times that bit, with no
@@ -179,11 +180,9 @@ class GF:
             first = firsts[j] = (col if m == 1 else col != 0).argmax(axis=1)
             at_first = row0 + first
             pivot = flat_rest[:, at_first]
-            flat_rest[:, at_first] = 0
             if m > 1:
                 # Multiplier of each row: its element over the pivot's.
                 col = mul.take(inv[col.take(at_first)][:, None] | col)
-            col.put(at_first, 0)
             if m == 1:
                 rest ^= pivot[:, :, None] * col
                 continue

@@ -140,6 +140,25 @@ def chain_distribution_dense(P, n_hat: int) -> list[float]:
     return dist
 
 
+def propagate_by_bincount(P, n_hat: int) -> np.ndarray:
+    """Distribution after n_hat slots by scattering over the triplet dump.
+
+    Each slot gathers the mass at every entry's row, multiplies it by the
+    entry's probability and adds it onto the entry's column with
+    ``np.bincount``.  The dump runs in row-major order, so every label sums
+    its sources in ascending label order, starting from 0.0.
+    """
+    from srlnc import initial_label, n_states
+
+    src, dst, prob = (np.array(col) for col in zip(*P.triplets()))
+    S = n_states(P.K)
+    dist = np.zeros(S)
+    dist[initial_label(P.K)] = 1.0
+    for _ in range(n_hat):
+        dist = np.bincount(dst, weights=dist[src] * prob, minlength=S)
+    return dist
+
+
 def innovation_table_by_loop(tables) -> tuple[float, ...]:
     """W of a sparse (p > 1/q) RankTables, one term of its exponent at a time.
 

@@ -12,6 +12,7 @@ from oracles import (
     build_chain_reference,
     chain_distribution_dense,
     chain_intercept_by_paths,
+    propagate_by_bincount,
 )
 from srlnc import (
     ChainState,
@@ -33,7 +34,8 @@ from srlnc import (
     n_states,
     state_of,
 )
-from srlnc.chain import TRANSITION_MODES
+from srlnc import chain as chain_module
+from srlnc.chain import TRANSITION_MODES, _layout
 
 
 def _chain(K, q, p, eps_b, eps_e, eps_k, mode="paper-exact", n_hat=None):
@@ -138,9 +140,9 @@ def test_structural_invariants_hold_for_random_parameters(
 def _assert_matches_reference(code, chan, mode):
     """build_chain equals the row-by-row reference bit for bit."""
     P = build_chain(code, chan, mode)
-    src, dst, prob, clamps = build_chain_reference(
+    *columns, clamps = build_chain_reference(
         code, chan, RankTables(code.K, code.q, code.p), mode)
-    for got, want in ((P.src, src), (P.dst, dst), (P.prob, prob)):
+    for got, want in zip(map(np.array, zip(*P.triplets())), columns):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -225,8 +227,8 @@ def test_build_rejects_a_transition_outside_the_unit_interval(monkeypatch):
     K = 3
     label = label_of(ChainState(0, 1), K)
     with pytest.raises(NumericalIntegrityError,
-                       match=rf"transition to {label - K - 2} has probability "
-                             r"-0.25 outside \[0, 1\]") as err:
+                       match=rf"P\[{label},{label - K - 2}\] = -0.25 "
+                             r"outside \[0, 1\]") as err:
         _chain_with_W(monkeypatch, K, (1.5,) * K, 0.0, 0.0, 0.5)
     assert f"row {label} ({state_of(label, K)})" in str(err.value)
 
@@ -237,15 +239,20 @@ def test_build_rejects_non_self_transitions_summing_above_one(monkeypatch):
     K = 3
     label = label_of(ChainState(1, 0), K)
     with pytest.raises(NumericalIntegrityError,
-                       match="non-self transitions sum to 1.5 > 1") as err:
+                       match="probabilities sum to 1.5, off by 5.000e-01"
+                       ) as err:
         _chain_with_W(monkeypatch, K, (1.5,) * K, 0.0, 0.5, 0.5)
     assert f"row {label} ({state_of(label, K)})" in str(err.value)
 
 
 def _rebuilt(P, trips):
-    """A TransitionMatrix over P's labels holding exactly the given entries."""
-    src, dst, prob = (np.array(col) for col in zip(*trips))
-    return TransitionMatrix(P.K, P.mode, src, dst, prob)
+    """A TransitionMatrix over P's labels holding exactly the given entries,
+    each in the cell of its offset i - j."""
+    off = _layout(P.K)[0].tolist()
+    cells = np.zeros((n_states(P.K), 6))
+    for i, j, w in trips:
+        cells[i, off.index(i - j)] = w
+    return TransitionMatrix(P.K, P.mode, cells)
 
 
 def _verify_rejects(label, edit, phrase):
@@ -266,12 +273,17 @@ def test_verify_accepts_a_rebuilt_chain():
     _rebuilt(P, P.triplets()).verify()
 
 
-def test_verify_rejects_a_destination_above_the_diagonal_or_out_of_range():
+def test_verify_rejects_an_entry_outside_the_layout():
+    # The start state (3, 3) has no cell at offset 2K + 3 = 9; mass moved
+    # there from the self-loop keeps the row sum at 1.  An explicit zero
+    # outside the layout, signed or not, is no entry.
     start = initial_label(3)
-    for bad in (start + 1, -1):
-        _verify_rejects(start, lambda row: [(bad if j == start else j, w)
-                                            for j, w in row],
-                        "not lower-triangular or out of range")
+    _verify_rejects(start, lambda row: [(j, w - 0.125 if j == start else w)
+                                        for j, w in row] + [(start - 9, 0.125)],
+                    rf"P\[{start},{start - 9}\] = 0.125 outside the layout")
+    P = _chain(3, 2, 0.6, 0.1, 0.3, 0.8)
+    for zero in (0.0, -0.0):
+        _rebuilt(P, P.triplets() + [(start, start - 9, zero)]).verify()
 
 
 def test_verify_rejects_a_probability_outside_the_unit_interval():
@@ -291,15 +303,7 @@ def test_verify_rejects_rows_that_do_not_sum_to_one():
 
 def test_verify_rejects_absorbing_rows_that_are_not_pure_self_loops():
     _verify_rejects(3, lambda row: [(2, 1.0)], "absorbing")  # leaks
-    _verify_rejects(0, lambda row: [(0, 0.5), (0, 0.5)], "absorbing")  # split
-
-
-def test_verify_rejects_a_label_outside_the_state_space():
-    P = _chain(3, 2, 0.6, 0.1, 0.3, 0.8)
-    S = n_states(3)
-    trips = P.triplets() + [(S, S - 1, 1.0)]
-    with pytest.raises(NumericalIntegrityError, match=f"row label {S} "):
-        _rebuilt(P, trips).verify()
+    _verify_rejects(3, lambda row: [(3, 0.5), (2, 0.5)], "absorbing")  # half
 
 
 def test_blackout_channel_self_loops():
@@ -372,6 +376,25 @@ def test_distribution_matches_dense_propagation(q, p, mode, eps_k):
         want = chain_distribution_dense(P, n_hat)
         got = P.distribution(n_hat)
         assert np.max(np.abs(got - want)) <= 1e-12, n_hat
+
+
+@pytest.mark.parametrize("K", [1, 3, 20])
+@pytest.mark.parametrize("q", [2, 16, 256])
+def test_propagation_equals_the_bincount_scatter_bit_for_bit(K, q):
+    # (1, 1) is the blackout channel, eps_b = eps_e makes h and v mirror
+    # images, and the (0, 1) channel at p = 0.99 carries -0.0 cells.
+    points = [(p, eps_b, eps_e) for p in (1.0 / q, 0.6)
+              for eps_b, eps_e in ((0.05, 0.3), (1.0, 1.0), (0.2, 0.2))]
+    points.append((0.99, 0.0, 1.0))
+    for p, eps_b, eps_e in points:
+        for eps_k in (0.0, 0.5, 1.0):
+            for mode in TRANSITION_MODES:
+                P = _chain(K, q, p, eps_b, eps_e, eps_k, mode)
+                for n_hat in (0, 1, K + 1, 100):
+                    got = chain_module._propagate(P, n_hat)
+                    want = propagate_by_bincount(P, n_hat)
+                    assert got.tobytes() == want.tobytes(), (
+                        p, eps_b, eps_e, eps_k, mode, n_hat)
 
 
 def test_modes_coincide_when_feedback_is_fully_jammed():

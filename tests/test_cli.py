@@ -390,6 +390,35 @@ def test_rank_oracle_column(capsys):
         assert abs(float(r["value"]) - float(r["oracle"])) <= 0.08
 
 
+# `srlnc chain --dump-matrix matrix.csv`: the stdout and the dumped file of
+# each call are frozen in tests/golden/chain_dump_<name>.{out,csv}.  The
+# K=20, p=0.99 chain on the (0, 1) channel dumps 39 cells as -0.0.
+_GOLDEN_DUMPS = {
+    "k3_paper_exact": ["--K", "3", "--q", "2", "--p", "0.6", "--Nhat", "12",
+                       "--eps-b", "0.1", "--eps-e", "0.3", "--eps-k", "0.8",
+                       "--mode", "paper-exact"],
+    "k3_consistent": ["--K", "3", "--q", "2", "--p", "0.6", "--Nhat", "12",
+                      "--eps-b", "0.1", "--eps-e", "0.3", "--eps-k", "0.8",
+                      "--mode", "consistent"],
+    "k20_p099": ["--K", "20", "--q", "2", "--p", "0.99", "--Nhat", "40",
+                 "--eps-b", "0.0", "--eps-e", "1.0", "--eps-k", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DUMPS))
+def test_chain_dump_matrix_golden_bytes(capsys, tmp_path, monkeypatch, name):
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          f"chain_dump_{name}")
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = _run(capsys, ["chain", *_GOLDEN_DUMPS[name],
+                               "--dump-matrix", "matrix.csv"])
+    assert rc == 0
+    with open(golden + ".out") as fh:
+        assert out == fh.read()
+    with open(golden + ".csv", "rb") as fh:
+        assert (tmp_path / "matrix.csv").read_bytes() == fh.read()
+
+
 def test_chain_row_matches_the_library(capsys, tmp_path):
     dump = tmp_path / "matrix.csv"
     argv = ["chain", "--K", "4", "--q", "2", "--p", "0.6", "--Nhat", "10",
