@@ -282,10 +282,11 @@ def _cmd_chain(args: argparse.Namespace, argv: list[str]) -> int:
         "K": args.K, "q": args.q, "eps_B": args.eps_b, "eps_E": args.eps_e,
         "eps_K": args.eps_k, "mode": args.mode,
     }
-    _emit([record], _meta(args, argv), args.out, args.format)
+    # the dump first, so a dump that cannot be written prints no result
     if args.dump_matrix:
         rows = [{"row": i, "col": j, "prob": v} for i, j, v in P.triplets()]
         _emit(rows, _meta(args, argv), args.dump_matrix, "csv")
+    _emit([record], _meta(args, argv), args.out, args.format)
     return 0
 
 

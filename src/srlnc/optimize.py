@@ -2,14 +2,16 @@
 
 The problem is to pick the coefficient sparsity p that minimizes the
 eavesdropper's intercept probability while keeping the legitimate receiver's
-delivery probability at or above a floor d_hat.  Over the operating range
-(feedback mostly jammed), the intercept probability falls with p while
-delivery also falls with p, so the optimum sits where the delivery constraint
-becomes active: the solver is a bisection on delivery(p) - d_hat, not a
-generic optimizer.  The solver returns p* and the delivery there; the
-intercept is the objective priced once the search is over, by the chain of
-``srlnc.chain`` at p* and at the classic endpoint p = 1/q, and the search
-never reads it.  ``srlnc optimize`` prints both.
+delivery probability at or above a floor d_hat.  Delivery falls with p, and
+the solver returns the delivery root p*, the largest p whose delivery meets
+d_hat, by a bisection on delivery(p) - d_hat, not a generic optimizer.  p*
+minimizes the intercept only where the intercept also falls with p, as it
+does with the feedback mostly jammed; with working feedback the chain can
+price it above classic coding, and ``srlnc optimize`` then logs a warning.
+The solver returns p* and the delivery there; the intercept is the
+objective priced once the search is over, by the chain of ``srlnc.chain``
+at p* and at the classic endpoint p = 1/q, and the search never reads it.
+``srlnc optimize`` prints both.
 
 Delivery comes from the rank kernel of ``srlnc.rank``, which evaluates many
 sparsities in one call, and a pi value does not depend on the batch it is

@@ -92,16 +92,6 @@ def _binom_row(n: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=64)
-def _pascal(n: int) -> np.ndarray:
-    """Read-only array of _binom(i, k) for i, k = 0 .. n (zero for k > i)."""
-    out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        out[i, : i + 1] = _binom_row(i)
-    out.flags.writeable = False
-    return out
-
-
 def classic_full_rank_prob(r: int, c: int, q: int) -> float:
     """Exact classic (uniform-coefficient) full-rank probability of an r x c
     matrix with r >= c: prod_{i=0}^{c-1} (1 - q^(i-r))."""
@@ -247,7 +237,9 @@ class _SparseRankModel:
             # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1): row ell-2 of
             # `terms` is order ell for every t (0 for t < ell - 1), and the
             # running sum down the rows adds one order at a time.
-            binoms = _pascal(K - 1)[:, 1:].T
+            binoms = np.zeros((K - 1, K))
+            for t in range(1, K):
+                binoms[:t, t] = _binom_row(t)[1:]
             powers = np.array([base**ell for ell in range(2, K + 1)])
             terms = np.where(binoms > 0.0, binoms * pi[1:K, None] / powers[:, None], 0.0)
             expo = np.cumsum(terms, axis=0)[-1] if K > 1 else np.zeros(1)

@@ -191,26 +191,22 @@ def _draw(cfg: SimConfig, start: int, stop: int):
     K, N, B = code.K, code.n_hat, stop - start
     # Each trial's stream in order: the coefficient law's uniforms, at q > 2
     # its nonzero values, then Bob's erasure, Eve's erasure and ACK draws.
-    # At q = 2 the two uniform blocks are back to back, so one call draws them.
-    nk = N * K
-    floats = np.empty((B, nk + 3 * N))
+    u = np.empty((B, N, K))
     values = None if code.q == 2 else np.empty((B, N, K), dtype=np.uint8)
+    draws = np.empty((B, 3, N))
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
     for k, state in enumerate(_trial_states(cfg.base_seed, start, stop)):
         bit_gen.state = state
-        if values is None:
-            rng.random(out=floats[k])
-        else:
-            rng.random(out=floats[k, :nk])
+        rng.random(out=u[k])
+        if values is not None:
             values[k] = rng.integers(1, code.q, size=(N, K), dtype=np.uint8)
-            rng.random(out=floats[k, nk:])
-    sym = coefficient_law(floats[:, :nk].reshape(B, N, K), values, code.p)
-    draws = floats[:, nk:].reshape(B, 3, N)
+        rng.random(out=draws[k])
     # A draw below the erasure probability is a lost packet, so reception is
     # u >= eps; same convention for the ACK channel.
     rx = draws[:, :2] >= np.array([chan.eps_b, chan.eps_e])[:, None]
-    return code.field.pack(sym), rx, draws[:, 2] >= chan.eps_k
+    words = code.field.pack(coefficient_law(u, values, code.p))
+    return words, rx, draws[:, 2] >= chan.eps_k
 
 
 def _outcomes(cfg: SimConfig, start: int, stop: int):

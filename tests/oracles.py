@@ -5,7 +5,10 @@ arithmetic, 40-digit mpmath evaluation, brute-force path walks, polynomial
 long division.  Only public
 entry points of the package are touched (and only where an oracle must
 consume a package object, like a transition matrix), so a bug in the
-library cannot leak into the values it is checked against.
+library cannot leak into the values it is checked against.  The one
+exception is `empirical_rank`, a Monte Carlo instrument that ranks with the
+package's elimination kernel, which the simulator's tests pin to the
+one-vector decoder.
 """
 
 from __future__ import annotations
@@ -449,3 +452,35 @@ def solve_im_sequential(cfg):
         if hi - lo < 1e-13:
             break
     return ImSolution(best_p, best_d, "interior-root", iterations, hi - lo)
+
+
+def empirical_rank(K: int, q: int, n_hat: int, streams: int, seed: int):
+    """R̂(n, K; p) for n = 0 .. n_hat, as a function of p, from one seeded draw.
+
+    Each of `streams` streams draws n_hat length-K vectors as the package's
+    samplers lay them out: the uniforms, then at q > 2 the nonzero values.
+    The returned function thresholds that draw at its p with
+    `coefficient_law`, ranks every prefix with `GF.pack` and
+    `GF.prefix_pivots`, and returns the share of streams whose first n
+    vectors have rank K.  Each call replays the same draw from `seed`, so
+    every p sees common random numbers and R̂ is a deterministic function of
+    p, without the draw held in memory.
+    """
+    from srlnc.coding import coefficient_law
+    from srlnc.gf import get_field
+
+    gf = get_field(q)
+
+    def rhat(p: float) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        full = np.zeros(n_hat + 1)
+        for start in range(0, streams, 2000):  # streams ranked per call
+            B = min(2000, streams - start)
+            u = rng.random((B, n_hat, K))
+            values = None if q == 2 else rng.integers(
+                1, q, size=(B, n_hat, K), dtype=np.uint8)
+            piv = gf.prefix_pivots(gf.pack(coefficient_law(u, values, p)), K)
+            full[1:] += (np.cumsum(piv, axis=1) == K).sum(axis=0)
+        return full / streams
+
+    return rhat

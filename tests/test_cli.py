@@ -419,6 +419,15 @@ def test_chain_dump_matrix_golden_bytes(capsys, tmp_path, monkeypatch, name):
         assert (tmp_path / "matrix.csv").read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+def test_unwritable_path_is_an_io_error_with_no_result(capsys, tmp_path, flag):
+    rc, out, err = _run(capsys, ["chain", *_GOLDEN_DUMPS["k3_paper_exact"],
+                                 flag, str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    assert err.startswith("srlnc: i/o error: ")
+    assert out == ""
+
+
 def test_chain_row_matches_the_library(capsys, tmp_path):
     dump = tmp_path / "matrix.csv"
     argv = ["chain", "--K", "4", "--q", "2", "--p", "0.6", "--Nhat", "10",

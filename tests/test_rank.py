@@ -17,6 +17,7 @@ from oracles import (
     MpRowCountModel,
     classic_full_rank,
     classic_innovation,
+    empirical_rank,
     full_rank_column_by_loop,
     innovation_table_by_loop,
     pi_table_by_loop,
@@ -442,3 +443,33 @@ def test_overflowing_full_rank_exponent_is_logged_not_warned(p, q, c, caplog):
     assert len(records) == 1
     assert records[0].levelname == "WARNING"
     assert f"q={q} p={p:g} c={c};" in records[0].getMessage()
+
+
+# R̂ of one seeded draw of 20000 streams against exact values.  Every cell
+# must lie within 4 sigma of the exact probability P, with sigma =
+# sqrt(P (1 - P) / streams); over the 40 cells a false failure has a chance
+# of at most about 0.25%.  Seed and grid were fixed before the first run.
+_STREAMS, _SEED = 20000, 1
+
+
+def _assert_within_4_sigma(cells):
+    """cells: {n: (R̂, exact P)}."""
+    far = {n: (r, P) for n, (r, P) in cells.items()
+           if abs(r - P) > 4.0 * math.sqrt(P * (1.0 - P) / _STREAMS)}
+    assert not far, f"n: (R̂, exact) beyond 4 sigma: {far}"
+
+
+@pytest.mark.parametrize("p", [0.6, 0.8])
+@pytest.mark.parametrize("q, K, ns", [(2, 3, (3, 4, 5)), (2, 4, (4, 5)),
+                                      (4, 2, (2, 3, 4)), (4, 3, (3,))])
+def test_empirical_rank_matches_enumeration(q, K, ns, p):
+    rhat = empirical_rank(K, q, max(ns), _STREAMS, _SEED)(p)
+    _assert_within_4_sigma(
+        {n: (rhat[n], exact_full_rank_prob(n, K, p, q)) for n in ns})
+
+
+@pytest.mark.parametrize("q", [2, 16])
+def test_empirical_rank_matches_the_classic_closed_form(q):
+    rhat = empirical_rank(20, q, 30, _STREAMS, _SEED)(1.0 / q)
+    _assert_within_4_sigma(
+        {n: (rhat[n], classic_full_rank_prob(n, 20, q)) for n in range(20, 31)})
