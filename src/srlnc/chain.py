@@ -39,6 +39,9 @@ absorbing label pairs with "Eve advanced in the stopping slot".  Mode
 mode ``"consistent"`` swaps the two acknowledgment-branch destinations so
 that an Eve advance in the final slot lowers her frozen defect.  The modes
 coincide whenever the feedback channel is fully jammed (eps_k = 1).
+
+``delivery_probability`` reads no chain: it is the reception sum of
+``rank.decoding_probabilities`` at eps_b, kept here beside ChannelParams.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .coding import CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count, probability
-from .rank import RankTables, _binom_row, _model, _SparseRankModel
+from .rank import RankTables, _model, decoding_probabilities
 
 log = logging.getLogger(__name__)
 
@@ -353,32 +356,9 @@ def chain_delivery_probability(P: TransitionMatrix, n_hat: int) -> float:
     return min(1.0, float(np.sum(dist[: P.K + 2])))
 
 
-def delivery_probability(code: CodeParams, chan: ChannelParams,
-                         n_hat: int | None = None) -> float:
-    """Probability that Bob decodes within the transmission budget.
-
-    Sums over the number n of slots Bob actually receives: binomial weight
-    times the probability that n sparse coded packets already carry full
-    rank, read from the rank model of (code.q, code.p).  Needs at least K
-    receptions, so a budget below K yields 0.
-    """
-    N = code.n_hat if n_hat is None else count(n_hat, "n_hat")
-    K = code.K
-    if N < K:
-        log.warning("transmission budget %d is below K=%d; delivery is 0", N, K)
-        return 0.0
-    return _delivery(_reception_weights(K, N, chan.eps_b),
-                     _model(code.q, code.p), K, N)
-
-
-def _reception_weights(K: int, N: int, eps_b: float) -> np.ndarray:
-    """Binomial weight of Bob receiving n of N slots, for n = K .. N."""
-    n = np.arange(K, N + 1)
-    return _binom_row(N)[K:] * (1.0 - eps_b) ** n * eps_b ** (N - n)
-
-
-def _delivery(weights: np.ndarray, model: _SparseRankModel, K: int,
-              N: int) -> float:
-    """Bob's delivery: reception weights against R(n, K), n = K .. N, of
-    ``model``, clamped to 1 against rounding."""
-    return min(1.0, float(weights @ model.full_rank_probs(K, N)))
+def delivery_probability(code: CodeParams, chan: ChannelParams) -> float:
+    """Probability that Bob decodes within the transmission budget: the
+    reception sum of ``rank.decoding_probabilities`` at eps_b, on the rank
+    model of (code.q, code.p)."""
+    return decoding_probabilities([_model(code.q, code.p)], code.K,
+                                  code.n_hat, chan.eps_b)[0]

@@ -473,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     try:
         _apply_config(args)
+        # an unwritable path fails before the work; append truncates nothing
+        for path in filter(None, (args.out, getattr(args, "dump_matrix", None))):
+            open(path, "a").close()
         return _COMMANDS[args.command][2](args, argv)
     except ConfigError as exc:
         print(f"srlnc: configuration error: {exc}", file=sys.stderr)

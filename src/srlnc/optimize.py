@@ -13,7 +13,7 @@ objective priced once the search is over, by the chain of ``srlnc.chain``
 at p* and at the classic endpoint p = 1/q, and the search never reads it.
 ``srlnc optimize`` prints both.
 
-Delivery comes from the rank kernel of ``srlnc.rank``, which evaluates many
+Delivery is the reception sum of ``srlnc.rank``, whose kernel evaluates many
 sparsities in one call, and a pi value does not depend on the batch it is
 computed in.  The 50-point monotonicity audit is one such call, on rank
 models that stay in the shared model cache.  Its (p, delivery) pairs, and
@@ -44,12 +44,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .chain import ChannelParams, _delivery, _reception_weights
+from .chain import ChannelParams
 from .coding import CodeParams
 from .errors import (
     ConfigError, NumericalIntegrityError, count, positive, probability,
 )
-from .rank import _fill_full_rank, _model, _SparseRankModel
+from .rank import _fill_full_rank, _model, _SparseRankModel, decoding_probabilities
 from .sim import SimConfig, estimate
 
 # The solver calls none of these four.  bench/spans.py wraps them in this
@@ -110,23 +110,6 @@ class ImSolution:
     status: str
     iterations: int
     bracket_width: float
-
-
-def _filled_models(cfg: ImConfig, ps, shared: bool) -> list[_SparseRankModel]:
-    """Rank models at every p in ps, their full-rank column K filled up to
-    n_hat by one kernel call.  Shared models come from the rank module's
-    cache and stay there; the others are dropped with the list."""
-    q = cfg.code.q
-    models = [_model(q, p) if shared else _SparseRankModel(q, p) for p in ps]
-    _fill_full_rank(models, cfg.code.K, cfg.code.n_hat)
-    return models
-
-
-def _delivery_curve(cfg: ImConfig, ps) -> list[float]:
-    """delivery_probability at every p in ps, from one kernel call."""
-    K, N = cfg.code.K, cfg.code.n_hat
-    weights = _reception_weights(K, N, cfg.chan.eps_b)
-    return [_delivery(weights, m, K, N) for m in _filled_models(cfg, ps, shared=True)]
 
 
 def _predicted_delivery(ps: list[float], ds: list[float], x: float) -> float:
@@ -201,9 +184,10 @@ def solve_im(cfg: ImConfig) -> ImSolution:
     # the closed-form classic branch, which sits below the approximation's
     # right-limit, and that model seam is not the bisection's problem.  The
     # midpoints the search actually evaluates all lie strictly above 1/q.
+    q, K, N, eps_b = cfg.code.q, cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b
     grid = np.linspace(cfg.p_min, cfg.p_max, _MONOTONE_GRID)
     grid[0] = cfg.p_min + 1e-9 * (cfg.p_max - cfg.p_min)
-    vals = _delivery_curve(cfg, grid.tolist())
+    vals = decoding_probabilities([_model(q, p) for p in grid.tolist()], K, N, eps_b)
     worst = max(b - a for a, b in zip(vals, vals[1:]))
     if worst > _MONOTONE_SLACK:
         at = int(np.argmax(np.diff(vals)))
@@ -232,20 +216,21 @@ def solve_im(cfg: ImConfig) -> ImSolution:
 
     # Every (p, delivery) read so far, and the rank models of the predicted
     # path, filled by one kernel call.  Delivery is read only where the walk
-    # goes; a midpoint off the path starts the next prediction.
+    # goes, so unread midpoints log no overflow; a miss starts a new prediction.
     known = dict(zip(grid.tolist(), vals))
     ahead: dict[float, _SparseRankModel] = {}
     calls = filled = 0
-    weights = _reception_weights(cfg.code.K, cfg.code.n_hat, cfg.chan.eps_b)
 
     def delivery(mid: float, lo: float, hi: float) -> float:
         nonlocal ahead, calls, filled
         if mid not in ahead:
             path = _predicted_path(cfg, known, lo, hi)
-            ahead = dict(zip(path, _filled_models(cfg, path, shared=False)))
+            models = [_SparseRankModel(q, p) for p in path]
+            _fill_full_rank(models, K, N)
+            ahead = dict(zip(path, models))
             calls += 1
             filled += len(path)
-        known[mid] = _delivery(weights, ahead[mid], cfg.code.K, cfg.code.n_hat)
+        [known[mid]] = decoding_probabilities([ahead[mid]], K, N, eps_b)
         return known[mid]
 
     # delivery(lo) >= d_hat > delivery(hi), and lo stays a point read

@@ -12,7 +12,10 @@ sum unchanged, ``lam = 1 - q(1-p)/(q-1)``.  From it we get
 * ``full_rank_prob(r, c)``: exponential approximation of the probability that
   an ``r x c`` sparse matrix (``r >= c``) has rank ``c``;
 * ``RankTables.innovation_probability(t)``: probability that one more sparse
-  vector is independent of ``t`` already-independent ones, for ``t < K``.
+  vector is independent of ``t`` already-independent ones, for ``t < K``,
+  in the same exponential form (``_exp_form``);
+* ``decoding_probabilities``: the reception sum, the chance that a receiver
+  losing each of N slots with probability eps collects K independent ones.
 
 At ``p = 1/q`` exactly, every output switches to the closed classic-RLNC
 formulas (``1 - q^(t-K)`` and the full-rank product), which are exact rather
@@ -152,15 +155,19 @@ def _full_rank_kernel(p: np.ndarray, pi: np.ndarray,
     c = pi.shape[0]
     # base > 0 because p < 1 and r >= 1.
     base = 1.0 - _power(p, r)
-    # Row ell - 1 is order ell; row 0 (order 1 is not in the sum) is the
-    # zero start, and the running sum adds one order at a time.
     powers = np.array([base**ell for ell in range(1, c + 1)])
     terms = _binom_row(c)[1:, None, None] * pi / powers
     terms[0] = 0.0
+    return _exp_form(base**c, terms)
+
+
+def _exp_form(lead, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """clip(lead * exp(-expo), 0, 1), inf read as 1, and where exp overflowed;
+    expo adds the rows of ``terms`` (row ell - 1 is order ell) in order."""
     expo = np.cumsum(terms, axis=0)[-1]
     with np.errstate(over="ignore"):
         decay = np.exp(-expo)
-    return np.clip(base**c * decay, 0.0, 1.0), np.isinf(decay)
+    return np.clip(lead * decay, 0.0, 1.0), np.isinf(decay)
 
 
 class _SparseRankModel:
@@ -231,22 +238,16 @@ class _SparseRankModel:
         if self.classic:
             W = tuple(classic_innovation_prob(t, K, self.q) for t in range(K))
         else:
-            pi = self._pi_column(K, K)
             # base > 0 because p < 1 and K >= 1.
             base = 1.0 - self.p**K
-            # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1): row ell-2 of
-            # `terms` is order ell for every t (0 for t < ell - 1), and the
-            # running sum down the rows adds one order at a time.
-            binoms = np.zeros((K - 1, K))
+            # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1) in row ell-1
+            binoms = np.zeros((K, K))
             for t in range(1, K):
-                binoms[:t, t] = _binom_row(t)[1:]
-            powers = np.array([base**ell for ell in range(2, K + 1)])
-            terms = np.where(binoms > 0.0, binoms * pi[1:K, None] / powers[:, None], 0.0)
-            expo = np.cumsum(terms, axis=0)[-1] if K > 1 else np.zeros(1)
-            # At extreme p, exp overflows to inf; the clip maps it to 1 and
-            # RankTables.W logs the non-monotone table, not numpy.
-            with np.errstate(over="ignore"):
-                W = tuple(np.clip(base * np.exp(-expo), 0.0, 1.0).tolist())
+                binoms[1:t + 1, t] = _binom_row(t)[1:]
+            pi = self._pi_column(K, K)
+            powers = np.array([base**ell for ell in range(1, K + 1)])
+            terms = np.where(binoms > 0.0, binoms * pi[:, None] / powers[:, None], 0.0)
+            W = tuple(_exp_form(base, terms)[0].tolist())
         self._innovation[K] = W
         return W
 
@@ -281,6 +282,16 @@ def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
             col = np.concatenate((m._full_rank[c], col))
         col.flags.writeable = False
         m._full_rank[c] = col
+
+
+def decoding_probabilities(models: list[_SparseRankModel], K: int, N: int,
+                           eps: float) -> list[float]:
+    """Per model of one q, the binomial sum over n = K .. N received of
+    full_rank_prob(n, K), clamped to 1; one kernel call fills every model."""
+    _fill_full_rank(models, K, N)
+    n = np.arange(K, N + 1)
+    weights = _binom_row(N)[K:] * (1.0 - eps) ** n * eps ** (N - n)
+    return [min(1.0, float(weights @ m.full_rank_probs(K, N))) for m in models]
 
 
 # typed, as get_field: an equal value of another type gets its own model,

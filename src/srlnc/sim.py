@@ -30,17 +30,15 @@ and prefix ranks against ``DecoderState.absorb`` slot by slot.
 
 Determinism: trial i draws from numpy's ``default_rng([base_seed, base_seed
 XOR i])`` stream, so estimates are reproducible bit for bit no matter how
-trials are batched or how many worker processes run them.  Building a
-Generator per trial costs about as much as the rest of a q = 2 trial, so
-``_trial_states`` reproduces those streams' starting states for a whole
-chunk at once: numpy's ``SeedSequence`` hash as uint32 array arithmetic,
-then PCG64's closed-form 128-bit seeding (numpy keeps both stable, NEP 19).
-Each state is assigned in turn to one reused PCG64, which then draws
-exactly what the trial's own generator would, in the order
-``coding.sample_coding_matrix`` and the channels use: the coefficient
-uniforms, at q > 2 the nonzero values, then the erasure and ACK uniforms.
-The draws of the chunk land in shared arrays, and the coefficient law
-(``coding.coefficient_law``) is applied to all of them at once.
+trials are batched or how many worker processes run them.  A
+``SeedSequence`` per trial would cost about as much as the rest of a q = 2
+trial, so ``_seed_words`` runs its hash for a whole chunk at once, as uint32
+array arithmetic (numpy keeps it stable, NEP 19), and ``_trial_rngs`` builds
+each trial's generator from its words through numpy's own constructors.
+The chunk's draws, in the order ``coding.sample_coding_matrix`` and the
+channels use (the coefficient uniforms, at q > 2 the nonzero values, then
+the erasure and ACK uniforms), land in shared arrays, and the coefficient
+law (``coding.coefficient_law``) is applied to all of them at once.
 """
 
 from __future__ import annotations
@@ -111,14 +109,11 @@ class SimStats:
     mean_slots: float
 
 
-# numpy's SeedSequence hash (uint32 arithmetic, 16-bit xorshift) and
-# PCG64's 128-bit LCG multiplier.
+# numpy's SeedSequence hash (uint32 arithmetic, 16-bit xorshift).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, uses: int) -> np.ndarray:
@@ -168,19 +163,23 @@ def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
     return out[0::2] | out[1::2] << np.uint64(32)
 
 
-def _trial_states(base_seed: int, start: int, stop: int) -> list[dict]:
-    """The ``bit_generator.state`` of ``default_rng([base_seed, base_seed ^
-    i])`` for i = start..stop-1, each ready to assign to a PCG64."""
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_words(base_seed, start, stop).tolist()):
-        # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps with
-        # the initial state added between them
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+class _TrialSeed:
+    """One trial's 4 ``_seed_words`` in a contiguous array: the state that
+    ``np.random.PCG64`` reads from the numpy seed sequence it is given."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_rngs(base_seed: int, start: int, stop: int):
+    """``default_rng([base_seed, base_seed ^ i])`` for i = start..stop-1.  The
+    registration loads numpy.random, and with it hashlib, on first use."""
+    np.random.bit_generator.ISeedSequence.register(_TrialSeed)
+    for words in _seed_words(base_seed, start, stop).T.copy():
+        yield np.random.Generator(np.random.PCG64(_TrialSeed(words)))
 
 
 def _draw(cfg: SimConfig, start: int, stop: int):
@@ -194,10 +193,7 @@ def _draw(cfg: SimConfig, start: int, stop: int):
     u = np.empty((B, N, K))
     values = None if code.q == 2 else np.empty((B, N, K), dtype=np.uint8)
     draws = np.empty((B, 3, N))
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    for k, state in enumerate(_trial_states(cfg.base_seed, start, stop)):
-        bit_gen.state = state
+    for k, rng in enumerate(_trial_rngs(cfg.base_seed, start, stop)):
         rng.random(out=u[k])
         if values is not None:
             values[k] = rng.integers(1, code.q, size=(N, K), dtype=np.uint8)

@@ -55,6 +55,42 @@ def classic_innovation(t: int, K: int, q: int) -> Fraction:
     return 1 - Fraction(q) ** (t - K)
 
 
+def budget_baseline(K: int, q: int, n_max: int, eps_b: float, eps_e: float,
+                    d_hat: float):
+    """Classic coding's trade of delivery for intercept across budgets, exact.
+
+    At eps_K = 1 (the ACK never gets through, so the source sends every
+    slot) and p = 1/q.  Returns (D, I, n_budget, intercept_budget):
+
+    * D[N] and I[N], N = 0 .. n_max: the chances that Bob and Eve collect K
+      independent vectors from N slots, sum_n C(N, n) (1 - eps)^n
+      eps^(N - n) classic_full_rank(n, K, q) at eps_b and at eps_e;
+    * n_budget: the least N with D[N] >= d_hat, or None below n_max;
+    * intercept_budget: Eve's chance under the randomised budget that meets
+      d_hat exactly, sending n_budget - 1 slots with probability
+      lam = (D[n_budget] - d_hat) / (D[n_budget] - D[n_budget - 1]) and
+      n_budget slots otherwise (None with n_budget).
+
+    Every value is a Fraction, the erasure probabilities and d_hat taken at
+    their exact binary values.
+    """
+    full = [classic_full_rank(n, K, q) for n in range(n_max + 1)]
+
+    def reception_sum(eps: float) -> list[Fraction]:
+        e = Fraction(eps)
+        return [sum((math.comb(N, n) * (1 - e) ** n * e ** (N - n) * full[n]
+                     for n in range(K, N + 1)), Fraction(0))
+                for N in range(n_max + 1)]
+
+    D, I = reception_sum(eps_b), reception_sum(eps_e)
+    d = Fraction(d_hat)
+    n_budget = next((N for N in range(K, n_max + 1) if D[N] >= d), None)
+    if n_budget is None:
+        return D, I, None, None
+    lam = (D[n_budget] - d) / (D[n_budget] - D[n_budget - 1])
+    return D, I, n_budget, lam * I[n_budget - 1] + (1 - lam) * I[n_budget]
+
+
 def sparse_full_rank_gf2(r: int, c: int, p: Fraction | float) -> Fraction:
     """P(c biased-sparse columns of height r are linearly independent), GF(2).
 

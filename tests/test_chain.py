@@ -449,9 +449,6 @@ def test_delivery_trivial_and_hand_cases():
     assert delivery_probability(
         one, ChannelParams(eps_b=0.0, eps_e=0.0, eps_k=1.0)
     ) == pytest.approx(0.75, abs=1e-12)
-    # budget below K is an empty sum
-    assert delivery_probability(
-        code, ChannelParams(eps_b=0.1, eps_e=0.2, eps_k=1.0), n_hat=2) == 0.0
 
 
 def test_delivery_matches_monte_carlo():

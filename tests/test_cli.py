@@ -419,10 +419,23 @@ def test_chain_dump_matrix_golden_bytes(capsys, tmp_path, monkeypatch, name):
         assert (tmp_path / "matrix.csv").read_bytes() == fh.read()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
-def test_unwritable_path_is_an_io_error_with_no_result(capsys, tmp_path, flag):
-    rc, out, err = _run(capsys, ["chain", *_GOLDEN_DUMPS["k3_paper_exact"],
-                                 flag, str(tmp_path / "missing" / "x.csv")])
+_K3_CHAIN = ["chain", *_GOLDEN_DUMPS["k3_paper_exact"]]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(_K3_CHAIN, "--out", id="--out"),
+    pytest.param(_K3_CHAIN, "--dump-matrix", id="--dump-matrix"),
+    pytest.param(["sweep", "--figure", "1a", "--K", "4", "--trials", "10"],
+                 "--out", id="sweep --out"),
+])
+def test_unwritable_path_is_an_io_error_with_no_result(
+        capsys, monkeypatch, tmp_path, argv, flag):
+    # the path is checked before the work: the sweep never simulates
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr(cli, "estimate", refuse)
+    rc, out, err = _run(capsys, [*argv, flag, str(tmp_path / "missing" / "x.csv")])
     assert rc == 2
     assert err.startswith("srlnc: i/o error: ")
     assert out == ""

@@ -25,7 +25,6 @@ from srlnc import (
     SimConfig,
     build_chain,
     chain_delivery_probability,
-    delivery_probability,
     estimate,
     exact_full_rank_prob,
     exact_innovation_prob,
@@ -84,8 +83,6 @@ COUNTS = [
     ("run_trial", 3, lambda v: dataclasses.astuple(run_trial(_SIM, v))),
     ("intercept_probability", 6, lambda v: intercept_probability(_CHAIN, v)),
     ("chain_delivery_probability", 6, lambda v: chain_delivery_probability(_CHAIN, v)),
-    ("delivery_probability", 10,
-     lambda v: delivery_probability(_CODE, _CHAN, n_hat=v)),
     ("label_of bob_defect", 2, lambda v: label_of(ChainState(v, 1), 4)),
     ("label_of eve_defect", 1, lambda v: label_of(ChainState(2, v), 4)),
     ("intercept_gain n_hats", 10, _gain),

@@ -122,11 +122,13 @@ def test_interior_root_postconditions(kw):
 def test_monotonicity_audit_rejects_a_rising_constraint(monkeypatch):
     cfg = _im(K=4, q=2, eps_b=0.05, eps_e=0.2, n_hat=12, d_hat=0.9)
     lo, hi = cfg.p_min, cfg.p_max
-    curve = optimize._delivery_curve
+    curve = rank.decoding_probabilities
 
     # the audit sees delivery evaluated at the reversed sparsities
-    monkeypatch.setattr(optimize, "_delivery_curve",
-                        lambda cfg, ps: curve(cfg, [lo + hi - p for p in ps]))
+    monkeypatch.setattr(optimize, "decoding_probabilities",
+                        lambda models, K, N, eps: curve(
+                            [rank._model(m.q, lo + hi - m.p) for m in models],
+                            K, N, eps))
     with pytest.raises(NumericalIntegrityError, match="not nonincreasing"):
         solve_im(cfg)
 
@@ -262,17 +264,16 @@ def _solve_or_audit_failure(solver, cfg):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Points per _filled_models(..., shared=False) call: one entry per
-    kernel call of the bisection, since the last clear()."""
+    """Points per _fill_full_rank call of the bisection's walk: one entry
+    per kernel call, since the last clear()."""
     calls = []
-    fill = optimize._filled_models
+    fill = optimize._fill_full_rank
 
-    def counting(cfg, ps, shared):
-        if not shared:
-            calls.append(len(ps))
-        return fill(cfg, ps, shared)
+    def counting(models, c, r_max):
+        calls.append(len(models))
+        return fill(models, c, r_max)
 
-    monkeypatch.setattr(optimize, "_filled_models", counting)
+    monkeypatch.setattr(optimize, "_fill_full_rank", counting)
     return calls
 
 
@@ -350,15 +351,13 @@ def test_an_overflow_at_an_unread_midpoint_is_not_logged(
     # the warnings are still those of the one-p-at-a-time solve.
     cfg = _im(K=K, q=q, eps_b=0.0, eps_e=0.0, eps_k=1.0, n_hat=n_hat,
               d_hat=d_hat, p_max=p_max)
-    filled, fill = [], optimize._filled_models
+    filled, fill = [], optimize._fill_full_rank
 
-    def recording(cfg, ps, shared):
-        models = fill(cfg, ps, shared)
-        if not shared:
-            filled.extend(models)
-        return models
+    def recording(models, c, r_max):
+        filled.extend(models)
+        return fill(models, c, r_max)
 
-    monkeypatch.setattr(optimize, "_filled_models", recording)
+    monkeypatch.setattr(optimize, "_fill_full_rank", recording)
     if mirrored:
         predicted = optimize._predicted_delivery
         monkeypatch.setattr(optimize, "_predicted_delivery",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     MpRowCountModel,
+    budget_baseline,
     classic_full_rank,
     classic_innovation,
     empirical_rank,
@@ -473,3 +474,37 @@ def test_empirical_rank_matches_the_classic_closed_form(q):
     rhat = empirical_rank(20, q, 30, _STREAMS, _SEED)(1.0 / q)
     _assert_within_4_sigma(
         {n: (rhat[n], classic_full_rank_prob(n, 20, q)) for n in range(20, 31)})
+
+
+@pytest.mark.parametrize("q", [2, 16])
+def test_decoding_probabilities_at_p_1_over_q_equal_the_exact_sum(q):
+    # the receiver's binomial sum over the classic full-rank form, against
+    # the Fraction oracle at K = 20 and every budget N = 21 .. 40
+    model = rank._model(q, 1.0 / q)
+    for eps in (0.05, 0.1, 0.2, 0.35):
+        D = budget_baseline(20, q, 40, eps, eps, 0.9)[0]
+        for N in range(21, 41):
+            [got] = rank.decoding_probabilities([model], 20, N, eps)
+            assert abs(got - float(D[N])) <= 1e-12, (eps, N)
+
+
+# (q, eps_b, eps_e): the randomised classic budget's intercept at D̂ = 0.9,
+# 0.95, 0.99 (K = 20, N <= 40, eps_K = 1), and its n_budget where pinned
+_BUDGET_PINS = {
+    (2, 0.05, 0.2): ((0.3519, 0.4985, 0.7692), (25, 27, 29)),
+    (2, 0.1, 0.35): ((0.0991, 0.1675, 0.3841), None),
+    (16, 0.05, 0.2): ((0.1653, 0.2536, 0.4327), (23, 23, 24)),
+    (16, 0.1, 0.35): ((0.0391, 0.0711, 0.1690), None),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BUDGET_PINS))
+def test_budget_baseline_reproduces_the_randomised_classic_budget(key):
+    q, eps_b, eps_e = key
+    intercepts, budgets = _BUDGET_PINS[key]
+    for i, d_hat in enumerate((0.9, 0.95, 0.99)):
+        _, _, n_budget, intercept = budget_baseline(20, q, 40, eps_b, eps_e,
+                                                    d_hat)
+        assert abs(float(intercept) - intercepts[i]) <= 1e-4, d_hat
+        if budgets is not None:
+            assert n_budget == budgets[i], d_hat

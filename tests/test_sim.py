@@ -74,22 +74,20 @@ def test_trial_states_reproduce_the_default_rng_streams(a):
     ]
     for start, stop in spans:
         words = sim._seed_words(a, start, stop)
-        states = sim._trial_states(a, start, stop)
-        assert words.shape == (4, stop - start) and len(states) == stop - start
+        assert words.shape == (4, stop - start)
+        rngs = list(sim._trial_rngs(a, start, stop))
+        assert len(rngs) == stop - start
         for k, i in enumerate(range(start, stop)):
             seq = np.random.SeedSequence([a, a ^ i])
             assert np.array_equal(words[:, k], seq.generate_state(4, np.uint64)), i
-            assert states[k] == _trial_rng(a, i).bit_generator.state, (a, i)
+            assert rngs[k].bit_generator.state == _trial_rng(a, i).bit_generator.state, (a, i)
 
 
 def test_trial_draws_follow_their_own_streams():
     # what _outcomes draws for trial i is what default_rng([a, a ^ i]) draws
     for q, p in [(2, 0.7), (16, 0.3)]:
         cfg = _cfg(5, q, p, 0.1, 0.3, 0.6, 12, seed=2**40 + q)
-        bit_gen = np.random.PCG64()
-        rng = np.random.Generator(bit_gen)
-        for i, state in enumerate(sim._trial_states(cfg.base_seed, 0, 20)):
-            bit_gen.state = state
+        for i, rng in enumerate(sim._trial_rngs(cfg.base_seed, 0, 20)):
             old = _trial_rng(cfg.base_seed, i)
             assert np.array_equal(sample_coding_matrix(cfg.code, 12, rng),
                                   sample_coding_matrix(cfg.code, 12, old))
