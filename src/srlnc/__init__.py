@@ -8,12 +8,11 @@ the eavesdropper's chance of ever reaching full rank.
 
 Layers, bottom up:
 
-* `gf` / `coding`: finite-field tables, the biased coefficient law, and
-  online Gaussian elimination, the slot-by-slot rank oracle.
-* `rank`: innovation and full-rank probabilities of sparse matrices, with
-  exact classic-RLNC forms at p = 1/q and exhaustive-enumeration oracles.
-* `chain`: the labeled absorbing Markov chain giving the intercept
-  probability, plus the binomial delivery formula.
+* `gf` / `coding`: finite-field tables, the code and channel parameters,
+  the biased coefficient law, and online Gaussian elimination.
+* `rank`: innovation and full-rank probabilities of sparse matrices, exact
+  classic-RLNC forms at p = 1/q, enumeration oracles and the delivery sum.
+* `chain`: the labeled absorbing Markov chain of the intercept probability.
 * `sim`: Monte Carlo simulation of the whole protocol.
 * `optimize`: delivery-constrained sparsity choice and gain curves.
 * `cli`: the `srlnc` command.
@@ -21,11 +20,12 @@ Layers, bottom up:
 
 from .errors import ConfigError, NumericalIntegrityError
 from .gf import GF, get_field
-from .coding import CodeParams, DecoderState, sample_coding_matrix
+from .coding import ChannelParams, CodeParams, DecoderState, sample_coding_matrix
 from .rank import (
     RankTables,
     classic_full_rank_prob,
     classic_innovation_prob,
+    delivery_probability,
     exact_full_rank_prob,
     exact_innovation_prob,
     full_rank_prob,
@@ -33,11 +33,9 @@ from .rank import (
 )
 from .chain import (
     ChainState,
-    ChannelParams,
     TransitionMatrix,
     build_chain,
     chain_delivery_probability,
-    delivery_probability,
     initial_label,
     intercept_labels,
     intercept_probability,
@@ -53,13 +51,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "NumericalIntegrityError",
     "GF", "get_field",
-    "CodeParams", "DecoderState", "sample_coding_matrix",
+    "ChannelParams", "CodeParams", "DecoderState", "sample_coding_matrix",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
-    "exact_full_rank_prob", "exact_innovation_prob", "full_rank_prob", "rho",
-    "ChainState", "ChannelParams", "TransitionMatrix", "build_chain",
-    "chain_delivery_probability", "delivery_probability", "initial_label",
-    "intercept_labels", "intercept_probability", "label_of", "n_states",
-    "state_of",
+    "delivery_probability", "exact_full_rank_prob", "exact_innovation_prob",
+    "full_rank_prob", "rho",
+    "ChainState", "TransitionMatrix", "build_chain",
+    "chain_delivery_probability", "initial_label", "intercept_labels",
+    "intercept_probability", "label_of", "n_states", "state_of",
     "SimConfig", "SimStats", "TrialOutcome", "estimate", "run_trial",
     "GainPoint", "ImConfig", "ImSolution", "intercept_gain", "solve_im",
     "__version__",

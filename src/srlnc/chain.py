@@ -39,9 +39,6 @@ absorbing label pairs with "Eve advanced in the stopping slot".  Mode
 mode ``"consistent"`` swaps the two acknowledgment-branch destinations so
 that an Eve advance in the final slot lowers her frozen defect.  The modes
 coincide whenever the feedback channel is fully jammed (eps_k = 1).
-
-``delivery_probability`` reads no chain: it is the reception sum of
-``rank.decoding_probabilities`` at eps_b, kept here beside ChannelParams.
 """
 
 from __future__ import annotations
@@ -53,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .coding import CodeParams
-from .errors import ConfigError, NumericalIntegrityError, count, probability
-from .rank import RankTables, _model, decoding_probabilities
+from .coding import ChannelParams, CodeParams
+from .errors import ConfigError, NumericalIntegrityError, count
+from .rank import RankTables
 
 log = logging.getLogger(__name__)
 
@@ -64,35 +61,6 @@ DEFAULT_MODE = "paper-exact"
 
 # Row-sum slack tolerated before a matrix is declared broken.
 _ROW_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Erasure probabilities of the three channels in the model.
-
-    eps_b: probability a broadcast packet is lost to Bob.
-    eps_e: probability a broadcast packet is lost to Eve.
-    eps_k: probability Bob's acknowledgment is lost (1 = fully jammed
-        feedback, 0 = perfect feedback).
-
-    The model requires eps_b <= eps_e: the whole countermeasure is built on
-    the eavesdropper's channel being no better than the legitimate one, and
-    the analysis breaks down otherwise.
-    """
-
-    eps_b: float
-    eps_e: float
-    eps_k: float
-
-    def __post_init__(self) -> None:
-        for name in ("eps_b", "eps_e", "eps_k"):
-            object.__setattr__(self, name, probability(getattr(self, name), name))
-        if self.eps_b > self.eps_e:
-            raise ConfigError(
-                f"eps_b={self.eps_b} exceeds eps_e={self.eps_e}: the model assumes "
-                "the eavesdropper's channel is no better than the legitimate "
-                "receiver's, and its guarantees do not hold the other way around"
-            )
 
 
 @dataclass(frozen=True)
@@ -349,16 +317,8 @@ def chain_delivery_probability(P: TransitionMatrix, n_hat: int) -> float:
 
     Mass on labels 0..K+1 after n_hat steps, clamped to 1 like the
     intercept.  Diagnostic only: it shares the chain's overshoot, so the
-    binomial form in delivery_probability is what the sparsity optimizer
+    binomial form in rank.delivery_probability is what the sparsity optimizer
     constrains against.
     """
     dist = P.distribution(n_hat)
     return min(1.0, float(np.sum(dist[: P.K + 2])))
-
-
-def delivery_probability(code: CodeParams, chan: ChannelParams) -> float:
-    """Probability that Bob decodes within the transmission budget: the
-    reception sum of ``rank.decoding_probabilities`` at eps_b, on the rank
-    model of (code.q, code.p)."""
-    return decoding_probabilities([_model(code.q, code.p)], code.K,
-                                  code.n_hat, chan.eps_b)[0]

@@ -40,23 +40,23 @@ import argparse
 import configparser
 import json
 import logging
+import os
 import shlex
 import sys
 
 from . import __version__
 from .chain import (
-    ChannelParams,
     DEFAULT_MODE,
     TRANSITION_MODES,
     build_chain,
     chain_delivery_probability,
-    delivery_probability,
     intercept_probability,
 )
-from .coding import CodeParams
+from .coding import ChannelParams, CodeParams
 from .errors import ConfigError, NumericalIntegrityError
 from .optimize import ImConfig, intercept_gain, solve_im
-from .rank import RankTables, exact_full_rank_prob, exact_innovation_prob
+from .rank import (RankTables, delivery_probability, exact_full_rank_prob,
+                   exact_innovation_prob)
 from .sim import SimConfig, estimate
 
 log = logging.getLogger(__name__)
@@ -84,7 +84,6 @@ _PARAMS = {
     "format": (("csv", "json"), "csv", "output format"),
     "Dhat": (float, 0.99, "delivery floor for the optimizer"),
     "p_max": (float, 0.95, "upper end of the sparsity search"),
-    "tol": (float, 1e-6, "delivery tolerance of the bisection"),
 }
 
 # add_argument keywords of every flag, by name: the parameters, which start
@@ -313,8 +312,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "Nhat")
     code = CodeParams(K=args.K, q=args.q, p=1.0 / args.q, n_hat=args.Nhat)
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
-    cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat, p_max=args.p_max,
-                   tol=args.tol)
+    cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat, p_max=args.p_max)
     sol = solve_im(cfg)
 
     def intercept(p: float) -> float:
@@ -459,7 +457,7 @@ _COMMANDS = {
                  _cmd_simulate),
     "optimize": ("solve the sparsity optimization",
                  ("K", "q", "Nhat", "eps_b", "eps_e", "eps_k", "Dhat",
-                  "p_max", "tol", "mode", "out", "format", "config"),
+                  "p_max", "mode", "out", "format", "config"),
                  _cmd_optimize),
     "sweep": ("reproduce one figure panel",
               ("figure", "K", "q", "eps_b", "eps_k", "Dhat", "p_max", "trials",
@@ -471,21 +469,27 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parse(argv)
+    created = []
     try:
         _apply_config(args)
         # an unwritable path fails before the work; append truncates nothing
         for path in filter(None, (args.out, getattr(args, "dump_matrix", None))):
+            if not os.path.exists(path):
+                created.append(path)
             open(path, "a").close()
         return _COMMANDS[args.command][2](args, argv)
     except ConfigError as exc:
-        print(f"srlnc: configuration error: {exc}", file=sys.stderr)
-        return 2
+        error, code = f"configuration error: {exc}", 2
     except NumericalIntegrityError as exc:
-        print(f"srlnc: numerical integrity failure: {exc}", file=sys.stderr)
-        return 3
+        error, code = f"numerical integrity failure: {exc}", 3
     except OSError as exc:
-        print(f"srlnc: i/o error: {exc}", file=sys.stderr)
-        return 2
+        error, code = f"i/o error: {exc}", 2
+    # a failed call leaves behind no file that only the path check made
+    for path in created:
+        if os.path.isfile(path) and os.path.getsize(path) == 0:
+            os.remove(path)
+    print(f"srlnc: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, count, sparsity
+from .errors import ConfigError, count, probability, sparsity
 from .gf import GF, get_field
 
 
@@ -50,6 +50,35 @@ class CodeParams:
     @property
     def field(self) -> GF:
         return get_field(self.q)
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Erasure probabilities of the three channels in the model.
+
+    eps_b: probability a broadcast packet is lost to Bob.
+    eps_e: probability a broadcast packet is lost to Eve.
+    eps_k: probability Bob's acknowledgment is lost (1 = fully jammed
+        feedback, 0 = perfect feedback).
+
+    The model requires eps_b <= eps_e: the whole countermeasure is built on
+    the eavesdropper's channel being no better than the legitimate one, and
+    the analysis breaks down otherwise.
+    """
+
+    eps_b: float
+    eps_e: float
+    eps_k: float
+
+    def __post_init__(self) -> None:
+        for name in ("eps_b", "eps_e", "eps_k"):
+            object.__setattr__(self, name, probability(getattr(self, name), name))
+        if self.eps_b > self.eps_e:
+            raise ConfigError(
+                f"eps_b={self.eps_b} exceeds eps_e={self.eps_e}: the model assumes "
+                "the eavesdropper's channel is no better than the legitimate "
+                "receiver's, and its guarantees do not hold the other way around"
+            )
 
 
 def sample_coding_matrix(

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check of each kind
-of scalar argument: a count, a probability, a sparsity or a positive real."""
+of scalar argument: a count, a probability or a sparsity."""
 
 import math
 import numbers
@@ -59,10 +59,3 @@ def sparsity(value: object, q: int) -> float:
         )
     return p
 
-
-def positive(value: object, name: str) -> float:
-    """A finite real argument above 0 as a Python float, else ConfigError."""
-    x = _real(value)
-    if not 0.0 < x < math.inf:
-        raise ConfigError(f"{name}={value!r} must be a positive real number")
-    return x

@@ -44,23 +44,22 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .chain import ChannelParams
-from .coding import CodeParams
-from .errors import (
-    ConfigError, NumericalIntegrityError, count, positive, probability,
-)
+from .coding import ChannelParams, CodeParams
+from .errors import ConfigError, NumericalIntegrityError, count, probability
 from .rank import _fill_full_rank, _model, _SparseRankModel, decoding_probabilities
 from .sim import SimConfig, estimate
 
 # The solver calls none of these four.  bench/spans.py wraps them in this
 # module's namespace, so they stay importable here until its patch points go.
-from .chain import build_chain, delivery_probability, intercept_probability
-from .rank import RankTables
+from .chain import build_chain, intercept_probability
+from .rank import RankTables, delivery_probability
 
 log = logging.getLogger(__name__)
 
 # Bisection steps at most; the bracket falls below 1e-13 well before.
 _MAX_ITER = 100
+# The bisection stops once a midpoint's delivery is within this of d_hat.
+_TOL = 1e-6
 # Grid size for the pre-bisection monotonicity audit of delivery(p).
 _MONOTONE_GRID = 50
 _MONOTONE_SLACK = 1e-10
@@ -80,7 +79,6 @@ class ImConfig:
     chan: ChannelParams
     d_hat: float = 0.99
     p_max: float = 0.95
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("d_hat", "p_max"):
@@ -90,7 +88,6 @@ class ImConfig:
                 f"p_max={self.p_max!r} must lie in (1/q, 1) = "
                 f"({self.p_min}, 1) for q={self.code.q}"
             )
-        object.__setattr__(self, "tol", positive(self.tol, "tol"))
 
     @property
     def p_min(self) -> float:
@@ -143,7 +140,7 @@ def _bisect(cfg: ImConfig, delivery: Callable[[float, float, float], float],
         d_mid = delivery(mid, lo, hi)
         if d_mid >= cfg.d_hat:
             lo = mid
-            if d_mid - cfg.d_hat <= cfg.tol:
+            if d_mid - cfg.d_hat <= _TOL:
                 break
         else:
             hi = mid
@@ -275,7 +272,7 @@ def intercept_gain(
     n_hats: Iterable[int],
     trials: int = 10000,
     base_seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[GainPoint]:
     """Gain of optimized sparsity over classic coding across budgets.
 
@@ -284,8 +281,7 @@ def intercept_gain(
     deterministically derived seeds per (budget, leg).  ``workers`` is
     checked before any solve, even where no budget is feasible.
     """
-    if workers is not None:
-        workers = count(workers, "workers", low=1)
+    workers = count(workers, "workers", low=1)
     points: list[GainPoint] = []
     for n_hat in n_hats:
         n_hat = count(n_hat, "n_hat")

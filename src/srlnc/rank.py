@@ -15,7 +15,8 @@ sum unchanged, ``lam = 1 - q(1-p)/(q-1)``.  From it we get
   vector is independent of ``t`` already-independent ones, for ``t < K``,
   in the same exponential form (``_exp_form``);
 * ``decoding_probabilities``: the reception sum, the chance that a receiver
-  losing each of N slots with probability eps collects K independent ones.
+  losing each of N slots with probability eps collects K independent ones;
+* ``delivery_probability(code, chan)``: that sum for Bob, at eps_b.
 
 At ``p = 1/q`` exactly, every output switches to the closed classic-RLNC
 formulas (``1 - q^(t-K)`` and the full-rank product), which are exact rather
@@ -64,6 +65,7 @@ import math
 
 import numpy as np
 
+from .coding import ChannelParams, CodeParams
 from .errors import ConfigError, count, sparsity
 from .gf import get_field
 
@@ -294,6 +296,13 @@ def decoding_probabilities(models: list[_SparseRankModel], K: int, N: int,
     return [min(1.0, float(weights @ m.full_rank_probs(K, N))) for m in models]
 
 
+def delivery_probability(code: CodeParams, chan: ChannelParams) -> float:
+    """Probability that Bob decodes within the transmission budget: the
+    reception sum at eps_b, on the rank model of (code.q, code.p)."""
+    return decoding_probabilities([_model(code.q, code.p)], code.K,
+                                  code.n_hat, chan.eps_b)[0]
+
+
 # typed, as get_field: an equal value of another type gets its own model,
 # built through the checks, rather than the cached one.
 @functools.lru_cache(maxsize=256, typed=True)
@@ -370,7 +379,7 @@ class RankTables:
 #
 # Ground truth for small matrices: sum the coefficient-law weight of every
 # possible r x c matrix whose rank is c.  Exponential in r*c, guarded by
-# `limit`; used by the CLI's --with-oracle column and for audits.
+# _ENUM_LIMIT; used by the CLI's --with-oracle column and for audits.
 
 _ENUM_LIMIT = 1 << 21
 
@@ -379,11 +388,10 @@ _ENUM_LIMIT = 1 << 21
 _ENUM_BATCH = 1 << 14
 
 
-def exact_full_rank_prob(r: int, c: int, p: float, q: int,
-                         limit: int = _ENUM_LIMIT) -> float:
+def exact_full_rank_prob(r: int, c: int, p: float, q: int) -> float:
     """Exact P(rank = c) of an r x c biased-sparse matrix by enumeration.
 
-    Refuses to enumerate more than `limit` matrices (q ** (r*c) of them).
+    Refuses to enumerate more than _ENUM_LIMIT matrices (q ** (r*c) of them).
     The matrices are ranked in batches by ``GF.prefix_pivots`` and counted
     by their number of nonzero entries, which fixes their weight.
     """
@@ -395,10 +403,10 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
         return 1.0
     cells = r * c
     total = q ** cells
-    if total > limit:
+    if total > _ENUM_LIMIT:
         raise ConfigError(
             f"enumeration of q^(r*c) = {q}^{cells} matrices exceeds the "
-            f"limit of {limit}"
+            f"limit of {_ENUM_LIMIT}"
         )
     gfq = get_field(q)
     m = gfq.m
@@ -420,8 +428,7 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int,
     return float(np.sum(full * (p ** (cells - nz) * w_nz ** nz)))
 
 
-def exact_innovation_prob(t: int, K: int, p: float, q: int,
-                          limit: int = _ENUM_LIMIT) -> float:
+def exact_innovation_prob(t: int, K: int, p: float, q: int) -> float:
     """Exact counterpart of the innovation probability W[t] by enumeration.
 
     Ratio of the exact full-rank probabilities of t+1 and t columns of
@@ -432,5 +439,5 @@ def exact_innovation_prob(t: int, K: int, p: float, q: int,
     t = count(t, "t", high=K - 1)
     # The denominator is positive for every p < 1: any full-rank matrix
     # carries positive weight under the coefficient law.
-    denom = exact_full_rank_prob(K, t, p, q, limit)
-    return exact_full_rank_prob(K, t + 1, p, q, limit) / denom
+    denom = exact_full_rank_prob(K, t, p, q)
+    return exact_full_rank_prob(K, t + 1, p, q) / denom

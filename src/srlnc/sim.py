@@ -48,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coding import ChannelParams, CodeParams, coefficient_law
 # sample_coding_matrix draws what one trial's coefficient block holds; it is
 # not called here, but bench/spans.py wraps it under this module's name.
-from .coding import CodeParams, coefficient_law, sample_coding_matrix  # noqa: F401
+from .coding import sample_coding_matrix  # noqa: F401
 from .errors import count
-from .chain import ChannelParams
 
 _MASK64 = (1 << 64) - 1
 
@@ -255,14 +255,13 @@ def _halfwidth(phat: float, n: int) -> float:
     return 1.96 * math.sqrt(phat * (1.0 - phat) / n)
 
 
-def estimate(cfg: SimConfig, workers: int | None = None) -> SimStats:
+def estimate(cfg: SimConfig, workers: int = 1) -> SimStats:
     """Run the whole campaign and aggregate.
 
     workers > 1 fans fixed-size trial blocks out to a process pool; the
-    per-trial seeding makes the result identical to the serial run.  None
-    runs serially, as 1 does.
+    per-trial seeding makes the result identical to the serial run.
     """
-    workers = 1 if workers is None else count(workers, "workers", low=1)
+    workers = count(workers, "workers", low=1)
     n = cfg.trials
     spans = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
     if workers > 1 and len(spans) > 1:

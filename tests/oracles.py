@@ -449,7 +449,7 @@ def solve_im_sequential(cfg):
     import dataclasses
 
     from srlnc import NumericalIntegrityError, delivery_probability
-    from srlnc.optimize import ImSolution
+    from srlnc.optimize import _TOL, ImSolution
 
     def delivery_at(p):
         code = dataclasses.replace(cfg.code, p=p)
@@ -481,7 +481,7 @@ def solve_im_sequential(cfg):
         iterations += 1
         if d_mid >= cfg.d_hat:
             lo, best_p, best_d = mid, mid, d_mid
-            if d_mid - cfg.d_hat <= cfg.tol:
+            if d_mid - cfg.d_hat <= _TOL:
                 break
         else:
             hi = mid

@@ -22,17 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from srlnc.chain import (
-    ChannelParams,
     build_chain,
-    delivery_probability,
     intercept_probability,
     label_of,
     n_states,
     state_of,
 )
-from srlnc.coding import CodeParams
+from srlnc.coding import ChannelParams, CodeParams
 from srlnc.optimize import ImConfig, intercept_gain, solve_im
-from srlnc.rank import RankTables
+from srlnc.rank import RankTables, delivery_probability
 from srlnc.sim import SimConfig, estimate, run_trial
 
 from oracles import (

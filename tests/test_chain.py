@@ -1,6 +1,8 @@
 """Absorbing-chain structure, hand-checked entries, and both metrics."""
 
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -528,3 +530,20 @@ def test_intercept_seam_step_is_the_known_exception():
         P = build_chain(code, chan, "paper-exact")
         vals.append(intercept_probability(P, 40))
     assert vals[1] > vals[0] + 0.01
+
+
+@pytest.mark.parametrize("module", ["sim", "rank", "coding"])
+def test_the_model_below_the_chain_imports_nothing_from_it(module):
+    # the labelled chain is one reader of the rank model; the code, channel,
+    # rank and simulation modules stand without it
+    path = Path(chain_module.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "chain" for n in names), (
+            module, ast.unparse(node))

@@ -12,14 +12,13 @@ import srlnc
 from srlnc import chain as chain_module
 from srlnc import cli
 from srlnc.chain import (
-    ChannelParams,
     build_chain,
     chain_delivery_probability,
-    delivery_probability,
     intercept_probability,
 )
-from srlnc.coding import CodeParams
+from srlnc.coding import ChannelParams, CodeParams
 from srlnc.errors import NumericalIntegrityError
+from srlnc.rank import delivery_probability
 
 
 def _run(capsys, argv):
@@ -441,6 +440,47 @@ def test_unwritable_path_is_an_io_error_with_no_result(
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("fail, code", [
+    ("config", 2), ("integrity", 3)])
+def test_a_failed_call_leaves_no_file_behind(
+        capsys, monkeypatch, tmp_path, flag, fail, code):
+    def boom(*args, **kwargs):
+        raise NumericalIntegrityError("synthetic failure")
+
+    monkeypatch.setattr(cli, "build_chain", boom)
+    argv = _K3_CHAIN if fail == "integrity" else [
+        "chain", "--p", "0.6", "--Nhat", "8"]  # no --K: exit 2
+    path = tmp_path / "x.csv"
+    rc, out, _ = _run(capsys, [*argv, flag, str(path)])
+    assert rc == code
+    assert out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("before", [b"", b"kept\n"])
+def test_a_failed_call_keeps_a_file_that_existed(capsys, tmp_path, flag,
+                                                 before):
+    path = tmp_path / "x.csv"
+    path.write_bytes(before)
+    rc, _, _ = _run(capsys, ["chain", "--p", "0.6", "--Nhat", "8", flag,
+                             str(path)])
+    assert rc == 2
+    assert path.read_bytes() == before
+
+
+def test_an_infeasible_solve_still_writes_its_row_to_a_new_file(capsys,
+                                                                tmp_path):
+    path = tmp_path / "x.csv"
+    rc, _, _ = _run(capsys, ["optimize", "--K", "5", "--Nhat", "17",
+                             "--eps-b", "0.05", "--eps-e", "0.2",
+                             "--Dhat", "1.0", "--out", str(path)])
+    assert rc == 4
+    (row,) = _rows(path.read_text())
+    assert row["status"] == "infeasible"
+
+
 def test_chain_row_matches_the_library(capsys, tmp_path):
     dump = tmp_path / "matrix.csv"
     argv = ["chain", "--K", "4", "--q", "2", "--p", "0.6", "--Nhat", "10",
@@ -610,14 +650,15 @@ def test_config_file_fills_gaps_and_flags_win(capsys, tmp_path):
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     # pi_variant is no key: the pi recursion has one reading; figure is no
-    # key: sweep requires the --figure flag before the file is read
+    # key: sweep requires the --figure flag before the file is read; tol is
+    # no key: the bisection's tolerance is a constant of the solver
     ini = tmp_path / "bad.ini"
     for key, value in (("budget", "9"), ("pi_variant", "row-count"),
-                       ("figure", "2a")):
+                       ("figure", "2a"), ("tol", "1e-6")):
         ini.write_text(f"[run]\nK = 3\n{key} = {value}\n")
         rc, _, err = _run(capsys, ["rank", "--config", str(ini), "--p", "0.6"])
         assert rc == 2
-        assert key in err
+        assert f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -686,8 +727,9 @@ def test_config_file_rejects_values_outside_the_choices(capsys, tmp_path, argv,
     (["simulate", "--K", "3", "--p", "0.6", "--Nhat", "6"],
      ["--mode", "consistent"]),
     (["optimize", "--K", "3", "--Nhat", "6"], ["--seed", "1"]),
+    (["optimize", "--K", "3", "--Nhat", "6"], ["--tol", "1e-6"]),
 ], ids=["rank", "chain", "optimize", "sweep", "rank-seed", "rank-mode",
-        "chain-seed", "simulate-mode", "optimize-seed"])
+        "chain-seed", "simulate-mode", "optimize-seed", "optimize-tol"])
 def test_retired_recursion_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + flag)

@@ -107,9 +107,8 @@ options:
      """\
 usage: srlnc optimize [-h] [--K K] [--q Q] [--Nhat NHAT] [--eps-b EPS_B]
                       [--eps-e EPS_E] [--eps-k EPS_K] [--Dhat DHAT]
-                      [--p-max P_MAX] [--tol TOL]
-                      [--mode {paper-exact,consistent}] [--out OUT]
-                      [--format {csv,json}] [--config CONFIG]
+                      [--p-max P_MAX] [--mode {paper-exact,consistent}]
+                      [--out OUT] [--format {csv,json}] [--config CONFIG]
 
 options:
   -h, --help            show this help message and exit
@@ -121,7 +120,6 @@ options:
   --eps-k EPS_K         feedback (ACK) erasure probability
   --Dhat DHAT           delivery floor for the optimizer
   --p-max P_MAX         upper end of the sparsity search
-  --tol TOL             delivery tolerance of the bisection
   --mode {paper-exact,consistent}
                         transition-matrix variant
   --out OUT             output path (default: stdout)

@@ -187,7 +187,7 @@ def test_enumeration_gf16_spot_value():
 
 def test_enumeration_refuses_oversized_jobs():
     with pytest.raises(ConfigError):
-        exact_full_rank_prob(6, 6, 0.6, 2, limit=1 << 20)
+        exact_full_rank_prob(6, 6, 0.6, 2)
     with pytest.raises(ConfigError):
         exact_full_rank_prob(3, 4, 0.6, 2)  # r < c
     with pytest.raises(ConfigError):

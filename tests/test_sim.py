@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from srlnc import sim
-from srlnc.chain import ChannelParams
-from srlnc.coding import CodeParams, DecoderState, sample_coding_matrix
+from srlnc.coding import (
+    ChannelParams, CodeParams, DecoderState, sample_coding_matrix,
+)
 from srlnc.errors import ConfigError
 from srlnc.gf import get_field
 from srlnc.sim import SimConfig, SimStats, TrialOutcome, estimate, run_trial

@@ -10,9 +10,17 @@ hashed with its call.  The demos run as subprocesses and only their stdout
 is hashed.
 
 Two checkouts print the same lines exactly when every one of these outputs
-is byte for byte the same.  To compare them, run in each and diff::
+is byte for byte the same.  To compare them, write the digest in one::
 
     python tools/output_digest.py > digest.txt
+
+and check the other against it::
+
+    python tools/output_digest.py --check digest.txt
+
+``--check`` prints nothing else: for every line that differs from the file
+it prints the old line (``-``) and the new one (``+``), and it exits 1 if
+any line differs, 0 otherwise.
 
 It reads ``bench/`` and ``src/`` beside this directory and writes only to a
 temporary directory.
@@ -20,7 +28,9 @@ temporary directory.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import logging
@@ -99,15 +109,23 @@ def run_call(main, argv: list[str]) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with a "
+                        "digest written earlier instead of printing this one")
+    args = parser.parse_args()
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     from srlnc import cli
     import workloads
 
+    lines: list[str] = []
+
     def group(name: str, digests: list[tuple[str, str]]) -> None:
-        for label, d in digests:
-            print(f"{d}  {name}  {label}")
-        print(f"{_digest(*[d for _, d in digests])}  {name}  ({len(digests)} calls)")
-        sys.stdout.flush()
+        new = [f"{d}  {name}  {label}" for label, d in digests]
+        new.append(f"{_digest(*[d for _, d in digests])}  {name}  "
+                   f"({len(digests)} calls)")
+        lines.extend(new)
+        if not args.check:
+            print("\n".join(new), flush=True)
 
     for name, make in workloads.WORKLOADS.items():
         group(name, [(" ".join(op.argv), run_call(cli.main, list(op.argv)))
@@ -120,7 +138,14 @@ def main() -> int:
     group("demos", [(demo, _digest(subprocess.run(
         [sys.executable, os.path.join(ROOT, "demos", demo)],
         capture_output=True, env=env, check=False).stdout)) for demo in demos])
-    return 0
+    if not args.check:
+        return 0
+    with open(args.check) as fh:
+        old = fh.read().splitlines()
+    diff = [line for line in difflib.unified_diff(old, lines, n=0, lineterm="")
+            if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+    print("\n".join(diff), end="\n" if diff else "")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
