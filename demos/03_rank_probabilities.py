@@ -13,9 +13,9 @@ K, q = 4, 2
 print(f"innovation probabilities W_t, K={K}, q={q}")
 header = "  t   " + "".join(f"p={p:<8.2f}" for p in (0.5, 0.6, 0.7, 0.8))
 print(header)
-tabs = {p: RankTables(K, q, p) for p in (0.5, 0.6, 0.7, 0.8)}
+tabs = {p: RankTables(q, p) for p in (0.5, 0.6, 0.7, 0.8)}
 for t in range(K):
-    cells = "".join(f"{tabs[p].W[t]:<10.4f}" for p in tabs)
+    cells = "".join(f"{tabs[p].W(K)[t]:<10.4f}" for p in tabs)
     print(f"  {t}   {cells}")
 
 print(f"\nfull-rank probability R_(n,{K}): model vs exact enumeration")
@@ -30,7 +30,7 @@ for p in (0.5, 0.6, 0.7, 0.8):
               f"{model - exact:+.4f}{flag}")
 
 print("\nclassic endpoint p = 1/q is computed by its own exact branch:")
-t20 = RankTables(20, 2, 0.5)
+t20 = RankTables(2, 0.5)
 for n in (20, 25, 40):
     exact = classic_full_rank_prob(n, 20, 2)
     print(f"  R_({n},20): model {t20.full_rank_prob(n, 20):.15f}  "

@@ -10,6 +10,7 @@ feedback channel does to the metrics.
 from srlnc import (
     ChannelParams,
     CodeParams,
+    RankTables,
     build_chain,
     initial_label,
     intercept_labels,
@@ -19,7 +20,7 @@ from srlnc import (
 )
 # delivery_probability prices code.n_hat, and CodeParams needs a budget
 # above K; the budgets below are read from the rank module's reception sum.
-from srlnc.rank import _model, decoding_probabilities
+from srlnc.rank import decoding_probabilities
 
 K, q, p = 4, 2, 0.7
 code = CodeParams(K=K, q=q, p=p, n_hat=16)
@@ -46,7 +47,7 @@ print("\nintercept and delivery vs transmission budget (eps_K = 1, jammed):")
 print("  N_hat   I (intercept)   D (delivery)")
 for n_hat in (4, 6, 8, 12, 16):
     I = intercept_probability(P, n_hat)
-    [D] = decoding_probabilities([_model(q, p)], K, n_hat, chan.eps_b)
+    [D] = decoding_probabilities([RankTables(q, p)], K, n_hat, chan.eps_b)
     print(f"  {n_hat:4d}    {I:.4f}          {D:.4f}")
 
 print("\nthe same point with working feedback, three jamming levels:")

@@ -28,8 +28,6 @@ from .rank import (
     delivery_probability,
     exact_full_rank_prob,
     exact_innovation_prob,
-    full_rank_prob,
-    rho,
 )
 from .chain import (
     ChainState,
@@ -54,7 +52,6 @@ __all__ = [
     "ChannelParams", "CodeParams", "DecoderState", "sample_coding_matrix",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
     "delivery_probability", "exact_full_rank_prob", "exact_innovation_prob",
-    "full_rank_prob", "rho",
     "ChainState", "TransitionMatrix", "build_chain",
     "chain_delivery_probability", "initial_label", "intercept_labels",
     "intercept_probability", "label_of", "n_states", "state_of",

@@ -26,7 +26,7 @@ of propagation multiplies a strided view of the distribution by the
 matching cells and sums the six terms.
 
 The per-slot probabilities approximate the coupled rank evolution using the
-innovation table W of ``RankTables(K, q, p)`` at the chain's code point:  a
+innovation table ``W(K)`` of the chain's code point ``(q, p)``:  a
 receiver at defect d advances with probability ``W[K-d]`` given reception,
 and joint advances are bounded by the harder of the two conditions.  The
 approximation can overshoot; see ``intercept_probability`` for the
@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .coding import ChannelParams, CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count
-from .rank import RankTables
+from .rank import _model
 
 log = logging.getLogger(__name__)
 
@@ -209,10 +209,10 @@ def build_chain(code: CodeParams, chan: ChannelParams,
                 mode: str = DEFAULT_MODE) -> TransitionMatrix:
     """Populate the transition matrix for one parameter set.
 
-    The innovation probabilities W of ``RankTables(code.K, code.q, code.p)``
-    are the only rank inputs the chain uses.  Each class of pending states,
-    a slice of the grid G[d_b, d_e], is filled at once with the float
-    operations and row-sum order of the row-by-row
+    The innovation table ``W(code.K)`` of the shared rank model of
+    ``(code.q, code.p)`` is the only rank input the chain uses.  Each class
+    of pending states, a slice of the grid G[d_b, d_e], is filled at once
+    with the float operations and row-sum order of the row-by-row
     ``tests/oracles.build_chain_reference``, which it equals bit for bit.
     """
     if mode not in TRANSITION_MODES:
@@ -220,7 +220,7 @@ def build_chain(code: CodeParams, chan: ChannelParams,
     K = code.K
     eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
     # Wd[d] = W[K - d] for a receiver at defect d; the pad at d = 0 is unused.
-    Wd = np.array([*RankTables(K, code.q, code.p).W, 0.0])[::-1]
+    Wd = np.array([*_model(code.q, code.p).W(K), 0.0])[::-1]
     d = np.arange(K + 1)
     d_b, d_e, w_b, w_e = d[:, None], d[None, :], Wd[:, None], Wd[None, :]
 

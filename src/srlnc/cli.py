@@ -53,7 +53,7 @@ from .chain import (
     intercept_probability,
 )
 from .coding import ChannelParams, CodeParams
-from .errors import ConfigError, NumericalIntegrityError
+from .errors import ConfigError, NumericalIntegrityError, count
 from .optimize import ImConfig, intercept_gain, solve_im
 from .rank import (RankTables, delivery_probability, exact_full_rank_prob,
                    exact_innovation_prob)
@@ -244,9 +244,10 @@ def _meta(args: argparse.Namespace, argv: list[str]) -> dict:
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p")
     n_hat = args.Nhat if args.Nhat is not None else 2 * args.K
-    tables = RankTables(args.K, args.q, args.p)
+    count(args.K, "K", low=1)  # K is checked before q and p
+    tables = RankTables(args.q, args.p)
     # W first, then the full-rank column, so their warnings keep this order
-    rows = [("innovation", t, w) for t, w in enumerate(tables.W)]
+    rows = [("innovation", t, w) for t, w in enumerate(tables.W(args.K))]
     if n_hat >= args.K:
         rows += [("full_rank", r, v) for r, v in enumerate(
             tables.full_rank_probs(args.K, n_hat).tolist(), start=args.K)]
@@ -472,8 +473,11 @@ def main(argv: list[str] | None = None) -> int:
     created = []
     try:
         _apply_config(args)
+        paths = [p for p in (args.out, getattr(args, "dump_matrix", None)) if p]
+        if len(paths) == 2 and len({os.path.realpath(p) for p in paths}) == 1:
+            raise ConfigError(f"--out and --dump-matrix name one file: {paths[1]}")
         # an unwritable path fails before the work; append truncates nothing
-        for path in filter(None, (args.out, getattr(args, "dump_matrix", None))):
+        for path in paths:
             if not os.path.exists(path):
                 created.append(path)
             open(path, "a").close()

@@ -46,13 +46,13 @@ import numpy as np
 
 from .coding import ChannelParams, CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count, probability
-from .rank import _fill_full_rank, _model, _SparseRankModel, decoding_probabilities
+from .rank import RankTables, _fill_full_rank, _model, decoding_probabilities
 from .sim import SimConfig, estimate
 
-# The solver calls none of these four.  bench/spans.py wraps them in this
+# The solver calls none of these three.  bench/spans.py wraps them in this
 # module's namespace, so they stay importable here until its patch points go.
 from .chain import build_chain, intercept_probability
-from .rank import RankTables, delivery_probability
+from .rank import delivery_probability
 
 log = logging.getLogger(__name__)
 
@@ -215,14 +215,14 @@ def solve_im(cfg: ImConfig) -> ImSolution:
     # path, filled by one kernel call.  Delivery is read only where the walk
     # goes, so unread midpoints log no overflow; a miss starts a new prediction.
     known = dict(zip(grid.tolist(), vals))
-    ahead: dict[float, _SparseRankModel] = {}
+    ahead: dict[float, RankTables] = {}
     calls = filled = 0
 
     def delivery(mid: float, lo: float, hi: float) -> float:
         nonlocal ahead, calls, filled
         if mid not in ahead:
             path = _predicted_path(cfg, known, lo, hi)
-            models = [_SparseRankModel(q, p) for p in path]
+            models = [RankTables(q, p) for p in path]
             _fill_full_rank(models, K, N)
             ahead = dict(zip(path, models))
             calls += 1

@@ -11,9 +11,9 @@ sum unchanged, ``lam = 1 - q(1-p)/(q-1)``.  From it we get
   zero-sum subsets out of ``rho`` with a binomial convolution;
 * ``full_rank_prob(r, c)``: exponential approximation of the probability that
   an ``r x c`` sparse matrix (``r >= c``) has rank ``c``;
-* ``RankTables.innovation_probability(t)``: probability that one more sparse
-  vector is independent of ``t`` already-independent ones, for ``t < K``,
-  in the same exponential form (``_exp_form``);
+* ``W(K)[t]``: probability that one more sparse vector of length ``K`` is
+  independent of ``t`` already-independent ones, for ``t < K``, in the same
+  exponential form (``_exp_form``);
 * ``decoding_probabilities``: the reception sum, the chance that a receiver
   losing each of N slots with probability eps collects K independent ones;
 * ``delivery_probability(code, chan)``: that sum for Bob, at eps_b.
@@ -31,7 +31,9 @@ is rho(s, r), the row-count reading, which makes ``pi(ell, r)`` the
 probability that ``ell`` specific columns form a minimal zero-sum set.  That
 is the reading exhaustive enumeration verifies, and the only one implemented.
 
-Tables.  One rank model exists per ``(q, p)``, kept warm by an lru cache.
+Tables.  ``RankTables(q, p)`` is the one rank model class; ``_model(q, p)``
+keeps a shared instance per ``(q, p)`` warm in an lru cache, and the
+solver's path models and ``srlnc rank`` build their own.
 Every pi value comes from one kernel over a vector of p and a range of
 columns r, laid out as (ell, p, r) and built one order at a time: one
 multiply writes every term ``(C(ell-1, s) rho(s, .)) pi(ell-s, .)``, s = 1
@@ -41,8 +43,8 @@ axis 0 subtracts them one row after another, so each element sees the scalar
 path; a sum has one).  No pi table is kept.  A model keeps what its readers
 come back for: per ``c``, the column ``full_rank_prob(r, c)`` for ``r = c ..
 r_max``, which ``full_rank_probs`` extends by the columns it lacks, and per
-``K``, the innovation table W of ``RankTables``, built from pi at the one
-column ``r = K``.  The scalar ``pi`` runs the kernel at its one column.
+``K``, the innovation table ``W(K)``, built from pi at the one column
+``r = K``.  The scalar ``pi`` runs the kernel at its one column.
 
 The recursion never mixes columns: pi(ell, r) reads rho(., r) and pi(., r)
 at the same r only, and the full-rank exponent at r reads column r alone.
@@ -51,7 +53,7 @@ models of one q from one kernel call over just the columns r they lack, and
 a column grown piece by piece holds the bytes of one built whole.
 
 Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
-goes negative in places: ``RankTables(20, 2, 0.9).pi(19, 20)`` is about
+goes negative in places: ``RankTables(2, 0.9).pi(19, 20)`` is about
 ``-5.46e-8``, and a 40-digit mpmath evaluation of the same recursion agrees to
 12 digits.  It is not floating-point cancellation, so no reordering of the
 arithmetic removes it; making ``pi`` nonnegative is a change of model.
@@ -172,13 +174,12 @@ def _exp_form(lead, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(lead * decay, 0.0, 1.0), np.isinf(decay)
 
 
-class _SparseRankModel:
-    """rho/pi/full-rank machinery for one (q, p).
-
-    Independent of the generation size.  ``_full_rank[c]`` holds
-    full_rank_prob(r, c) for r = c .. as far as any caller has asked, and
-    ``_innovation[K]`` the innovation table W.  A column is replaced by a
-    longer one, never written in place, so readers see complete values.
+class RankTables:
+    """The rank model of one sparse code point (q, p), for every generation
+    size.  ``_full_rank[c]`` holds full_rank_prob(r, c) for r = c .. as far
+    as any caller has asked, and ``_innovation[K]`` the table W(K).  A
+    column is replaced by a longer one, never written in place, so readers
+    see complete values and an instance is safe to share between threads.
     """
 
     def __init__(self, q: int, p: float):
@@ -232,15 +233,18 @@ class _SparseRankModel:
         """P(an r x c sparse random matrix has rank c), for r >= c >= 0."""
         return float(self.full_rank_probs(c, r)[r - c])
 
-    def _innovation_table(self, K: int) -> tuple[float, ...]:
-        """W[t] for t = 0 .. K-1 (see RankTables), memoised per K."""
+    def W(self, K: int) -> tuple[float, ...]:
+        """W[t], t = 0 .. K-1: the chance that one more sparse column of
+        height K is independent of t mutually independent ones, memoised per
+        K.  Exact at p = 1/q and an approximation above, clamped to [0, 1].
+        Every read, not only the first, logs a rise in t beyond 1e-9, where
+        extreme p has pushed the approximation outside its range."""
+        K = count(K, "K", low=1)
         W = self._innovation.get(K)
-        if W is not None:
-            return W
-        if self.classic:
+        if W is None and self.classic:
             W = tuple(classic_innovation_prob(t, K, self.q) for t in range(K))
-        else:
-            # base > 0 because p < 1 and K >= 1.
+        elif W is None:
+            # built from pi at the one column r = K; base > 0 as p < 1, K >= 1
             base = 1.0 - self.p**K
             # W[t] sums over ell = 2 .. t+1 with weight C(t, ell-1) in row ell-1
             binoms = np.zeros((K, K))
@@ -251,10 +255,17 @@ class _SparseRankModel:
             terms = np.where(binoms > 0.0, binoms * pi[:, None] / powers[:, None], 0.0)
             W = tuple(_exp_form(base, terms)[0].tolist())
         self._innovation[K] = W
+        worst = max((W[t + 1] - W[t] for t in range(K - 1)), default=0.0)
+        if worst > 1e-9:
+            log.warning(
+                "innovation table not monotone at K=%d q=%d p=%g "
+                "(worst increase %.3g); approximation outside its range",
+                K, self.q, self.p, worst,
+            )
         return W
 
 
-def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
+def _fill_full_rank(models: list[RankTables], c: int, r_max: int) -> None:
     """Give every model of one q its full-rank column c up to r_max.
 
     The only code that writes a full-rank column; each model appends only
@@ -286,7 +297,7 @@ def _fill_full_rank(models: list[_SparseRankModel], c: int, r_max: int) -> None:
         m._full_rank[c] = col
 
 
-def decoding_probabilities(models: list[_SparseRankModel], K: int, N: int,
+def decoding_probabilities(models: list[RankTables], K: int, N: int,
                            eps: float) -> list[float]:
     """Per model of one q, the binomial sum over n = K .. N received of
     full_rank_prob(n, K), clamped to 1; one kernel call fills every model."""
@@ -306,73 +317,8 @@ def delivery_probability(code: CodeParams, chan: ChannelParams) -> float:
 # typed, as get_field: an equal value of another type gets its own model,
 # built through the checks, rather than the cached one.
 @functools.lru_cache(maxsize=256, typed=True)
-def _model(q: int, p: float) -> _SparseRankModel:
-    return _SparseRankModel(q, p)
-
-
-def rho(c: int, r: int, p: float, q: int) -> float:
-    """Module-level convenience wrapper; see _SparseRankModel.rho."""
-    return _model(q, p).rho(c, r)
-
-
-def full_rank_prob(r: int, c: int, p: float, q: int) -> float:
-    """Full-rank probability of an r x c sparse matrix (r >= c)."""
-    return _model(q, p).full_rank_prob(r, c)
-
-
-class RankTables:
-    """Innovation and full-rank probabilities for one (K, q, p).
-
-    Every value comes from the row-count pi recursion of the module
-    docstring, through the rank model that all tables of one (q, p) share.
-    The model builds the innovation table ``W[t]``, t = 0 .. K-1, from pi at
-    the one column r = K on first use and keeps it per K, so callers that
-    only need full-rank probabilities never pay for it.  Instances are cheap and safe to share between threads: the
-    shared model only ever replaces its values by larger complete ones.
-
-    W[t] is the probability that, given t mutually independent sparse columns
-    of height K, one more sparse column is independent of them.  It is exact
-    at p = 1/q and an approximation above; it is clamped to [0, 1] and checked
-    to be nonincreasing in t (violations beyond 1e-9 are logged, not raised,
-    because extreme p can push the approximation outside its comfort zone).
-    """
-
-    def __init__(self, K: int, q: int, p: float):
-        self.K = count(K, "K", low=1)
-        self._mdl = _model(q, p)
-        self.q = self._mdl.q
-        self.p = self._mdl.p
-        self.classic = self._mdl.classic
-
-    @functools.cached_property
-    def W(self) -> tuple[float, ...]:
-        """Innovation table, W[t] for t = 0 .. K-1."""
-        W = self._mdl._innovation_table(self.K)
-        worst = max((W[t + 1] - W[t] for t in range(self.K - 1)), default=0.0)
-        if worst > 1e-9:
-            log.warning(
-                "innovation table not monotone at K=%d q=%d p=%g "
-                "(worst increase %.3g); approximation outside its range",
-                self.K, self.q, self.p, worst,
-            )
-        return W
-
-    def innovation_probability(self, t: int) -> float:
-        """W[t] for 0 <= t <= K-1."""
-        return self.W[count(t, "t", high=self.K - 1)]
-
-    def full_rank_prob(self, r: int, c: int) -> float:
-        return self._mdl.full_rank_prob(r, c)
-
-    def full_rank_probs(self, c: int, r_max: int) -> np.ndarray:
-        """Read-only array of full_rank_prob(r, c) for r = c .. r_max."""
-        return self._mdl.full_rank_probs(c, r_max)
-
-    def rho(self, c: int, r: int) -> float:
-        return self._mdl.rho(c, r)
-
-    def pi(self, ell: int, r: int) -> float:
-        return self._mdl.pi(ell, r)
+def _model(q: int, p: float) -> RankTables:
+    return RankTables(q, p)
 
 
 # -- exhaustive enumeration ---------------------------------------------------

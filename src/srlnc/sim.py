@@ -258,8 +258,8 @@ def _halfwidth(phat: float, n: int) -> float:
 def estimate(cfg: SimConfig, workers: int = 1) -> SimStats:
     """Run the whole campaign and aggregate.
 
-    workers > 1 fans fixed-size trial blocks out to a process pool; the
-    per-trial seeding makes the result identical to the serial run.
+    workers > 1 fans fixed-size trial blocks out to a process pool, one
+    worker per block at most; per-trial seeding keeps the serial result.
     """
     workers = count(workers, "workers", low=1)
     n = cfg.trials
@@ -268,7 +268,8 @@ def estimate(cfg: SimConfig, workers: int = 1) -> SimStats:
         # imported here: multiprocessing is only needed on the pool path
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             parts = list(pool.map(_run_block, *zip(*[(cfg, a, b) for a, b in spans])))
     else:
         parts = [_run_block(cfg, a, b) for a, b in spans]

@@ -198,8 +198,8 @@ def propagate_by_bincount(P, n_hat: int) -> np.ndarray:
     return dist
 
 
-def innovation_table_by_loop(tables) -> tuple[float, ...]:
-    """W of a sparse (p > 1/q) RankTables, one term of its exponent at a time.
+def innovation_table_by_loop(tables, K: int) -> tuple[float, ...]:
+    """W(K) of a sparse (p > 1/q) RankTables, one term of its exponent at a time.
 
     expo[t] accumulates C(t, ell-1) pi(ell, K) / base^ell over ell = 2 .. t+1
     in ascending ell, with base = 1 - p^K, and W = clip(base exp(-expo), 0, 1).
@@ -207,7 +207,6 @@ def innovation_table_by_loop(tables) -> tuple[float, ...]:
     the two must agree bit for bit; pi comes from the public scalar pi.
     Binomials are exact up to K = 61.
     """
-    K = tables.K
     base = 1.0 - tables.p ** K
     expo = np.zeros(K)
     for ell in range(2, K + 1):
@@ -266,12 +265,12 @@ def build_chain_reference(code, chan, tables, mode: str = "paper-exact"):
     transition law lists its destinations; the self-loop takes what is left,
     max(0, 1 - sum of the other entries in that order).  Bracket terms that
     go negative are clamped to 0 and counted.  Reads only code.K, the three
-    erasure probabilities and tables.W; checks nothing and logs nothing.
+    erasure probabilities and tables.W(K); checks nothing and logs nothing.
     `srlnc.build_chain` must return the same arrays bit for bit.
     """
     K = code.K
     eb, ee, ek = chan.eps_b, chan.eps_e, chan.eps_k
-    W = tables.W
+    W = tables.W(K)
     clamps = 0
 
     def clamped(x: float) -> float:

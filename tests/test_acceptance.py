@@ -184,9 +184,9 @@ def test_criterion_6_classic_endpoint_exactness():
     worst = 0.0
     for q in (2, 16):
         for K in range(1, 31):
-            tables = RankTables(K, q, 1.0 / q)
+            tables = RankTables(q, 1.0 / q)
             for t in range(K):
-                err = abs(tables.W[t] - float(classic_innovation(t, K, q)))
+                err = abs(tables.W(K)[t] - float(classic_innovation(t, K, q)))
                 worst = max(worst, err)
             for r in range(K, K + 9):
                 err = abs(tables.full_rank_prob(r, K)
@@ -205,7 +205,7 @@ def test_criterion_7_enumeration_oracle_suite():
     rows = []
     for K in (1, 2, 3, 4):
         for p in (0.5, 0.6, 0.7, 0.8):
-            tables = RankTables(K, 2, p)
+            tables = RankTables(2, p)
             for r in (K, K + 1, K + 2):
                 for c in range(K + 1):
                     got = tables.full_rank_prob(r, c)
@@ -278,16 +278,15 @@ def test_criterion_8_structural_invariants():
         lo = 1 / q + 0.01
         grid = [lo + (0.90 - lo) * i / 19 for i in range(20)]
         for K in (5, 12, 20):
-            for p in grid:
-                W = RankTables(K, q, p).W
+            rows = [RankTables(q, p).W(K) for p in grid]
+            for W in rows:
                 assert all(b <= a + 1e-12 for a, b in zip(W, W[1:]))
-            for t in range(K):
-                col = [RankTables(K, q, p).W[t] for p in grid]
+            for col in zip(*rows):
                 assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
-    seam_lo = RankTables(20, 2, 0.5).W[19]
-    seam_hi = RankTables(20, 2, 0.500001).W[19]
-    tail_92 = RankTables(20, 2, 0.92).W[19]
-    tail_95 = RankTables(20, 2, 0.95).W[19]
+    seam_lo = RankTables(2, 0.5).W(20)[19]
+    seam_hi = RankTables(2, 0.500001).W(20)[19]
+    tail_92 = RankTables(2, 0.92).W(20)[19]
+    tail_95 = RankTables(2, 0.95).W(20)[19]
 
     # deterministic parallel simulation
     cfg = SimConfig(code=CodeParams(K=4, q=2, p=0.6, n_hat=10),

@@ -143,7 +143,7 @@ def _assert_matches_reference(code, chan, mode):
     """build_chain equals the row-by-row reference bit for bit."""
     P = build_chain(code, chan, mode)
     *columns, clamps = build_chain_reference(
-        code, chan, RankTables(code.K, code.q, code.p), mode)
+        code, chan, RankTables(code.q, code.p), mode)
     for got, want in zip(map(np.array, zip(*P.triplets())), columns):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -215,10 +215,24 @@ def test_clamp_count_and_its_warning(K, q, p, eps, want, caplog):
             "zone"] if want else [])
 
 
+def test_every_build_logs_the_non_monotone_innovation_table(caplog):
+    # W(20) at q=2, p=0.99 rises in t; the shared model keeps the table, and
+    # each build that reads it logs the warning again.
+    def logged():
+        return [r for r in caplog.records
+                if "innovation table not monotone" in r.getMessage()]
+
+    _chain(20, 2, 0.99, 0.05, 0.2, 1.0)
+    assert len(logged()) == 1
+    _chain(20, 2, 0.99, 0.05, 0.2, 1.0)
+    assert len(logged()) == 2
+    assert {r.name for r in logged()} == {"srlnc.rank"}
+
+
 def _chain_with_W(monkeypatch, K, W, eps_b, eps_e, eps_k):
     """A chain built from an injected innovation table."""
-    monkeypatch.setattr("srlnc.chain.RankTables",
-                        lambda K, q, p: SimpleNamespace(W=W))
+    monkeypatch.setattr("srlnc.chain._model",
+                        lambda q, p: SimpleNamespace(W=lambda K: W))
     return build_chain(CodeParams(K=K, q=2, p=0.6, n_hat=2 * K),
                        ChannelParams(eps_b=eps_b, eps_e=eps_e, eps_k=eps_k))
 

@@ -470,6 +470,30 @@ def test_a_failed_call_keeps_a_file_that_existed(capsys, tmp_path, flag,
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("dump", ["F", "./F", "sub/../F"])
+def test_out_and_dump_matrix_on_one_file_are_refused(capsys, monkeypatch,
+                                                      tmp_path, dump):
+    # the record would overwrite the dump: refused before any file is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    rc, out, err = _run(capsys, [*_K3_CHAIN, "--out", "F",
+                                 "--dump-matrix", dump])
+    assert rc == 2
+    assert out == ""
+    assert "--out and --dump-matrix name one file: " in err
+    assert [f.name for f in tmp_path.iterdir()] == ["sub"]
+
+
+def test_rank_logs_the_non_monotone_innovation_table_once(capsys, caplog):
+    rc, _, _ = _run(capsys, ["rank", "--K", "20", "--q", "2", "--p", "0.99",
+                             "--Nhat", "19"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records
+            if "innovation table not monotone" in r.getMessage()] == [
+        "innovation table not monotone at K=20 q=2 p=0.99 (worst increase "
+        "1); approximation outside its range"]
+
+
 def test_an_infeasible_solve_still_writes_its_row_to_a_new_file(capsys,
                                                                 tmp_path):
     path = tmp_path / "x.csv"

@@ -39,7 +39,7 @@ from srlnc import (
 
 _CODE = CodeParams(K=4, q=2, p=0.6, n_hat=8)
 _CHAN = ChannelParams(eps_b=0.1, eps_e=0.3, eps_k=0.5)
-_TABLES = RankTables(4, 2, 0.6)
+_TABLES = RankTables(2, 0.6)
 _CHAIN = build_chain(_CODE, _CHAN)
 _SIM = SimConfig(_CODE, _CHAN, trials=10, base_seed=5)
 
@@ -87,15 +87,14 @@ COUNTS = [
     ("label_of eve_defect", 1, lambda v: label_of(ChainState(2, v), 4)),
     ("intercept_gain n_hats", 10, _gain),
     ("state_of", 17, lambda v: dataclasses.astuple(state_of(v, 4))),
-    ("RankTables.K", 4, lambda v: (RankTables(v, 2, 0.6).K, RankTables(v, 2, 0.6).W)),
-    ("RankTables.q", 16, lambda v: (RankTables(4, v, 0.6).q, RankTables(4, v, 0.6).W)),
+    ("RankTables.K", 4, lambda v: RankTables(2, 0.6).W(v)),
+    ("RankTables.q", 16, lambda v: (RankTables(v, 0.6).q, RankTables(v, 0.6).W(4))),
     ("rho c", 2, lambda v: _TABLES.rho(v, 5)),
     ("rho r", 5, lambda v: _TABLES.rho(2, v)),
     ("pi ell", 2, lambda v: _TABLES.pi(v, 5)),
     ("pi r", 5, lambda v: _TABLES.pi(2, v)),
     ("full_rank_probs c", 4, lambda v: _TABLES.full_rank_probs(v, 8).tolist()),
     ("full_rank_probs r_max", 8, lambda v: _TABLES.full_rank_probs(4, v).tolist()),
-    ("innovation_probability", 2, lambda v: _TABLES.innovation_probability(v)),
     ("exact_full_rank_prob r", 3, lambda v: exact_full_rank_prob(v, 2, 0.6, 2)),
     ("exact_full_rank_prob c", 2, lambda v: exact_full_rank_prob(3, v, 0.6, 2)),
     ("exact_innovation_prob t", 1, lambda v: exact_innovation_prob(v, 3, 0.6, 2)),
@@ -115,7 +114,7 @@ PROBABILITIES = [
     ("ChannelParams.eps_k", 0.5, lambda v: dataclasses.astuple(ChannelParams(0.1, 0.3, v))),
     ("ImConfig.d_hat", 0.9, lambda v: _im(d_hat=v)),
     ("ImConfig.p_max", 0.9, lambda v: _im(p_max=v)),
-    ("RankTables.p", 0.6, lambda v: (RankTables(4, 2, v).p, RankTables(4, 2, v).W)),
+    ("RankTables.p", 0.6, lambda v: (RankTables(2, v).p, RankTables(2, v).W(4))),
 ]
 
 BAD = [True, 2.0, -1, "3", math.nan, None]
@@ -192,7 +191,7 @@ def test_numpy_bools_give_the_python_labels():
 def test_sparsity_range_is_one_check(p):
     calls = [
         lambda: CodeParams(K=4, q=2, p=p, n_hat=8),
-        lambda: RankTables(4, 2, p),
+        lambda: RankTables(2, p),
         lambda: exact_innovation_prob(1, 3, p, 2),
         lambda: exact_full_rank_prob(3, 2, p, 2),
     ]

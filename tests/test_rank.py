@@ -32,32 +32,31 @@ from srlnc import (
     classic_innovation_prob,
     exact_full_rank_prob,
     exact_innovation_prob,
-    full_rank_prob,
-    rho,
 )
 from srlnc import rank
-from srlnc.rank import _SparseRankModel, _fill_full_rank
+from srlnc.rank import _fill_full_rank
 
 
 def test_rho_hand_values():
     # p = 1/q: a single sparse column entry is zero w.p. 1/2, so 0.5^3
-    assert rho(1, 3, 0.5, 2) == pytest.approx(0.125, abs=1e-15)
+    assert RankTables(2, 0.5).rho(1, 3) == pytest.approx(0.125, abs=1e-15)
     # combination of two biased bits is zero w.p. p^2 + (1-p)^2
-    assert rho(2, 1, 0.7, 2) == pytest.approx(0.58, abs=1e-15)
+    assert RankTables(2, 0.7).rho(2, 1) == pytest.approx(0.58, abs=1e-15)
     # zero-height columns: empty product
-    assert rho(5, 0, 0.6, 2) == 1.0
+    assert RankTables(2, 0.6).rho(5, 0) == 1.0
 
 
 def test_rho_rejects_negative_arguments():
+    model = RankTables(2, 0.6)
     with pytest.raises(ConfigError):
-        rho(-1, 3, 0.6, 2)
+        model.rho(-1, 3)
     with pytest.raises(ConfigError):
-        rho(1, -3, 0.6, 2)
+        model.rho(1, -3)
     # non-integer counts are refused too, whichever argument they are in
     for c, r in ((1.5, 3), (2, 3.5)):
         with pytest.raises(ConfigError):
-            rho(c, r, 0.6, 2)
-    assert rho(np.int64(2), np.int64(3), 0.6, 2) == rho(2, 3, 0.6, 2)
+            model.rho(c, r)
+    assert model.rho(np.int64(2), np.int64(3)) == model.rho(2, 3)
 
 
 def test_rho_against_direct_convolution():
@@ -69,7 +68,8 @@ def test_rho_against_direct_convolution():
                 for k in range(0, c + 1, 2)
             )
             for r in (0, 1, 3):
-                assert rho(c, r, p, 2) == pytest.approx(per_row**r, abs=1e-12)
+                assert RankTables(2, p).rho(c, r) == pytest.approx(per_row**r,
+                                                                   abs=1e-12)
 
 
 # p grids of the rho parity test, fixed before it was first run
@@ -85,21 +85,18 @@ def test_scalar_rho_is_the_rho_the_tables_use(q):
     # pow; the scalar rho must give the same float, and pi(1, r) = rho(1, r)
     r = np.arange(41)
     for p in _RHO_PARITY_P[q]:
-        model = _SparseRankModel(q, p)
+        model = RankTables(q, p)
         kernel = rank._power(np.array(model._per_rows(20))[:, None], r)[:, 0]
-        tables = RankTables(20, q, p)
         for c in range(21):
             for k in r.tolist():
                 want = float(kernel[c, k]).hex()
                 assert model.rho(c, k).hex() == want, (p, c, k)
-                assert rho(c, k, p, q).hex() == want, (p, c, k)
-                assert tables.rho(c, k).hex() == want, (p, c, k)
         for k in r.tolist():
             assert model.pi(1, k) == model.rho(1, k), (p, k)
 
 
 def test_pi_recursion_first_step_uses_the_row_count_factor():
-    t = RankTables(4, 2, 0.7)
+    t = RankTables(2, 0.7)
     # the first-order term is the base case
     assert t.pi(1, 3) == t.rho(1, 3)
     # one step of the recursion: the factor is rho(s, r), here rho(1, 3)
@@ -124,10 +121,10 @@ def test_classic_closed_forms_match_exact_rationals():
 def test_model_collapses_to_classic_at_p_equals_one_over_q():
     for q in (2, 16):
         p = 1.0 / q
-        tables = RankTables(8, q, p)
+        tables = RankTables(q, p)
         assert tables.classic
         for t in range(8):
-            assert tables.W[t] == pytest.approx(
+            assert tables.W(8)[t] == pytest.approx(
                 classic_innovation_prob(t, 8, q), abs=1e-14)
         for r in range(8, 13):
             assert tables.full_rank_prob(r, 8) == pytest.approx(
@@ -135,26 +132,27 @@ def test_model_collapses_to_classic_at_p_equals_one_over_q():
 
 
 def test_full_rank_prob_edges():
-    assert full_rank_prob(0, 0, 0.6, 2) == 1.0
-    assert full_rank_prob(5, 0, 0.6, 2) == 1.0
-    assert full_rank_prob(1, 1, 0.5, 2) == pytest.approx(0.5, abs=1e-15)
+    model = RankTables(2, 0.6)
+    assert model.full_rank_prob(0, 0) == 1.0
+    assert model.full_rank_prob(5, 0) == 1.0
+    assert RankTables(2, 0.5).full_rank_prob(1, 1) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ConfigError):
-        full_rank_prob(2, 3, 0.6, 2)  # more columns than rows
+        model.full_rank_prob(2, 3)  # more columns than rows
     with pytest.raises(ConfigError):
-        full_rank_prob(3, -1, 0.6, 2)
+        model.full_rank_prob(3, -1)
     # numpy integers are integers; floats are not
-    assert full_rank_prob(np.int64(5), 4, 0.6, 2) == full_rank_prob(5, 4, 0.6, 2)
+    assert model.full_rank_prob(np.int64(5), 4) == model.full_rank_prob(5, 4)
     for r, c in ((5.0, 4), (5, 2.5)):
         with pytest.raises(ConfigError):
-            full_rank_prob(r, c, 0.6, 2)
+            model.full_rank_prob(r, c)
 
 
 def test_p_domain_is_enforced():
     for bad in (0.3, 1.0, -0.1):
         with pytest.raises(ConfigError):
-            full_rank_prob(3, 2, bad, 2)
+            RankTables(2, bad)
     with pytest.raises(ConfigError):
-        RankTables(4, 16, 0.05, )  # below 1/16
+        RankTables(16, 0.05)  # below 1/16
 
 
 def test_full_rank_prob_against_enumeration():
@@ -164,7 +162,8 @@ def test_full_rank_prob_against_enumeration():
     for (r, c) in [(2, 1), (3, 2), (3, 3), (4, 3)]:
         for p in (0.5, 0.6, 0.7, 0.8):
             want = exact_full_rank_prob(r, c, p, 2)
-            assert full_rank_prob(r, c, p, 2) == pytest.approx(want, abs=0.05)
+            got = RankTables(2, p).full_rank_prob(r, c)
+            assert got == pytest.approx(want, abs=0.05)
 
 
 def test_enumeration_matches_fraction_dp():
@@ -201,32 +200,27 @@ def test_enumeration_refuses_oversized_jobs():
 
 
 def test_innovation_table_hand_checks():
-    tables = RankTables(3, 2, 0.6)
-    assert tables.W[0] == pytest.approx(1 - 0.6**3, abs=1e-15)
+    W = RankTables(2, 0.6).W(3)
+    assert W[0] == pytest.approx(1 - 0.6**3, abs=1e-15)
     want = float(sparse_innovation_gf2(1, 3, 0.6))
-    assert tables.W[1] == pytest.approx(want, abs=0.05)
+    assert W[1] == pytest.approx(want, abs=0.05)
     assert exact_innovation_prob(1, 3, 0.6, 2) == pytest.approx(want, abs=1e-10)
     # classic K=20 spot value used by the CLI table test as well
-    assert RankTables(20, 2, 0.5).W[19] == pytest.approx(0.5, abs=1e-15)
+    assert RankTables(2, 0.5).W(20)[19] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_innovation_prob_validates_t():
-    tables = RankTables(4, 2, 0.6)
-    assert tables.innovation_probability(2) == tables.W[2]
-    for bad in (-1, 4, 7, 1.5, 2.0):
-        with pytest.raises(ConfigError):
-            tables.innovation_probability(bad)
-    # numpy integers count as integers for K, t and pi's arguments
-    assert tables.innovation_probability(np.int64(2)) == tables.W[2]
+def test_innovation_table_validates_K():
+    tables = RankTables(2, 0.6)
+    assert len(tables.W(4)) == 4
+    # numpy integers count as integers for K and pi's arguments
     assert tables.pi(2, np.int64(3)) == tables.pi(2, 3)
-    wide = RankTables(np.int64(20), 2, 0.7)
-    assert type(wide.K) is int and wide.W == RankTables(20, 2, 0.7).W
+    assert tables.W(np.int64(20)) is tables.W(20)
     for ell, r in ((1.5, 3), (2, 3.5)):
         with pytest.raises(ConfigError):
             tables.pi(ell, r)
     for K in (0, 2.5, 4.0):
         with pytest.raises(ConfigError):
-            RankTables(K, 2, 0.6)
+            tables.W(K)
 
 
 def test_w_monotone_in_t():
@@ -235,7 +229,7 @@ def test_w_monotone_in_t():
                   (16, [1 / 16, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95])):
         for K in (5, 12, 20):
             for p in ps:
-                W = RankTables(K, q, p).W
+                W = RankTables(q, p).W(K)
                 for t in range(K - 1):
                     assert W[t + 1] <= W[t] + 1e-12, (K, q, p, t)
 
@@ -248,7 +242,7 @@ def test_w_monotone_in_p_on_the_sound_range():
     for q, ps in ((2, [0.52, 0.6, 0.7, 0.8, 0.9]),
                   (16, [1 / 16 + 0.01, 0.2, 0.4, 0.6, 0.8, 0.9])):
         for K in (5, 12, 20):
-            rows = [RankTables(K, q, p).W for p in ps]
+            rows = [RankTables(q, p).W(K) for p in ps]
             for t in range(K):
                 for a, b in zip(rows, rows[1:]):
                     assert b[t] <= a[t] + 1e-12, (K, q, t)
@@ -258,22 +252,22 @@ def test_w_seam_and_tail_exceptions_are_the_known_ones():
     # (1) seam: the approximation does not converge to the exact classic
     # value as p -> 1/q from above; near t = K the limit overshoots, so a
     # grid that mixes the two branches is not monotone there.
-    classic = RankTables(20, 2, 0.5).W[19]
-    above = RankTables(20, 2, 0.500001).W[19]
+    classic = RankTables(2, 0.5).W(20)[19]
+    above = RankTables(2, 0.500001).W(20)[19]
     assert classic == pytest.approx(0.5, abs=1e-12)
     assert above > classic + 0.05
     # (2) extreme tail: the deepest row turns upward past ~0.92 at K=20
-    assert RankTables(20, 2, 0.94).W[19] > RankTables(20, 2, 0.92).W[19]
+    assert RankTables(2, 0.94).W(20)[19] > RankTables(2, 0.92).W(20)[19]
     # shallower rows stay monotone through the full searchable range
     for t in range(19):
-        assert (RankTables(20, 2, 0.95).W[t]
-                <= RankTables(20, 2, 0.92).W[t] + 1e-12), t
+        assert (RankTables(2, 0.95).W(20)[t]
+                <= RankTables(2, 0.92).W(20)[t] + 1e-12), t
 
 
 def test_tables_are_clamped_probabilities():
     for p in (0.55, 0.75, 0.9, 0.97):
-        tables = RankTables(10, 2, p)
-        assert all(0.0 <= w <= 1.0 for w in tables.W)
+        tables = RankTables(2, p)
+        assert all(0.0 <= w <= 1.0 for w in tables.W(10))
         for r in range(10, 21):
             assert 0.0 <= tables.full_rank_prob(r, 10) <= 1.0
 
@@ -282,9 +276,9 @@ def test_tables_are_clamped_probabilities():
 def test_innovation_table_matches_the_loop_over_orders(q):
     for K in (1, 2, 3, 9, 20, 40):
         for p in (1.0 / q + 1e-9, 0.6, 0.9, 0.99):
-            tables = RankTables(K, q, p)
-            want = innovation_table_by_loop(tables)
-            assert np.array(tables.W).tobytes() == np.array(want).tobytes(), (K, p)
+            tables = RankTables(q, p)
+            want = innovation_table_by_loop(tables, K)
+            assert np.array(tables.W(K)).tobytes() == np.array(want).tobytes(), (K, p)
 
 
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
@@ -294,7 +288,7 @@ def test_overflowing_innovation_exponent_is_clipped_without_numpy_warnings(
     # come back with the library's own log warning and no RuntimeWarning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        W = RankTables(30, q, 0.99).W
+        W = RankTables(q, 0.99).W(30)
     assert len(W) == 30
     assert all(0.0 <= w <= 1.0 for w in W)
     assert any(r.name == "srlnc.rank" and r.levelname == "WARNING"
@@ -312,16 +306,16 @@ _PINNED_P = {2: (0.5 + 1e-9, 0.55, 0.7, 0.85, 0.9, 0.95),
 def test_tables_match_a_40_digit_evaluation(q):
     K = 20
     for p in _PINNED_P[q]:
-        tables = RankTables(K, q, p)
+        tables = RankTables(q, p)
         mp = MpRowCountModel(q, p)
         for r in range(K, 101):
             assert abs(tables.full_rank_prob(r, K) - mp.full_rank(r, K)) <= 1e-12, (p, r)
         for t, want in enumerate(mp.innovation(K)):
-            assert abs(tables.W[t] - want) <= 1e-12, (p, t)
+            assert abs(tables.W(K)[t] - want) <= 1e-12, (p, t)
 
 
 def test_full_rank_vector_matches_the_scalar_reads():
-    tables = RankTables(8, 16, 0.4)
+    tables = RankTables(16, 0.4)
     vec = tables.full_rank_probs(8, 30)
     assert len(vec) == 23
     assert vec.tolist() == [tables.full_rank_prob(r, 8) for r in range(8, 31)]
@@ -331,10 +325,10 @@ def test_full_rank_vector_matches_the_scalar_reads():
 
 def test_widened_table_equals_one_built_at_full_width():
     for q, p in ((2, 0.7), (16, 0.3)):
-        grown = _SparseRankModel(q, p)
+        grown = RankTables(q, p)
         narrow = grown.full_rank_probs(20, 40).copy()
         wide = grown.full_rank_probs(20, 100)
-        direct = _SparseRankModel(q, p)
+        direct = RankTables(q, p)
         assert np.array_equal(wide, direct.full_rank_probs(20, 100))
         assert np.array_equal(narrow, wide[:21])
 
@@ -349,7 +343,7 @@ _PARITY_SIZES = ((1, 5), (2, 3), (20, 21), (20, 22), (20, 176), (61, 200))
 
 
 def _assert_model_matches_the_loops(q, p, L, R):
-    model = _SparseRankModel(q, p)
+    model = RankTables(q, p)
     table = rank._pi_kernel(np.array(model._per_rows(L))[:, None], np.arange(R))[:, 0]
     assert table.shape == (L, R)
     assert table.tobytes() == pi_table_by_loop(model, L, R).tobytes(), (L, R)
@@ -391,7 +385,7 @@ def _batch_ps(q):
 
 def _assert_rows_match_models_built_alone(models, c, r_max):
     for m in models:
-        alone = _SparseRankModel(m.q, m.p).full_rank_probs(c, r_max)
+        alone = RankTables(m.q, m.p).full_rank_probs(c, r_max)
         got = m.full_rank_probs(c, r_max)
         assert got.tobytes() == alone.tobytes(), (m.q, m.p, c, r_max)
 
@@ -406,7 +400,7 @@ _BATCH_SIZES = ((1, 1), (2, 2), (2, 9), (5, 30), (20, 20), (20, 21),
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
 def test_batched_full_rank_rows_equal_each_p_built_alone(q):
     for c, r_max in _BATCH_SIZES:
-        models = [_SparseRankModel(q, p) for p in _batch_ps(q)]
+        models = [RankTables(q, p) for p in _batch_ps(q)]
         _fill_full_rank(models, c, r_max)
         _assert_rows_match_models_built_alone(models, c, r_max)
 
@@ -415,7 +409,7 @@ def test_batched_full_rank_rows_equal_each_p_built_alone(q):
 def test_batch_over_models_of_different_cached_widths(q):
     # each model only appends the columns it lacks, and the classic model
     # is left to its own closed form
-    models = [_SparseRankModel(q, p) for p in (1.0 / q, *_batch_ps(q))]
+    models = [RankTables(q, p) for p in (1.0 / q, *_batch_ps(q))]
     models[1].full_rank_probs(20, 20)  # one entry, r = 20
     models[2].full_rank_probs(20, 45)  # r = 20 .. 45
     _fill_full_rank(models[3:5], 20, 33)
@@ -432,7 +426,7 @@ def test_overflowing_full_rank_exponent_is_logged_not_warned(p, q, c, caplog):
     # The full-rank exponent overflows at these points; the column must come
     # back clipped, with one srlnc.rank log record naming (q, p, c) and no
     # RuntimeWarning.
-    model = _SparseRankModel(q, p)
+    model = RankTables(q, p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         first = model.full_rank_probs(c, c)

@@ -229,6 +229,38 @@ def test_estimate_is_reproducible_and_worker_invariant():
     assert s3 == s1
 
 
+# (trials, workers allowed, workers the pool asks for): 4097 trials fill
+# three blocks, and one block runs without a pool.
+@pytest.mark.parametrize("trials, workers, want", [
+    (4097, 64, [3]), (4097, 2, [2]), (2048, 64, [])])
+def test_the_pool_asks_for_no_more_workers_than_blocks(monkeypatch, trials,
+                                                       workers, want):
+    # Under fork every worker starts at the first submit, so the pool asks
+    # for one worker per block at most; a stand-in records the request and
+    # maps in this process.
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = _cfg(2, 2, 0.6, 0.1, 0.3, 0.8, 6, trials=trials, seed=9)
+    assert estimate(cfg, workers=workers) == estimate(cfg, workers=1)
+    assert asked == want
+
+
 def test_blind_eavesdropper_never_decodes():
     cfg = _cfg(2, 2, 0.6, 0.2, 1.0, 0.5, 12, trials=400, seed=3)
     for i in range(50):

@@ -46,7 +46,8 @@ SEED = 1
 
 # Edge calls outside the workloads: overflowing rank tables, the enumeration
 # column, a chain at extreme p in both transition modes, an infeasible, an
-# overflowing and a non-monotone solve, two small sweeps, and a matrix dump.
+# overflowing and a non-monotone solve, two small sweeps, a matrix dump, a
+# simulation of three trial blocks on a pool of two workers and a q=16 table.
 _POINT = ["--K", "20", "--q", "2", "--Nhat", "40",
           "--eps-b", "0.05", "--eps-e", "0.2", "--eps-k", "1.0"]
 EXTRAS = {
@@ -69,6 +70,9 @@ EXTRAS = {
     "chain-dump-matrix": ["chain", "--K", "3", "--q", "2", "--p", "0.6",
                           "--Nhat", "8", "--eps-b", "0.1", "--eps-e", "0.3",
                           "--eps-k", "0.5", "--dump-matrix", "matrix.csv"],
+    "simulate-pool": ["simulate", *_POINT, "--p", "0.7", "--trials", "4097",
+                      "--threads", "2"],
+    "rank-q16": ["rank", "--K", "20", "--q", "16", "--p", "0.3", "--Nhat", "100"],
 }
 
 
