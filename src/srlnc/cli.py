@@ -470,17 +470,18 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parse(argv)
-    created = []
     try:
         _apply_config(args)
         paths = [p for p in (args.out, getattr(args, "dump_matrix", None)) if p]
         if len(paths) == 2 and len({os.path.realpath(p) for p in paths}) == 1:
             raise ConfigError(f"--out and --dump-matrix name one file: {paths[1]}")
-        # an unwritable path fails before the work; append truncates nothing
+        # an unwritable path fails before the work; append truncates nothing,
+        # and a file the check made goes at once (a symlink to it stays)
         for path in paths:
-            if not os.path.exists(path):
-                created.append(path)
+            existed = os.path.exists(path)
             open(path, "a").close()
+            if not existed:
+                os.remove(os.path.realpath(path))
         return _COMMANDS[args.command][2](args, argv)
     except ConfigError as exc:
         error, code = f"configuration error: {exc}", 2
@@ -488,10 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         error, code = f"numerical integrity failure: {exc}", 3
     except OSError as exc:
         error, code = f"i/o error: {exc}", 2
-    # a failed call leaves behind no file that only the path check made
-    for path in created:
-        if os.path.isfile(path) and os.path.getsize(path) == 0:
-            os.remove(path)
     print(f"srlnc: {error}", file=sys.stderr)
     return code
 

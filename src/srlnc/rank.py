@@ -42,15 +42,15 @@ axis 0 subtracts them one row after another, so each element sees the scalar
 ``val -= term(s)`` in ascending ``s``, bit for bit (subtract has no pairwise
 path; a sum has one).  No pi table is kept.  A model keeps what its readers
 come back for: per ``c``, the column ``full_rank_prob(r, c)`` for ``r = c ..
-r_max``, which ``full_rank_probs`` extends by the columns it lacks, and per
-``K``, the innovation table ``W(K)``, built from pi at the one column
-``r = K``.  The scalar ``pi`` runs the kernel at its one column.
+r_max``, built whole for the widest ``r_max`` asked so far, and per ``K``,
+the innovation table ``W(K)``, built from pi at the one column ``r = K``.
+The scalar ``pi`` runs the kernel at its one column.
 
 The recursion never mixes columns: pi(ell, r) reads rho(., r) and pi(., r)
 at the same r only, and the full-rank exponent at r reads column r alone.
 So ``_fill_full_rank``, the one writer of full-rank columns, serves many
-models of one q from one kernel call over just the columns r they lack, and
-a column grown piece by piece holds the bytes of one built whole.
+models of one q from one kernel call, and a model's column is the same
+whichever models share the call.
 
 Negative ``pi``.  ``pi`` is read as a probability but the recursion itself
 goes negative in places: ``RankTables(2, 0.9).pi(19, 20)`` is about
@@ -268,31 +268,27 @@ class RankTables:
 def _fill_full_rank(models: list[RankTables], c: int, r_max: int) -> None:
     """Give every model of one q its full-rank column c up to r_max.
 
-    The only code that writes a full-rank column; each model appends only
-    the columns r it lacks.  One kernel call covers the sparse models, from
-    the first column any of them lacks; the closed form covers classic models
-    and c = 0 (an empty product).  ``full_rank_probs`` logs an overflow noted
-    here when the column is first read.
+    The only code that writes a full-rank column.  A model whose column is
+    shorter gets the whole column r = c .. r_max, which replaces the old one:
+    one kernel call covers the sparse models, and the closed form covers
+    classic models and c = 0 (an empty product).  ``full_rank_probs`` logs an
+    overflow noted here when the column is first read.
     """
     short = [m for m in models if len(m._full_rank.get(c, ())) <= r_max - c]
-    have = [len(m._full_rank.get(c, ())) for m in short]
-    sparse = [i for i, m in enumerate(short) if c and not m.classic]
-    new: dict[int, np.ndarray] = {}
+    sparse = [m for m in short if c and not m.classic]
+    cols = {m: np.array([classic_full_rank_prob(r, c, m.q)
+                         for r in range(c, r_max + 1)])
+            for m in short if m not in sparse}
     if sparse:
-        first = min(have[i] for i in sparse)
-        r = np.arange(c + first, r_max + 1)
-        per_row = np.array([short[i]._per_rows(c) for i in sparse]).T
-        rows, over = _full_rank_kernel(np.array([short[i].p for i in sparse]),
+        r = np.arange(c, r_max + 1)
+        per_row = np.array([m._per_rows(c) for m in sparse]).T
+        rows, over = _full_rank_kernel(np.array([m.p for m in sparse]),
                                        _pi_kernel(per_row, r), r)
-        for i, row, row_over in zip(sparse, rows, over):
-            new[i] = row[have[i] - first:]
-            if row_over[have[i] - first:].any():
-                short[i]._overflowed.setdefault(c, False)
-    for i, (m, n) in enumerate(zip(short, have)):
-        col = new[i] if i in new else np.array(
-            [classic_full_rank_prob(r, c, m.q) for r in range(c + n, r_max + 1)])
-        if n:
-            col = np.concatenate((m._full_rank[c], col))
+        cols.update(zip(sparse, rows))
+        for m, col_over in zip(sparse, over):
+            if col_over.any():
+                m._overflowed.setdefault(c, False)
+    for m, col in cols.items():
         col.flags.writeable = False
         m._full_rank[c] = col
 

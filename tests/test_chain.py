@@ -2,6 +2,7 @@
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from oracles import (
     build_chain_reference,
     chain_distribution_dense,
     chain_intercept_by_paths,
+    classic_full_rank,
     propagate_by_bincount,
 )
 from srlnc import (
@@ -419,6 +421,25 @@ def test_modes_coincide_when_feedback_is_fully_jammed():
     a = build_chain(code, chan, "paper-exact").triplets()
     b = build_chain(code, chan, "consistent").triplets()
     assert a == b
+
+
+@pytest.mark.parametrize("mode", TRANSITION_MODES)
+@pytest.mark.parametrize("K, q", [(4, 2), (4, 16), (20, 2), (20, 16)])
+def test_classic_intercept_with_jammed_feedback_is_the_exact_reception_sum(
+        K, q, mode):
+    # At p = 1/q and eps_K = 1 the source sends every slot and W is exact,
+    # so Eve's intercept is the binomial sum of the classic full-rank
+    # probability over her reception count, taken here in Fractions.
+    for n_hat in (K + 1, 2 * K, 2 * K + 20):
+        for eps_b in (0.0, 0.05):
+            for eps_e in (0.2, 0.35):
+                e = Fraction(eps_e)
+                want = sum(math.comb(n_hat, n) * (1 - e) ** n
+                           * e ** (n_hat - n) * classic_full_rank(n, K, q)
+                           for n in range(K, n_hat + 1))
+                P = _chain(K, q, 1.0 / q, eps_b, eps_e, 1.0, mode, n_hat)
+                got = intercept_probability(P, n_hat)
+                assert abs(got - float(want)) <= 1e-12, (n_hat, eps_b, eps_e)
 
 
 def test_modes_differ_exactly_by_the_acknowledgment_swap():

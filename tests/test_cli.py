@@ -459,6 +459,37 @@ def test_a_failed_call_leaves_no_file_behind(
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("fail, code", [
+    ("config", 2), ("integrity", 3)])
+def test_a_failed_call_keeps_a_link_to_a_missing_file(
+        capsys, monkeypatch, tmp_path, flag, fail, code):
+    def boom(*args, **kwargs):
+        raise NumericalIntegrityError("synthetic failure")
+
+    monkeypatch.setattr(cli, "build_chain", boom)
+    argv = _K3_CHAIN if fail == "integrity" else [
+        "chain", "--p", "0.6", "--Nhat", "8"]  # no --K: exit 2
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    rc, out, _ = _run(capsys, [*argv, flag, str(link)])
+    assert rc == code
+    assert out == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+def test_a_call_through_a_link_to_a_missing_file_writes_the_target(
+        capsys, tmp_path, flag):
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    rc, _, _ = _run(capsys, [*_K3_CHAIN, flag, str(link)])
+    assert rc == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("# command = srlnc chain ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
 @pytest.mark.parametrize("before", [b"", b"kept\n"])
 def test_a_failed_call_keeps_a_file_that_existed(capsys, tmp_path, flag,
                                                  before):

@@ -407,8 +407,8 @@ def test_batched_full_rank_rows_equal_each_p_built_alone(q):
 
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
 def test_batch_over_models_of_different_cached_widths(q):
-    # each model only appends the columns it lacks, and the classic model
-    # is left to its own closed form
+    # each short model gets its whole column, and the classic model is
+    # left to its own closed form
     models = [RankTables(q, p) for p in (1.0 / q, *_batch_ps(q))]
     models[1].full_rank_probs(20, 20)  # one entry, r = 20
     models[2].full_rank_probs(20, 45)  # r = 20 .. 45
@@ -419,6 +419,35 @@ def test_batch_over_models_of_different_cached_widths(q):
     _assert_rows_match_models_built_alone(models, 20, 90)
     _fill_full_rank(models, 20, 64)  # nothing lacking: nothing changes
     _assert_rows_match_models_built_alone(models, 20, 64)
+
+
+@pytest.mark.parametrize("q", [2, 16])
+def test_a_model_filled_in_budget_order_holds_the_column_built_whole(q):
+    # optimize-fig2's budgets at K = 20: every fifth from 21, then 80
+    shared = [RankTables(q, p) for p in _batch_ps(q)]
+    for N in (*range(21, 80, 5), 80):
+        rank.decoding_probabilities(shared, 20, N, 0.05)
+    for m in shared:
+        whole = RankTables(q, m.p).full_rank_probs(20, 80)
+        assert m._full_rank[20].tobytes() == whole.tobytes(), m.p
+
+
+def test_a_narrower_read_after_a_wider_one_runs_no_kernel(monkeypatch):
+    model = RankTables(2, 0.7)
+    wide = model.full_rank_probs(20, 60)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel called for a column already stored")
+
+    monkeypatch.setattr(rank, "_pi_kernel", refuse)
+    monkeypatch.setattr(rank, "_full_rank_kernel", refuse)
+    stored = model._full_rank[20]
+    narrow = model.full_rank_probs(20, 33)
+    assert model._full_rank[20] is stored
+    assert np.shares_memory(narrow, stored)
+    assert narrow.tobytes() == wide[:14].tobytes()
+    [got] = rank.decoding_probabilities([model], 20, 40, 0.05)
+    assert 0.0 <= got <= 1.0
 
 
 @pytest.mark.parametrize("p, q, c", [(0.9999, 2, 20), (0.99, 2, 40)])
