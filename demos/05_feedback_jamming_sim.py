@@ -18,10 +18,9 @@ from srlnc import (
     ChannelParams,
     CodeParams,
     SimConfig,
-    build_chain,
     delivery_probability,
     estimate,
-    intercept_probability,
+    intercept,
 )
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -38,8 +37,7 @@ for eps_k in (0.0, 0.5, 0.85, 1.0):
     chan = ChannelParams(0.05, 0.3, eps_k)
     stats = estimate(SimConfig(code=code, chan=chan, trials=args.trials,
                                base_seed=17))
-    P = build_chain(code, chan, "paper-exact")
-    i_theory = intercept_probability(P, n_hat)
+    i_theory = intercept(code, chan, "paper-exact")
     d_theory = delivery_probability(code, chan)
     print(f"{eps_k:4.2f}   {stats.intercept_hat:.4f} (+-{stats.intercept_ci:.4f})"
           f"   {i_theory:.4f}    {stats.delivery_hat:.4f}   {d_theory:.4f}"

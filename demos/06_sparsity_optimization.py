@@ -4,8 +4,9 @@ The operational question is how sparse the code can get before the
 legitimate receiver starts missing its delivery target.  The solver runs a
 bisection on the delivery constraint; this demo solves one reference
 configuration, prices the intercept at the solution and at classic coding
-with the chain, audits the solution, then traces the Monte Carlo gain curve
-over transmission budgets the way the payoff is usually presented.
+with the model's `intercept`, audits the solution, then traces the Monte
+Carlo gain curve over transmission budgets the way the payoff is usually
+presented.
 """
 
 import dataclasses
@@ -13,9 +14,8 @@ import dataclasses
 from srlnc import (
     ChannelParams,
     CodeParams,
-    build_chain,
     delivery_probability,
-    intercept_probability,
+    intercept,
 )
 from srlnc.optimize import ImConfig, intercept_gain, solve_im
 
@@ -25,22 +25,16 @@ cfg = ImConfig(
     d_hat=0.99,
 )
 sol = solve_im(cfg)
-
-
-def intercept(p):
-    """The chain's intercept probability at sparsity p."""
-    code = dataclasses.replace(cfg.code, p=p)
-    P = build_chain(code, cfg.chan)
-    return intercept_probability(P, code.n_hat)
-
+at_star = dataclasses.replace(cfg.code, p=sol.p_star)
+classic = dataclasses.replace(cfg.code, p=cfg.p_min)
 
 print("reference solve: K=5, q=2, eps_B=0.05, eps_E=0.2, eps_K=1, "
       "N_hat=17, delivery floor 0.99")
 print(f"  status            {sol.status}")
 print(f"  p_star            {sol.p_star:.6f}")
 print(f"  delivery(p_star)  {sol.delivery:.6f}")
-print(f"  intercept(p_star) {intercept(sol.p_star):.6f}")
-print(f"  intercept(1/q)    {intercept(cfg.p_min):.6f}")
+print(f"  intercept(p_star) {intercept(at_star, cfg.chan):.6f}")
+print(f"  intercept(1/q)    {intercept(classic, cfg.chan):.6f}")
 print(f"  iterations        {sol.iterations}")
 
 # audit: nudging p past the solution must break the floor

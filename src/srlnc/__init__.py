@@ -35,6 +35,7 @@ from .chain import (
     build_chain,
     chain_delivery_probability,
     initial_label,
+    intercept,
     intercept_labels,
     intercept_probability,
     label_of,
@@ -52,7 +53,7 @@ __all__ = [
     "ChannelParams", "CodeParams", "DecoderState", "sample_coding_matrix",
     "RankTables", "classic_full_rank_prob", "classic_innovation_prob",
     "delivery_probability", "exact_full_rank_prob", "exact_innovation_prob",
-    "ChainState", "TransitionMatrix", "build_chain",
+    "ChainState", "TransitionMatrix", "build_chain", "intercept",
     "chain_delivery_probability", "initial_label", "intercept_labels",
     "intercept_probability", "label_of", "n_states", "state_of",
     "SimConfig", "SimStats", "TrialOutcome", "estimate", "run_trial",

@@ -312,6 +312,16 @@ def intercept_probability(P: TransitionMatrix, n_hat: int) -> float:
     return min(1.0, float(sum(dist[j] for j in intercept_labels(P.K))))
 
 
+def intercept(code: CodeParams, chan: ChannelParams,
+              mode: str = DEFAULT_MODE) -> float:
+    """The model's intercept probability at code.n_hat slots.
+
+    The one place that decides how the intercept is priced, for ``srlnc
+    optimize``, the figure-1 sweeps and the demos.  Today that is the
+    labelled chain of `build_chain` at every eps_K."""
+    return intercept_probability(build_chain(code, chan, mode), code.n_hat)
+
+
 def chain_delivery_probability(P: TransitionMatrix, n_hat: int) -> float:
     """Chain-side estimate of Bob decoding within n_hat slots.
 

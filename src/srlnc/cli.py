@@ -12,11 +12,13 @@ Output is CSV on stdout by default: ``#``-prefixed metadata lines (command,
 seed, mode, version), the record keys as header, then one row per grid point.
 ``--seed`` is taken by ``simulate`` and ``sweep``, the only subcommands that
 draw random numbers, and ``--mode`` by ``chain``, ``optimize`` and ``sweep``,
-the ones that build a chain; elsewhere the metadata records the fixed value
-(seed 0, mode paper-exact).  ``optimize`` builds the chain only to print the
-intercepts at p* and at 1/q; the solve itself reads delivery alone.  On
-``sweep``, ``--mode`` changes the figure-1 panels only: the figure-2 gain
-curves are simulated.
+the ones that price the intercept; elsewhere the metadata records the fixed
+value (seed 0, mode paper-exact).  ``optimize`` and ``sweep`` price it with
+``srlnc.chain.intercept``, ``optimize`` only to print it at p* and at 1/q:
+the solve itself reads delivery alone.  ``chain`` builds its own matrix, so
+that its intercept, its chain-side delivery and ``--dump-matrix`` describe
+one matrix.  On ``sweep``, ``--mode`` changes the figure-1 panels only: the
+figure-2 gain curves are simulated.
 Flags are spelled in full: ``--p`` is not read as ``--p-max``.
 ``--format json`` emits the same content as ``{"meta": ..., "records": ...}``.
 ``--out FILE`` redirects to a file.  Numbers are rendered with repr so files
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import logging
 import os
@@ -45,13 +48,9 @@ import shlex
 import sys
 
 from . import __version__
-from .chain import (
-    DEFAULT_MODE,
-    TRANSITION_MODES,
-    build_chain,
-    chain_delivery_probability,
-    intercept_probability,
-)
+from .chain import (DEFAULT_MODE, TRANSITION_MODES, build_chain,
+                    chain_delivery_probability, intercept,
+                    intercept_probability)
 from .coding import ChannelParams, CodeParams
 from .errors import ConfigError, NumericalIntegrityError, count
 from .optimize import ImConfig, intercept_gain, solve_im
@@ -243,8 +242,8 @@ def _meta(args: argparse.Namespace, argv: list[str]) -> dict:
 
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     _require(args, "K", "p")
-    n_hat = args.Nhat if args.Nhat is not None else 2 * args.K
-    count(args.K, "K", low=1)  # K is checked before q and p
+    count(args.K, "K", low=1)  # K is checked before Nhat, q and p
+    n_hat = 2 * args.K if args.Nhat is None else count(args.Nhat, "Nhat")
     tables = RankTables(args.q, args.p)
     # W first, then the full-rank column, so their warnings keep this order
     rows = [("innovation", t, w) for t, w in enumerate(tables.W(args.K))]
@@ -315,14 +314,9 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     chan = ChannelParams(args.eps_b, args.eps_e, args.eps_k)
     cfg = ImConfig(code=code, chan=chan, d_hat=args.Dhat, p_max=args.p_max)
     sol = solve_im(cfg)
-
-    def intercept(p: float) -> float:
-        at = CodeParams(K=args.K, q=args.q, p=p, n_hat=args.Nhat)
-        P = build_chain(at, chan, args.mode)
-        return intercept_probability(P, args.Nhat)
-
-    classic = intercept(code.p)  # priced first: its chain warns before p*'s
-    at_star = None if sol.p_star is None else intercept(sol.p_star)
+    classic = intercept(code, chan, args.mode)  # first: it warns before p*
+    at_star = None if sol.p_star is None else intercept(
+        dataclasses.replace(code, p=sol.p_star), chan, args.mode)
     if at_star is not None and at_star > classic:
         log.warning("the chain prices p*=%r above classic coding: intercept "
                     "%r > intercept_classic %r; p* is the delivery root, which"
@@ -383,7 +377,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                     code, ChannelParams(eps_b, eps_e, eps_ks[0]))
                 for eps_k in eps_ks:
                     chan_k = ChannelParams(eps_b, eps_e, eps_k)
-                    P = build_chain(code, chan_k, args.mode)
+                    theory = intercept(code, chan_k, args.mode)
                     stats = estimate(
                         SimConfig(code=code, chan=chan_k, trials=trials,
                                   base_seed=args.seed),
@@ -393,7 +387,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
                         "figure": args.figure, "K": K, "q": q, "N_hat": n_hat,
                         "eps_B": eps_b, "eps_E": eps_e, "eps_K": eps_k, "p": p,
                         "trials": trials,
-                        "intercept_theory": intercept_probability(P, n_hat),
+                        "intercept_theory": theory,
                         "intercept_hat": stats.intercept_hat,
                         "ci": stats.intercept_ci,
                         "delivery_theory": delivery,

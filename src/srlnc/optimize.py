@@ -6,11 +6,11 @@ delivery probability at or above a floor d_hat.  Delivery falls with p, and
 the solver returns the delivery root p*, the largest p whose delivery meets
 d_hat, by a bisection on delivery(p) - d_hat, not a generic optimizer.  p*
 minimizes the intercept only where the intercept also falls with p, as it
-does with the feedback mostly jammed; with working feedback the chain can
+does with the feedback mostly jammed; with working feedback the model can
 price it above classic coding, and ``srlnc optimize`` then logs a warning.
 The solver returns p* and the delivery there; the intercept is the
-objective priced once the search is over, by the chain of ``srlnc.chain``
-at p* and at the classic endpoint p = 1/q, and the search never reads it.
+objective priced once the search is over, by ``srlnc.chain.intercept`` at
+p* and at the classic endpoint p = 1/q, and the search never reads it.
 ``srlnc optimize`` prints both.
 
 Delivery is the reception sum of ``srlnc.rank``, whose kernel evaluates many
@@ -98,8 +98,8 @@ class ImConfig:
 class ImSolution:
     """Result of one solve: p_star and the delivery there (both None when
     infeasible), and bracket_width, the final bisection bracket (0 unless the
-    root is interior).  The intercept is the chain's to price, at p_star and
-    at p = 1/q; ``srlnc optimize`` prints both.
+    root is interior).  The intercept is ``srlnc.chain.intercept``'s to
+    price, at p_star and at p = 1/q; ``srlnc optimize`` prints both.
     """
 
     p_star: float | None

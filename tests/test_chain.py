@@ -32,6 +32,7 @@ from srlnc import (
     delivery_probability,
     estimate,
     initial_label,
+    intercept,
     intercept_labels,
     intercept_probability,
     label_of,
@@ -582,3 +583,52 @@ def test_the_model_below_the_chain_imports_nothing_from_it(module):
             continue
         assert not any(n.split(".")[-1] == "chain" for n in names), (
             module, ast.unparse(node))
+
+
+@pytest.mark.parametrize("mode", ["paper-exact", "consistent"])
+@pytest.mark.parametrize("q,p,eps_k", [(2, 0.5, 1.0), (2, 0.7, 0.5),
+                                       (16, 0.3, 0.0), (16, 1 / 16, 0.85)])
+def test_intercept_is_the_labelled_chain_read_at_the_budget(mode, q, p, eps_k):
+    # today the one pricing of the model's intercept is the labelled chain
+    code = CodeParams(K=8, q=q, p=p, n_hat=19)
+    chan = ChannelParams(eps_b=0.05, eps_e=0.3, eps_k=eps_k)
+    P = build_chain(code, chan, mode)
+    assert intercept(code, chan, mode) == intercept_probability(P, 19)
+    if mode == "paper-exact":
+        assert intercept(code, chan) == intercept(code, chan, mode)
+
+
+def _build_chain_callers(path):
+    """Dotted names of the functions in a file that call build_chain, with
+    "<module>" for a call outside any function."""
+    callers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == "build_chain":
+                    callers.add(where)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return callers
+
+
+def test_only_the_chain_command_and_demo_04_build_a_chain_outside_srlnc_chain():
+    # every other reader of the model's intercept goes through
+    # srlnc.chain.intercept, so a change of model is a diff inside it;
+    # `srlnc chain` keeps its matrix for I, I_chain_delivery and the dump
+    src = Path(chain_module.__file__).parent
+    callers = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+               if path.name != "chain.py"
+               for name in _build_chain_callers(path)}
+    assert callers == {"cli._cmd_chain"}
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    assert {path.name for path in demos.glob("*.py")
+            if _build_chain_callers(path)} == {"04_intercept_chain.py"}

@@ -625,6 +625,65 @@ def test_optimize_infeasible_exits_4_but_still_writes_the_row(capsys):
     assert row["intercept_classic"] != ""
 
 
+def _record_intercepts(monkeypatch):
+    """Swap cli.intercept for a recorder whose n-th call returns 0.5 ** n;
+    the returned list gets the (code, chan, mode) of each call."""
+    calls = []
+
+    def record(code, chan, mode="paper-exact"):
+        calls.append((code, chan, mode))
+        return 0.5 ** len(calls)
+
+    monkeypatch.setattr(cli, "intercept", record)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["paper-exact", "consistent"])
+def test_optimize_prices_both_intercepts_through_chain_intercept(
+        capsys, monkeypatch, mode):
+    calls = _record_intercepts(monkeypatch)
+    rc, out, _ = _run(capsys, ["optimize", "--K", "5", "--Nhat", "17",
+                               "--eps-b", "0.05", "--eps-e", "0.2",
+                               "--mode", mode, "--format", "json"])
+    assert rc == 0
+    (rec,) = json.loads(out)["records"]
+    # classic coding is priced first, then p*
+    assert (rec["intercept_classic"], rec["intercept"]) == (0.5, 0.25)
+    assert [(code.p, code.n_hat, m) for code, _, m in calls] == [
+        (0.5, 17, mode), (rec["p_star"], 17, mode)]
+    assert {chan for _, chan, _ in calls} == {ChannelParams(0.05, 0.2, 1.0)}
+
+
+@pytest.mark.parametrize("mode", ["paper-exact", "consistent"])
+def test_figure_1_sweep_prices_its_intercepts_through_chain_intercept(
+        capsys, monkeypatch, mode):
+    calls = _record_intercepts(monkeypatch)
+    rc, out, _ = _run(capsys, ["sweep", "--figure", "1a", "--K", "4",
+                               "--trials", "20", "--eps-b", "0.05",
+                               "--eps-k", "0.5", "--mode", mode,
+                               "--format", "json"])
+    assert rc == 0
+    records = json.loads(out)["records"]
+    assert [r["intercept_theory"] for r in records] == [
+        0.5 ** n for n in range(1, len(records) + 1)]
+    assert [(code.p, code.n_hat, chan.eps_k, m) for code, chan, m in calls] \
+        == [(r["p"], 8, 0.5, mode) for r in records]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rank_refuses_a_negative_budget(capsys, tmp_path, fmt):
+    # --Nhat is a count in rank as in every other command
+    path = tmp_path / "x.out"
+    for out_flag in ([], ["--out", str(path)]):
+        rc, out, err = _run(capsys, ["rank", "--K", "3", "--p", "0.7",
+                                     "--Nhat", "-1", "--format", fmt,
+                                     *out_flag])
+        assert (rc, out) == (2, "")
+        assert err == ("srlnc: configuration error: Nhat=-1 must be an "
+                       "integer >= 0\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["chain", "--K", "3", "--p", "0.6", "--Nhat", "8",
       "--eps-b", "0.5", "--eps-e", "0.2"], "eps"),

@@ -47,7 +47,9 @@ SEED = 1
 # Edge calls outside the workloads: overflowing rank tables, the enumeration
 # column, a chain at extreme p in both transition modes, an infeasible, an
 # overflowing and a non-monotone solve, two small sweeps, a matrix dump, a
-# simulation of three trial blocks on a pool of two workers and a q=16 table.
+# simulation of three trial blocks on a pool of two workers, a q=16 table,
+# and a solve and a figure-1 sweep in the consistent mode at eps_k = 0.5,
+# where the two modes price the intercept apart.
 _POINT = ["--K", "20", "--q", "2", "--Nhat", "40",
           "--eps-b", "0.05", "--eps-e", "0.2", "--eps-k", "1.0"]
 EXTRAS = {
@@ -73,6 +75,11 @@ EXTRAS = {
     "simulate-pool": ["simulate", *_POINT, "--p", "0.7", "--trials", "4097",
                       "--threads", "2"],
     "rank-q16": ["rank", "--K", "20", "--q", "16", "--p", "0.3", "--Nhat", "100"],
+    "optimize-consistent": ["optimize", *_POINT[:10], "--eps-k", "0.5",
+                            "--Dhat", "0.9", "--mode", "consistent"],
+    "sweep-1a-consistent": ["sweep", "--figure", "1a", "--K", "4",
+                            "--eps-b", "0.05", "--eps-k", "0.5",
+                            "--trials", "20", "--mode", "consistent"],
 }
 
 
