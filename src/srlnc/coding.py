@@ -111,7 +111,9 @@ def coefficient_law(u: np.ndarray, values: np.ndarray | None,
     nonzero = u >= p
     if values is None:
         return nonzero.view(np.uint8)
-    return np.where(nonzero, values, np.uint8(0))
+    # values * nonzero gives the same bytes as np.where(nonzero, values, 0),
+    # and numpy runs the multiply many times faster.
+    return values * nonzero
 
 
 class DecoderState:

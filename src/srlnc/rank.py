@@ -351,19 +351,15 @@ def exact_full_rank_prob(r: int, c: int, p: float, q: int) -> float:
             f"limit of {_ENUM_LIMIT}"
         )
     gfq = get_field(q)
-    m = gfq.m
-    # Matrix number n holds digit k of n in base q at cell k, row-major, so
-    # row i is the c digits from bit m*c*i on: already one word in the
-    # packed lane layout of GF.pack (c*m <= 64 because n fits in 64 bits).
-    shifts = np.arange(0, m * cells, m, dtype=np.uint64)
-    row_mask = np.uint64((1 << m * c) - 1)
+    # Matrix number n holds digit k of n in base q at cell k, row-major.
+    shifts = np.arange(0, gfq.m * cells, gfq.m, dtype=np.uint64)
     full = np.zeros(cells + 1, dtype=np.int64)  # full-rank count per nonzeros
     for start in range(0, total, _ENUM_BATCH):
         n = np.arange(start, min(start + _ENUM_BATCH, total), dtype=np.uint64)
-        rows = (n[:, None] >> shifts[::c]) & row_mask
-        ok = gfq.prefix_pivots(rows[:, :, None], c).sum(axis=1) == c
-        cell = (n[ok][:, None] >> shifts) & np.uint64(q - 1)
-        full += np.bincount(np.count_nonzero(cell, axis=1),
+        cell = ((n[:, None] >> shifts) & np.uint64(q - 1)).astype(np.uint8)
+        words = gfq.pack(cell.reshape(len(n), r, c))
+        ok = gfq.prefix_pivots(words, c).sum(axis=1) == c
+        full += np.bincount(np.count_nonzero(cell[ok], axis=1),
                             minlength=cells + 1)
     nz = np.arange(cells + 1)
     w_nz = (1.0 - p) / (q - 1.0)

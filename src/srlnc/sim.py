@@ -17,14 +17,16 @@ budget), Bob has decoded if his rank reaches K by then, and Eve has decoded
 if her rank after slot t is K.
 
 Ranks come from one batched elimination kernel, ``GF.prefix_pivots``.  A
-chunk's coding vectors are packed once by ``GF.pack``, their K elements
-64 // m to a uint64 word (m = log2 q bits a lane).  Each receiver's copy of
-a trial's vectors is one stream, made by multiplying the packed words by
-that receiver's reception mask, so an erased slot is a zero row, and Bob's
-and Eve's streams of the chunk run together.  Elimination only ever adds
-earlier rows to later ones, so every prefix keeps its span and the rank
-after slot t is the number of pivot rows among the first t.  The kernel is
-deliberately independent of coding.DecoderState, its one-vector oracle:
+chunk's coding vectors are packed once by ``GF.pack`` into uint64 words,
+one element a lane of 1, 2, 4 or 8 bits (the fewest that hold log2 q bits,
+so no lane straddles a byte): 64 elements a word at q = 2, 16 at q = 16 and
+8 from q = 32 on.  Each receiver's copy of a trial's vectors is one stream,
+made by multiplying the packed words by that receiver's reception mask, so
+an erased slot is a zero row, and Bob's and Eve's streams of the chunk run
+together.  Elimination only ever adds earlier rows to later ones, so every
+prefix keeps its span and the rank after slot t is the number of pivot rows
+among the first t.  The kernel is deliberately independent of
+coding.DecoderState, its one-vector oracle:
 ``test_packed_binary_tracker_matches_the_decoder`` checks its pivot flags
 and prefix ranks against ``DecoderState.absorb`` slot by slot.
 

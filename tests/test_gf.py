@@ -84,3 +84,21 @@ def test_gf256_axioms_sampled(a, b, c):
     assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
     if a:
         assert gf.mul(a, gf.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q, lane", [(2, 1), (4, 2), (8, 4), (16, 4), (32, 8),
+                                     (64, 8), (128, 8), (256, 8)])
+@pytest.mark.parametrize("K", [1, 9, 17, 33, 70])
+def test_pack_puts_element_j_in_its_byte_aligned_lane(q, lane, K):
+    # Element j sits in bits lane * (j % per) of word j // per, per = 64 //
+    # lane, and every other bit is zero: at q = 8 that is bits 4 * (j % 16)
+    # of word j // 16.
+    gf = get_field(q)
+    per = 64 // lane
+    sym = np.random.default_rng([q, K]).integers(0, q, size=(3, K), dtype=np.uint8)
+    words = gf.pack(sym)
+    assert words.shape == (3, -(-K // per))
+    want = np.zeros(words.shape, dtype=object)
+    for j in range(K):
+        want[:, j // per] += sym[:, j].astype(object) << (lane * (j % per))
+    assert words.tolist() == want.tolist()

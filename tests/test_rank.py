@@ -184,6 +184,15 @@ def test_enumeration_gf16_spot_value():
         classic_full_rank_prob(2, 2, 16), abs=1e-12)
 
 
+@pytest.mark.parametrize("q, r, c", [(8, 3, 2), (32, 2, 2), (64, 3, 1),
+                                     (128, 2, 1)])
+def test_enumeration_matches_classic_form_at_wide_lanes(q, r, c):
+    # At p = 1/q the law is uniform, so the enumeration must give the classic
+    # product; these fields pack their elements into lanes wider than m bits.
+    assert exact_full_rank_prob(r, c, 1 / q, q) == pytest.approx(
+        classic_full_rank_prob(r, c, q), abs=1e-12)
+
+
 def test_enumeration_refuses_oversized_jobs():
     with pytest.raises(ConfigError):
         exact_full_rank_prob(6, 6, 0.6, 2)

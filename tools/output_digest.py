@@ -48,8 +48,10 @@ SEED = 1
 # column, a chain at extreme p in both transition modes, an infeasible, an
 # overflowing and a non-monotone solve, two small sweeps, a matrix dump, a
 # simulation of three trial blocks on a pool of two workers, a q=16 table,
-# and a solve and a figure-1 sweep in the consistent mode at eps_k = 0.5,
-# where the two modes price the intercept apart.
+# a solve and a figure-1 sweep in the consistent mode at eps_k = 0.5, where
+# the two modes price the intercept apart, and simulations and enumeration
+# columns at fields whose elements take lanes wider than their m bits
+# (q=8 in 4-bit lanes, q=32 and q=128 in 8-bit lanes).
 _POINT = ["--K", "20", "--q", "2", "--Nhat", "40",
           "--eps-b", "0.05", "--eps-e", "0.2", "--eps-k", "1.0"]
 EXTRAS = {
@@ -80,6 +82,16 @@ EXTRAS = {
     "sweep-1a-consistent": ["sweep", "--figure", "1a", "--K", "4",
                             "--eps-b", "0.05", "--eps-k", "0.5",
                             "--trials", "20", "--mode", "consistent"],
+    "simulate-q8": ["simulate", *_POINT[:2], "--q", "8", "--Nhat", "100",
+                    *_POINT[6:10], "--eps-k", "0.5", "--p", "0.4",
+                    "--trials", "300"],
+    "simulate-q128": ["simulate", *_POINT[:2], "--q", "128", "--Nhat", "100",
+                      *_POINT[6:10], "--eps-k", "0.5", "--p", "0.2",
+                      "--trials", "300"],
+    "rank-oracle-q8": ["rank", "--K", "2", "--q", "8", "--p", "0.3",
+                       "--with-oracle"],
+    "rank-oracle-q32": ["rank", "--K", "2", "--q", "32", "--p", "0.3",
+                        "--with-oracle"],
 }
 
 
