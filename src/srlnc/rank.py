@@ -44,7 +44,10 @@ path; a sum has one).  No pi table is kept.  A model keeps what its readers
 come back for: per ``c``, the column ``full_rank_prob(r, c)`` for ``r = c ..
 r_max``, built whole for the widest ``r_max`` asked so far, and per ``K``,
 the innovation table ``W(K)``, built from pi at the one column ``r = K``.
-The scalar ``pi`` runs the kernel at its one column.
+The scalar ``pi`` runs the kernel at its one column.  Every binomial weight
+is a row of ``_binom_row``, built from exact integers and rounded once each,
+so it is the float nearest C(n, k); ``np.exp`` in ``_exp_form`` is the
+module's only exponential.
 
 The recursion never mixes columns: pi(ell, r) reads rho(., r) and pi(., r)
 at the same r only, and the full-rank exponent at r reads column r alone.
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 
 import numpy as np
 
@@ -73,28 +75,23 @@ from .gf import get_field
 
 log = logging.getLogger(__name__)
 
-def _binom(n: int, k: int) -> float:
-    """Binomial coefficient as a float, by log-gamma above 60.  C(n, n/2)
-    leaves the float range from n = 1030 on: ConfigError there."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= 60:
-        return float(math.comb(n, k))
-    try:
-        return math.exp(
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        )
-    except OverflowError:
-        raise ConfigError(
-            f"C({n}, {k}) overflows a float: row counts and transmission "
-            "budgets above 1029 are out of range"
-        ) from None
-
 
 @functools.lru_cache(maxsize=1024)
 def _binom_row(n: int) -> np.ndarray:
-    """Read-only array of _binom(n, k) for k = 0 .. n."""
-    row = np.array([_binom(n, k) for k in range(n + 1)])
+    """Read-only array of C(n, k) for k = 0 .. n, each the exact integer
+    rounded once to a float.  C(n, n/2) leaves the float range from n = 1030
+    on: ConfigError there, naming the first k that overflows."""
+    vals, b = [], 1
+    for k in range(n + 1):
+        try:
+            vals.append(float(b))
+        except OverflowError:
+            raise ConfigError(
+                f"C({n}, {k}) overflows a float: row counts and transmission "
+                "budgets above 1029 are out of range"
+            ) from None
+        b = b * (n - k) // (k + 1)
+    row = np.array(vals)
     row.flags.writeable = False
     return row
 

@@ -205,7 +205,6 @@ def innovation_table_by_loop(tables, K: int) -> tuple[float, ...]:
     in ascending ell, with base = 1 - p^K, and W = clip(base exp(-expo), 0, 1).
     The same float operations in the same order as the package's table, so
     the two must agree bit for bit; pi comes from the public scalar pi.
-    Binomials are exact up to K = 61.
     """
     base = 1.0 - tables.p ** K
     expo = np.zeros(K)
@@ -224,7 +223,7 @@ def pi_table_by_loop(model, L: int, R: int) -> np.ndarray:
     with the terms subtracted in ascending s, where rho(s, .) is
     model.rho(s, 1) ** r.  The same float operations in the same order as the
     package's pi kernel over the columns r = 0 .. R-1, so the two must agree
-    bit for bit.  Binomials are exact up to L = 61.
+    bit for bit.
     """
     r = np.arange(R)
     rho = [model.rho(c, 1) ** r for c in range(L + 1)]
@@ -245,8 +244,7 @@ def full_rank_column_by_loop(model, c: int, r_max: int) -> np.ndarray:
     ascending ell, with base = 1 - p^r, and the column is
     clip(base^c exp(-expo), 0, 1).  The same float operations in the same
     order as the package's column, so the two must agree bit for bit; pi comes
-    from pi_table_by_loop, not from the package.  Binomials are exact up to
-    c = 60.
+    from pi_table_by_loop, not from the package.
     """
     pi = pi_table_by_loop(model, c, r_max + 1)[:, c:]
     base = 1.0 - model.p ** np.arange(c, c + pi.shape[1])
@@ -433,6 +431,15 @@ class MpRowCountModel:
                                    for ell in range(2, t + 2))
                 out.append(float(self._clamp(base * mpmath.exp(-expo))))
             return out
+
+    def reception_sum(self, K: int, N: int, eps: float) -> float:
+        """sum_{n=K}^{N} C(N, n) (1-eps)^n eps^(N-n) full_rank(n, K), unclamped,
+        with eps taken at its exact binary value."""
+        with mpmath.workdps(self.DPS):
+            e = mpmath.mpf(eps)
+            return float(mpmath.fsum(
+                math.comb(N, n) * (1 - e) ** n * e ** (N - n) * self.full_rank(n, K)
+                for n in range(K, N + 1)))
 
 
 

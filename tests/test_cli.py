@@ -215,7 +215,7 @@ _GOLDEN_OPTIMIZE = """\
 # mode = paper-exact
 # version = 0.1.0
 K,q,N_hat,D_hat,p_star,status,delivery,intercept,intercept_classic,iterations,mode
-20,16,61,0.99,0.8767503739135816,interior-root,0.9900000498158624,0.9999999999973507,1.0,16,paper-exact
+20,16,61,0.99,0.8767503739135816,interior-root,0.9900000498158699,0.9999999999973507,1.0,16,paper-exact
 """
 
 
@@ -323,7 +323,7 @@ _GOLDEN_OPTIMIZE_PATHS = [
       "D_hat": 0.99,
       "p_star": 0.8767503739135816,
       "status": "interior-root",
-      "delivery": 0.9900000498158624,
+      "delivery": 0.9900000498158699,
       "intercept": 0.9999999999973507,
       "intercept_classic": 1.0,
       "iterations": 16,

@@ -6,6 +6,7 @@ the recursion base) and tolerance assertions against exact enumeration.
 """
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from oracles import (
     sparse_innovation_gf2,
 )
 from srlnc import (
+    ChannelParams,
+    CodeParams,
     ConfigError,
     RankTables,
     classic_full_rank_prob,
@@ -283,7 +286,7 @@ def test_tables_are_clamped_probabilities():
 
 @pytest.mark.parametrize("q", [2, 16, 256])
 def test_innovation_table_matches_the_loop_over_orders(q):
-    for K in (1, 2, 3, 9, 20, 40):
+    for K in (1, 2, 3, 9, 20, 40, 70):
         for p in (1.0 / q + 1e-9, 0.6, 0.9, 0.99):
             tables = RankTables(q, p)
             want = innovation_table_by_loop(tables, K)
@@ -323,6 +326,35 @@ def test_tables_match_a_40_digit_evaluation(q):
             assert abs(tables.W(K)[t] - want) <= 1e-12, (p, t)
 
 
+def test_binomial_rows_are_the_exact_coefficients_rounded_once():
+    # Every row up to 1029 against Pascal's rule over integers, built apart
+    # from the package's recurrence, through the uncached builder; rows up to
+    # 60 are the floats of math.comb the model has always read.  Then the
+    # cached rows at the n where log-gamma is off by 4.3e-14 to 1.7e-12.
+    exact = [1]
+    for n in range(1030):
+        assert rank._binom_row.__wrapped__(n).tolist() == [float(b) for b in exact], n
+        exact = [1, *map(operator.add, exact, exact[1:]), 1]
+    for n in (61, 100, 200, 1029):
+        row = rank._binom_row(n)
+        assert row.tolist() == [float(math.comb(n, k)) for k in range(n + 1)], n
+        assert not row.flags.writeable
+
+
+# (q, N̂, p*): optimize-fig2 solves (K = 20, eps_b = 0.05, D̂ = 0.99) whose
+# reception sums read the binomial rows above 60.
+_FIG2_ROOTS = ((2, 80, "0x1.cf243999fd7e8p-1"), (16, 91, "0x1.d4d66f99e507bp-1"))
+
+
+@pytest.mark.parametrize("q, n_hat, p", _FIG2_ROOTS)
+def test_delivery_above_budget_60_matches_a_40_digit_reception_sum(q, n_hat, p):
+    p = float.fromhex(p)
+    got = rank.delivery_probability(CodeParams(K=20, q=q, p=p, n_hat=n_hat),
+                                    ChannelParams(eps_b=0.05, eps_e=0.2, eps_k=1.0))
+    want = MpRowCountModel(q, p).reception_sum(20, n_hat, 0.05)
+    assert abs(got - want) <= 1e-14
+
+
 def test_full_rank_vector_matches_the_scalar_reads():
     tables = RankTables(16, 0.4)
     vec = tables.full_rank_probs(8, 30)
@@ -357,7 +389,7 @@ def _assert_model_matches_the_loops(q, p, L, R):
     assert table.shape == (L, R)
     assert table.tobytes() == pi_table_by_loop(model, L, R).tobytes(), (L, R)
     for c in sorted({1, 2, L // 2, L - 1, L} - {0}):
-        if c > 60 or c >= R:
+        if c >= R:
             continue
         got = model.full_rank_probs(c, R - 1)
         want = full_rank_column_by_loop(model, c, R - 1)

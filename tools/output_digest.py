@@ -51,7 +51,9 @@ SEED = 1
 # a solve and a figure-1 sweep in the consistent mode at eps_k = 0.5, where
 # the two modes price the intercept apart, and simulations and enumeration
 # columns at fields whose elements take lanes wider than their m bits
-# (q=8 in 4-bit lanes, q=32 and q=128 in 8-bit lanes).
+# (q=8 in 4-bit lanes, q=32 and q=128 in 8-bit lanes), and a rank table
+# and a chain that read binomial rows above n = 60 (W and R at K = 70, W(64)
+# and the delivery sum at N = 80).
 _POINT = ["--K", "20", "--q", "2", "--Nhat", "40",
           "--eps-b", "0.05", "--eps-e", "0.2", "--eps-k", "1.0"]
 EXTRAS = {
@@ -92,6 +94,9 @@ EXTRAS = {
                        "--with-oracle"],
     "rank-oracle-q32": ["rank", "--K", "2", "--q", "32", "--p", "0.3",
                         "--with-oracle"],
+    "rank-K70": ["rank", "--K", "70", "--q", "2", "--p", "0.95", "--Nhat", "80"],
+    "chain-K64": ["chain", "--K", "64", "--q", "2", "--p", "0.9", "--Nhat", "80",
+                  *_POINT[6:10], "--eps-k", "0.5"],
 }
 
 
